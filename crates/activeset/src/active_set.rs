@@ -9,11 +9,15 @@
 //! `set(j) := set(j+1) ∪ owner(j)` and installs the result with CAS, so
 //! membership information propagates to slot 0 where `getSet` reads it.
 //!
-//! Snapshot lists are cons cells in the shared arena. Every climb
-//! installation allocates a **fresh** head node — installed pointers never
-//! repeat — so a climb CAS can only succeed if the slot is unchanged since
-//! it was read; stale climbers can never overwrite newer snapshots (the
-//! pointer-reuse ABA that a literal reading of the pseudocode would allow).
+//! Snapshot lists are immutable cons cells in the shared arena. A slot's
+//! `set` word is **versioned**: a 32-bit install count in the high half and
+//! the list's node address in the low half (0 = the empty set). Every
+//! install CAS writes the count plus one, so installed words never repeat
+//! and a climb CAS can only succeed if the slot is unchanged since it was
+//! read; stale climbers can never overwrite newer snapshots (the ABA that a
+//! literal reading of the pseudocode would allow). Nodes therefore need not
+//! be fresh: an ownerless slot installs the node of the slot above it, and
+//! only a present owner costs a cons cell (DESIGN.md §1.5).
 
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
 
@@ -33,9 +37,20 @@ pub struct ActiveSet {
     stride: u32,
 }
 
-/// List node: `[elem, next]`. `elem == 0` marks a copy-of-empty head node.
+/// List node: `[elem, next]`, `next` a plain node address (0 ends the list).
 const NODE_WORDS: usize = 2;
 const SLOT_WORDS: u32 = 2;
+
+/// Low half of a versioned `set` word: the snapshot list's node address.
+const ADDR_MASK: u64 = u32::MAX as u64;
+/// One install in the high half of a versioned `set` word.
+const VERSION_ONE: u64 = 1 << 32;
+
+/// The node address a versioned `set` word points at (0 = empty set).
+#[inline]
+fn node_of(set: u64) -> u64 {
+    set & ADDR_MASK
+}
 
 impl ActiveSet {
     /// Number of heap words an active set with `capacity` slots occupies
@@ -153,13 +168,13 @@ impl ActiveSet {
     /// costs `O(k)`.
     pub fn get_set(&self, ctx: &Ctx<'_>, out: &mut Vec<u64>) {
         out.clear();
-        // Acquire loads: the snapshot pointer was installed by a Release
+        // Acquire loads: the snapshot word was installed by a Release
         // CAS, so chasing it observes fully-initialized cons cells.
-        let mut node = ctx.read_acq(self.set_addr(0));
+        let mut node = node_of(ctx.read_acq(self.set_addr(0)));
         while node != 0 {
             let a = Addr::from_word(node);
             let elem = ctx.read_acq(a);
-            if elem != 0 && !out.contains(&elem) {
+            if !out.contains(&elem) {
                 out.push(elem);
             }
             node = ctx.read_acq(a.off(1));
@@ -177,28 +192,39 @@ impl ActiveSet {
 
     /// Propagates ownership changes from `slot` down to slot 0 (two passes
     /// per level, as in Algorithm 1).
+    ///
+    /// Each install writes the slot's version plus one. The version cannot
+    /// wrap within a heap lifetime: every attempt climbs each of its sets
+    /// twice (insert and remove), each climb installs at most twice per
+    /// slot, and attempts are bounded by the tag space, so a slot sees at
+    /// most 4 · P · 4,096 installs — under 2²⁴ even at the tag space's
+    /// 1,024-pid limit, far below 2³².
     fn climb(&self, ctx: &Ctx<'_>, slot: u32) {
         for j in (0..=slot).rev() {
+            // Pass 1's cons cell and the `(owner, above node)` it encodes.
+            let mut built: Option<(u64, u64, u64)> = None;
             for _pass in 0..2 {
                 let cur = ctx.read_acq(self.set_addr(j));
                 // Slot j+1 is either a real slot or the permanent sentinel.
-                let above = ctx.read_acq(self.set_addr(j + 1));
+                let above = node_of(ctx.read_acq(self.set_addr(j + 1)));
                 let owner = ctx.read_acq(self.owner_addr(j));
-                // Build a FRESH head so installed pointers never repeat.
-                let new = if owner != 0 {
-                    cons(ctx, owner, above)
-                } else if above != 0 {
-                    // Copy the head of `above` (sharing its immutable tail).
-                    let a = Addr::from_word(above);
-                    let elem = ctx.read_acq(a);
-                    let next = ctx.read_acq(a.off(1));
-                    cons(ctx, elem, next)
+                let node = if owner == 0 {
+                    // set(j+1) itself (0 when empty): lists are immutable.
+                    above
                 } else {
-                    // Empty result: a fresh empty-marker node.
-                    cons(ctx, 0, 0)
+                    match built {
+                        Some((o, a, n)) if (o, a) == (owner, above) => n,
+                        _ => {
+                            let n = cons(ctx, owner, above);
+                            built = Some((owner, above, n));
+                            n
+                        }
+                    }
                 };
-                // The install CAS releases the freshly-written node to
-                // every future Acquire reader of the snapshot pointer.
+                debug_assert!(cur >> 32 < u32::MAX as u64, "slot {j} install version wrapped");
+                let new = ((cur & !ADDR_MASK) + VERSION_ONE) | node;
+                // The install CAS releases any freshly-written node to
+                // every future Acquire reader of the snapshot word.
                 ctx.cas_bool_sync(self.set_addr(j), cur, new);
             }
         }
@@ -344,6 +370,57 @@ mod tests {
             // Must not scale with capacity when the set is near-empty.
             assert!(steps < 80, "cap {cap}: insert+remove took {steps} steps");
         }
+    }
+
+    #[test]
+    fn only_a_present_owner_costs_a_cons_cell() {
+        let heap = Heap::new(1 << 16);
+        let set = ActiveSet::create_root(&heap, 2);
+        let report = SimBuilder::new(&heap, 1)
+            .spawn(move |ctx: &Ctx| {
+                let arena = ctx.heap();
+                let before = arena.lane_used(ctx.pid());
+                let s = set.insert(ctx, 42);
+                // Slot 0 climbs twice with the same (owner, above): pass 2
+                // reuses pass 1's node.
+                assert_eq!(arena.lane_used(ctx.pid()) - before, NODE_WORDS);
+                let before = arena.lane_used(ctx.pid());
+                set.remove(ctx, s);
+                // Owner empty, set above empty: the empty set is address 0.
+                assert_eq!(arena.lane_used(ctx.pid()), before);
+            })
+            .run();
+        report.assert_clean();
+    }
+
+    #[test]
+    fn reinstalled_node_addresses_get_fresh_set_words() {
+        let heap = Heap::new(1 << 16);
+        let set = ActiveSet::create_root(&heap, 2);
+        let report = SimBuilder::new(&heap, 1)
+            .spawn(move |ctx: &Ctx| {
+                let mut seen = vec![ctx.read(set.set_addr(0))];
+                let b = set.insert(ctx, 7);
+                let a = set.insert(ctx, 8);
+                assert_eq!((b, a), (0, 1));
+                seen.push(ctx.read(set.set_addr(0)));
+                // Slot 0 empties and refills; every empty climb re-installs
+                // slot 1's node at slot 0.
+                for _ in 0..3 {
+                    set.remove(ctx, b);
+                    seen.push(ctx.read(set.set_addr(0)));
+                    assert_eq!(set.insert(ctx, 7), b);
+                    seen.push(ctx.read(set.set_addr(0)));
+                }
+                let above = node_of(ctx.read(set.set_addr(1)));
+                let reinstalled = seen.iter().filter(|&&w| node_of(w) == above).count();
+                assert_eq!(reinstalled, 3, "slot 1's node re-installed after each remove");
+                for (i, w) in seen.iter().enumerate() {
+                    assert!(!seen[..i].contains(w), "set word {w:#x} repeats: {seen:x?}");
+                }
+            })
+            .run();
+        report.assert_clean();
     }
 
     #[test]

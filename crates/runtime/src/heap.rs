@@ -634,20 +634,28 @@ impl Heap {
     /// Zeroes and rewinds everything allocated after `mark` through a
     /// store-based sweep (shared by the `&mut` and quiescent reset forms;
     /// soundness is the caller's obligation, see [`Heap::reset_to`]).
+    ///
+    /// The zeroing stores are `Relaxed`: nothing runs concurrently with a
+    /// rewind, and the next reader is ordered after it by whatever made
+    /// the point quiescent — `&mut self` for [`Heap::reset_to`], the
+    /// `EpochSync` lock for [`Heap::reset_to_quiescent`] (DESIGN.md
+    /// §1.1.1, "The barrier doubles as the memory fence"). A `SeqCst`
+    /// store per word would be a full fence per word for no extra
+    /// guarantee. Cursor and lane-mark stores keep `SeqCst`.
     fn rewind(&self, mark: &HeapMark) {
         let cursor = self.cursor.load(Ordering::SeqCst).min(self.reserve_base);
         assert!(mark.cursor <= cursor, "reset mark {} beyond cursor {cursor}", mark.cursor);
         // Whole slabs (or, in global mode, the bump region) handed out
         // after the mark.
         for i in mark.cursor..cursor {
-            self.word(i).store(0, Ordering::SeqCst);
+            self.word(i).store(0, Ordering::Relaxed);
         }
         // Each lane's partially-used slab at mark time: everything from
         // the marked cursor to that slab's end is post-mark allocation
         // (the lane may have bumped past it before moving on).
         for (l, m) in self.lanes.iter().zip(&mark.lanes) {
             for i in m.cur..m.end {
-                self.word(i).store(0, Ordering::SeqCst);
+                self.word(i).store(0, Ordering::Relaxed);
             }
             l.cur.store(m.cur, Ordering::SeqCst);
             l.end.store(m.end, Ordering::SeqCst);
@@ -656,7 +664,7 @@ impl Heap {
         // The consumed reserve.
         let reserve = self.reserve.load(Ordering::SeqCst).min(self.capacity);
         for i in mark.reserve..reserve {
-            self.word(i).store(0, Ordering::SeqCst);
+            self.word(i).store(0, Ordering::Relaxed);
         }
         self.reserve.store(mark.reserve, Ordering::SeqCst);
         self.cursor.store(mark.cursor, Ordering::SeqCst);

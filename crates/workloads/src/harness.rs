@@ -2467,16 +2467,22 @@ mod tests {
         let mut spec = SimSpec::new(3, 400, 4, 2);
         spec.seed = 23;
         spec.think_max = 0;
-        spec.heap_words = 1 << 14;
+        // An unpressured 100-round epoch peaks near 7,850 words; 6,000
+        // cuts every batch short.
+        spec.heap_words = 6_000;
         let mode = ExecMode::sim(SchedKind::Random, 400_000_000).with_epoch_rounds(100);
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
         let r = run_random_conflict_mode(&spec, algo, &mode);
         assert!(r.safety_ok);
         assert_eq!(r.epochs, 4, "the fixed epoch plan still runs to its end");
         assert!(r.attempts > 0);
+        assert!(
+            r.give_up[GiveUp::HeapLow.index()] > 0,
+            "the tiny heap must cut batches short on allocation pressure: {r:?}"
+        );
         // Pressure means not every planned round ran — but nothing was
         // double-counted either.
-        assert!(r.attempts <= 3 * 400);
+        assert!(r.attempts < 3 * 400);
     }
 
     // ----- per-attempt deadlines and fault injection (E16 plumbing) -----
@@ -2568,9 +2574,9 @@ mod tests {
         spec.seed = 47;
         spec.think_max = 0;
         // Aborted attempts cut helping (and its allocations) short, so the
-        // heap must be tighter than the fault-free tiny-heap test above to
-        // still hit pressure inside a 100-round batch.
-        spec.heap_words = 10_000;
+        // heap must be tight to still hit pressure inside a 100-round
+        // batch.
+        spec.heap_words = 7_000;
         let mode = ExecMode::sim(SchedKind::Random, 400_000_000)
             .with_epoch_rounds(100)
             .with_deadline_steps(120);
