@@ -52,6 +52,36 @@ fn node_of(set: u64) -> u64 {
     set & ADDR_MASK
 }
 
+/// Worst-case own steps of one climb pass at one level: three reads, a cons
+/// cell (allocation and two writes) and the install CAS.
+const CLIMB_PASS_MAX_STEPS: u64 = 7;
+
+/// Worst-case own steps of a climb from slot `k - 1`: `k` levels, two
+/// passes each.
+const fn climb_max_steps(k: usize) -> u64 {
+    2 * CLIMB_PASS_MAX_STEPS * k as u64
+}
+
+/// Worst-case own steps of [`ActiveSet::insert`] when at most `k` items
+/// (this one included) are present or being inserted: the claim lands in
+/// one of slots `0..k`, each scanned slot costing a read and at most one
+/// lost CAS, and the climb starts at most `k - 1` levels up.
+pub const fn insert_max_steps(k: usize) -> u64 {
+    2 * k as u64 + climb_max_steps(k)
+}
+
+/// Worst-case own steps of [`ActiveSet::remove`] under the same bound: the
+/// owner clear and a climb from at most slot `k - 1`.
+pub const fn remove_max_steps(k: usize) -> u64 {
+    1 + climb_max_steps(k)
+}
+
+/// Own steps of [`ActiveSet::get_set`] returning `n` members: the snapshot
+/// word read and two reads per list node.
+pub const fn get_set_steps(n: usize) -> u64 {
+    1 + 2 * n as u64
+}
+
 impl ActiveSet {
     /// Number of heap words an active set with `capacity` slots occupies
     /// in the packed layout.
@@ -370,6 +400,47 @@ mod tests {
             // Must not scale with capacity when the set is near-empty.
             assert!(steps < 80, "cap {cap}: insert+remove took {steps} steps");
         }
+    }
+
+    #[test]
+    fn operations_stay_within_their_worst_case_step_counts() {
+        const PROCS: usize = 4;
+        for seed in 0..20 {
+            let heap = Heap::new(1 << 18);
+            let set = ActiveSet::create_root(&heap, PROCS);
+            let report = SimBuilder::new(&heap, PROCS)
+                .schedule(SeededRandom::new(PROCS, 300 + seed))
+                .spawn_all(|pid| {
+                    move |ctx: &Ctx| {
+                        let mut out = Vec::new();
+                        for round in 0..6u64 {
+                            let t = ctx.steps();
+                            let s = set.insert(ctx, pid as u64 * 100 + round + 1);
+                            assert!(ctx.steps() - t <= insert_max_steps(PROCS));
+                            let t = ctx.steps();
+                            set.get_set(ctx, &mut out);
+                            assert!(out.len() <= PROCS);
+                            assert!(ctx.steps() - t <= get_set_steps(out.len()));
+                            let t = ctx.steps();
+                            set.remove(ctx, s);
+                            assert!(ctx.steps() - t <= remove_max_steps(PROCS));
+                        }
+                    }
+                })
+                .run();
+            report.assert_clean();
+        }
+        // Solo, from an empty set: a claim (read + CAS), one level with a
+        // cons cell on pass 1 and its reuse on pass 2; a remove installs
+        // the empty set twice.
+        with_one_proc(2, |ctx, set| {
+            let t = ctx.steps();
+            let s = set.insert(ctx, 5);
+            assert_eq!(ctx.steps() - t, 2 + CLIMB_PASS_MAX_STEPS + 4);
+            let t = ctx.steps();
+            set.remove(ctx, s);
+            assert_eq!(ctx.steps() - t, 1 + 4 + 4);
+        });
     }
 
     #[test]

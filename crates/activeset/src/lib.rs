@@ -41,6 +41,6 @@ pub mod active_set;
 pub mod multi;
 pub mod shard;
 
-pub use active_set::ActiveSet;
+pub use active_set::{get_set_steps, insert_max_steps, remove_max_steps, ActiveSet};
 pub use multi::{get_members, get_members_by, multi_insert, multi_insert_into, multi_remove, Flag};
 pub use shard::{create_sharded_roots, ShardMap};

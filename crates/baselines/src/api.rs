@@ -30,6 +30,9 @@ pub struct AttemptOutcome {
     /// For a combining winner: pending peer thunks it executed in its
     /// batch before releasing (the E17 combine-batch histogram source).
     pub combined_peers: u64,
+    /// The attempt's real work overran a delay target (wfl with delays
+    /// only; see [`wfl_core::AttemptMetrics::delay_overrun`]).
+    pub delay_overrun: bool,
 }
 
 impl AttemptOutcome {
@@ -42,6 +45,7 @@ impl AttemptOutcome {
             rescued: false,
             combined: false,
             combined_peers: 0,
+            delay_overrun: false,
         }
     }
 }
@@ -107,6 +111,7 @@ impl LockAlgo for WflKnown<'_> {
             rescued: m.rescued,
             combined: m.combined,
             combined_peers: m.combined_peers,
+            delay_overrun: m.delay_overrun,
         }
     }
 }
@@ -142,6 +147,7 @@ impl LockAlgo for WflUnknown<'_> {
             rescued: m.rescued,
             combined: false,
             combined_peers: 0,
+            delay_overrun: false,
         }
     }
 }

@@ -151,6 +151,7 @@ impl LockAlgo for BlockingTpl<'_> {
                         rescued: false,
                         combined: false,
                         combined_peers: 0,
+                        delay_overrun: false,
                     };
                 }
                 if self.mode == BlockingMode::Cohort {

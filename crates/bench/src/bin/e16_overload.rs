@@ -66,16 +66,18 @@ use wfl_workloads::harness::{
 const SEED: u64 = 1312;
 
 /// Deadline that bites mid-attempt: below wfl's mandatory pre-decision
-/// delay stall (~82 * kappa^2 own steps at one lock per attempt; both
-/// scale with kappa^2 = threads^2), so every armed wfl attempt aborts at
-/// the first post-stall poll point — the saturated column that measures
-/// the abort path itself rather than the workload.
+/// delay stall (`T0`, over 900 own steps at one lock per attempt with
+/// this padded critical section; both scale with kappa^2 = threads^2), so
+/// every armed wfl attempt aborts at the first post-stall poll point — the
+/// saturated column that measures the abort path itself rather than the
+/// workload.
 fn tight(threads: usize) -> u64 {
     75 * (threads * threads) as u64
 }
 
-/// Deadline an unobstructed attempt meets comfortably — roughly 10x a
-/// fault-free wfl acquisition (~140 * kappa^2 own steps here) — but that a
+/// Deadline an unobstructed attempt meets comfortably — 2.5x to 3x a
+/// fault-free wfl attempt (`T0 + T1`, under 570 * kappa^2 own steps here)
+/// — but that a
 /// contender pinned behind a frozen holder blows: each fault window denies
 /// the victim's lock for 1.5x this many own steps of every survivor.
 fn slo(threads: usize) -> u64 {

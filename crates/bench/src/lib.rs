@@ -106,7 +106,8 @@ fn metrics_fields(m: &MetricsSnapshot) -> String {
     let opt = |v: Option<f64>, prec: usize| v.map_or("null".to_string(), |x| format!("{x:.prec$}"));
     format!(
         "\"attempts\": {}, \"wins\": {}, \"success_rate\": {:.4}, \"aborts\": {}, \
-         \"rescues\": {}, \"combined_wins\": {}, \"epochs\": {}, \"give_up\": {}, \
+         \"rescues\": {}, \"combined_wins\": {}, \"delay_overruns\": {}, \"epochs\": {}, \
+         \"give_up\": {}, \
          \"steps_mean\": {:.1}, \"steps_p50\": {}, \"steps_p99\": {}, \
          \"abort_p99_steps\": {}, \"wall_secs\": {}, \"steps_per_sec\": {}, \
          \"wins_per_sec\": {}",
@@ -116,6 +117,7 @@ fn metrics_fields(m: &MetricsSnapshot) -> String {
         m.aborts,
         m.rescues,
         m.combined_wins,
+        m.delay_overruns,
         m.epochs,
         m.give_up_json(),
         m.steps.mean(),
@@ -240,6 +242,7 @@ mod tests {
         let mut m = MetricsSnapshot {
             attempts: 4,
             wins: 3,
+            delay_overruns: 2,
             epochs: 1,
             give_up: vec![("stop", 1), ("deadline", 0)],
             wall_secs: Some(0.5),
@@ -264,6 +267,7 @@ mod tests {
         assert_eq!(arr[0].get("give_up").unwrap().get("stop").unwrap().as_num(), Some(1.0));
         assert_eq!(arr[0].get("steps_per_sec").unwrap().as_num(), Some(2000.0));
         assert_eq!(arr[0].get("steps_p99").unwrap().as_num(), Some(8.0));
+        assert_eq!(arr[0].get("delay_overruns").unwrap().as_num(), Some(2.0));
         // Sim-style rows carry the same fields with null rates.
         assert_eq!(arr[1].get("wall_secs"), Some(&wfl_obs::JsonValue::Null));
         assert_eq!(arr[1].get("steps_per_sec"), Some(&wfl_obs::JsonValue::Null));

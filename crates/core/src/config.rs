@@ -1,26 +1,33 @@
 //! Lock algorithm configuration: the paper's bounds `κ`, `L`, `T` and the
-//! delay constants.
+//! delay budgets `T0`/`T1` derived from them.
+
+use crate::descriptor::Desc;
+use wfl_activeset::{get_set_steps, insert_max_steps, remove_max_steps};
+use wfl_idem::{body_steps, Frame, HELP_FIXED_STEPS};
 
 /// Configuration of the known-bounds lock algorithm (§6).
 ///
-/// The delays derive from the bounds exactly as in the paper:
-/// `T0 = c0·κ²·L²·T` own steps from attempt start to the reveal step, and
-/// `T1 = c1·κ·L·T` own steps from the reveal step to the end of the
-/// attempt. `c0`/`c1` must be large enough that the actual work fits under
-/// the delay targets (a violation is reported in the attempt metrics as a
-/// *delay overrun* rather than silently breaking fairness).
+/// The paper fixes every attempt's timing: the reveal step comes exactly
+/// `T0` own steps after the attempt starts, and the attempt ends exactly
+/// `T1` steps after that, with `T0 = Θ(κ²L²T)` and `T1 = Θ(κLT)`. Fairness
+/// (Theorem 6.9) needs only that each phase's real work fits under its
+/// delay. The delays here are that work's worst case, counted path by path
+/// from the code ([`DelayBudget`]). An attempt whose work still overruns a
+/// delay (a thunk taking more steps than it declares, or more than `κ`
+/// attempts on a lock) reports a *delay overrun* in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockConfig {
     /// `κ`: maximum point contention on any single lock.
     pub kappa: usize,
     /// `L`: maximum number of locks per tryLock attempt.
     pub l_max: usize,
-    /// `T`: maximum number of shared operations in a critical section.
+    /// `T`: maximum number of shared operations in a critical section. A
+    /// request also carries at most `T + 1` argument words.
     pub t_max: usize,
-    /// Constant for the pre-reveal delay `T0`.
-    pub c0: u64,
-    /// Constant for the post-reveal delay `T1`.
-    pub c1: u64,
+    /// Worst-case own steps of one critical-section body: at least the
+    /// [`wfl_idem::Thunk::max_steps`] of every thunk run under this
+    /// configuration. Defaults to [`wfl_idem::body_steps`]`(T)`.
+    pub cs_steps: u64,
     /// Paper delays enabled (disable only for the E11 ablation).
     pub delays: bool,
     /// Pre-insert helping phase enabled (disable only for the E12
@@ -35,8 +42,57 @@ pub struct LockConfig {
     pub combine: bool,
 }
 
+/// The worst-case own steps of each phase of a tryLock attempt, counted
+/// from [`crate::try_locks`] and the primitives it calls.
+///
+/// `κ` bounds the attempts present on a lock at once. So before inserting,
+/// an attempt finds at most `κ - 1` others in each of its locks' active
+/// sets; after inserting, at most `κ` members, itself included. A
+/// competitor's locks outside the attempt's own set can hold `κ` each.
+/// Every member may need its thunk helped at the full
+/// [`LockConfig::cs_steps`]: a member can win after an earlier member's
+/// thunk completes, while the same scan is still running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DelayBudget {
+    /// Frame and descriptor creation and the fairness-probe publication.
+    pub create: u64,
+    /// The helping phase: every lock's revealed members, each run to
+    /// completion (0 when helping is ablated).
+    pub help: u64,
+    /// multiInsert up to the reveal: the flag clear and one insert per
+    /// lock.
+    pub insert: u64,
+    /// The priority draw and its reveal write.
+    pub reveal: u64,
+    /// `run(p)`: compete on every lock, decide and celebrate. A post-reveal
+    /// abort (eliminate, status read, celebrate) costs less.
+    pub settle: u64,
+    /// multiRemove and the probe clear.
+    pub remove: u64,
+    /// One combining round ([`LockConfig::combine`]): the gate's status
+    /// read, a settle pass, the claim CAS and the claimed thunk. Not part
+    /// of `T1`: a winner starts a round only while the round and the
+    /// multiRemove still fit in what is left of the attempt, so combining
+    /// spends `T1`'s slack and never lengthens an attempt.
+    pub combine_round: u64,
+}
+
+impl DelayBudget {
+    /// `T0`: own steps from attempt start to the reveal stall's target.
+    pub fn t0(&self) -> u64 {
+        self.create + self.help + self.insert
+    }
+
+    /// `T1`: own steps from the reveal stall's target to the end of the
+    /// attempt.
+    pub fn t1(&self) -> u64 {
+        self.reveal + self.settle + self.remove
+    }
+}
+
 impl LockConfig {
-    /// A configuration with the default delay constants.
+    /// A configuration whose critical sections take at most
+    /// [`wfl_idem::body_steps`]`(t_max)` steps.
     ///
     /// # Panics
     /// Panics if any bound is zero.
@@ -46,31 +102,71 @@ impl LockConfig {
             kappa,
             l_max,
             t_max,
-            c0: 40,
-            c1: 40,
+            cs_steps: body_steps(t_max),
             delays: true,
             helping: true,
             combine: false,
         }
     }
 
-    /// The fixed number of own steps from attempt start to the reveal step
-    /// (`T0 = c0·κ²·L²·T`).
+    /// Raises the critical-section step budget to `cs_steps`, for thunks
+    /// whose bodies take local steps or read extra arguments (their
+    /// [`wfl_idem::Thunk::max_steps`]).
+    pub fn with_cs_steps(mut self, cs_steps: u64) -> LockConfig {
+        self.cs_steps = self.cs_steps.max(cs_steps);
+        self
+    }
+
+    /// Each phase's worst-case own steps under these bounds.
+    pub fn budget(&self) -> DelayBudget {
+        let (k, l) = (self.kappa as u64, self.l_max as u64);
+        let others = k - 1;
+        // celebrateIfWon: status and frame reads, then Frame::help.
+        let celebrate = 2 + HELP_FIXED_STEPS + self.cs_steps;
+        // One member in run(): its status, both priorities, an eliminate.
+        let member = 4 + celebrate;
+        // getSet, then the flag filter's priority read per member.
+        let revealed = |m: u64| get_set_steps(m as usize) + m;
+        // One lock in run(): its id, its members, p's status, each member.
+        let lock = |m: u64| 1 + revealed(m) + 1 + m * member;
+        // run(): lock-count and snapshot reads, the locks, decide, celebrate.
+        let run = |locks: u64| 2 + locks + 1 + celebrate;
+        // A helped competitor shares the lock it was found on, where this
+        // attempt is not yet a member, and may hold L - 1 others.
+        let helped = run(lock(others) + (l - 1) * lock(k));
+        // Per member of a settle pass: a status read, the cover check
+        // (lock count and up to L lock ids), an eliminate, a re-read.
+        let pass = l * (revealed(k) + k * (4 + l));
+        let help = if self.helping { l * (revealed(others) + others * helped) } else { 0 };
+        DelayBudget {
+            create: Frame::create_steps(self.t_max + 1) + Desc::create_steps(self.l_max) + 1,
+            help,
+            insert: 1 + l * insert_max_steps(self.kappa),
+            reveal: 2,
+            settle: run(l * lock(k)),
+            remove: 1 + l * remove_max_steps(self.kappa) + 1,
+            combine_round: 1 + pass + 1 + celebrate,
+        }
+    }
+
+    /// `T0`: the fixed number of own steps from attempt start to the
+    /// reveal step ([`DelayBudget::t0`]).
     pub fn t0(&self) -> u64 {
-        self.c0 * (self.kappa * self.kappa * self.l_max * self.l_max * self.t_max) as u64
+        self.budget().t0()
     }
 
-    /// The fixed number of own steps from the reveal step to the end of
-    /// the attempt (`T1 = c1·κ·L·T`).
+    /// `T1`: the fixed number of own steps from the reveal step to the end
+    /// of the attempt ([`DelayBudget::t1`]).
     pub fn t1(&self) -> u64 {
-        self.c1 * (self.kappa * self.l_max * self.t_max) as u64
+        self.budget().t1()
     }
 
-    /// The paper's per-attempt step bound `O(κ²L²T)` with these constants:
-    /// every attempt takes exactly `T0 + T1` own steps when delays are
-    /// enabled (and at most that plus a constant for the final reads).
+    /// The per-attempt step bound of Theorem 6.1: with delays enabled every
+    /// attempt takes exactly `T0 + T1` own steps, plus one final status
+    /// read (an abort returns earlier).
     pub fn step_bound(&self) -> u64 {
-        self.t0() + self.t1()
+        let b = self.budget();
+        b.t0() + b.t1()
     }
 
     /// Disables the fixed delays (E11 ablation). The algorithm remains
@@ -105,11 +201,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delay_formulas_match_paper() {
+    fn budget_matches_a_hand_count() {
+        // κ = 2, L = 2, T = 4: a body of 4 operations at 10 steps and 5
+        // argument reads; helping it costs 5 more, celebrating it 2 more.
+        let cfg = LockConfig::new(2, 2, 4);
+        assert_eq!(cfg.cs_steps, 45);
+        let celebrate = 2 + 5 + 45;
+        let member = 4 + celebrate;
+        // A lock with one member: id, getSet (1 + 2), one priority, p's
+        // status, the member; with two members: getSet (1 + 4).
+        let (lock1, lock2) = (1 + 4 + 1 + member, 1 + 7 + 1 + 2 * member);
+        let helped = 2 + lock1 + lock2 + 1 + celebrate;
+        let b = cfg.budget();
+        assert_eq!(b.create, (4 + 5) + (3 + 2) + 1);
+        assert_eq!(b.help, 2 * (4 + helped));
+        // An insert claims one of 2 slots (≤ 4 steps) and climbs 2 levels
+        // twice at ≤ 7 steps per pass.
+        assert_eq!(b.insert, 1 + 2 * (4 + 28));
+        assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate);
+        assert_eq!(b.remove, 1 + 2 * (1 + 28) + 1);
+        assert_eq!((b.t0(), b.t1()), (564, 359));
+        assert_eq!(cfg.step_bound(), 923);
+        // A round: gate read, a pass over 2 locks of 2 members (getSet,
+        // flag filter, and per member status, cover check, eliminate,
+        // re-read), the claim, the claimed thunk.
+        assert_eq!(b.combine_round, 1 + 2 * (7 + 2 * 6) + 1 + celebrate);
+        assert_eq!(cfg.with_combining().budget(), b, "combining adds nothing to T0/T1");
+        assert_eq!(cfg.without_helping().budget().help, 0);
+    }
+
+    #[test]
+    fn budget_grows_as_the_paper_bounds() {
+        // T0 = Θ(κ²L²T) and T1 = Θ(κLT): doubling κ or L roughly
+        // quadruples the helping phase and doubles the settle phase.
+        let base = LockConfig::new(4, 4, 8).budget();
+        for (cfg, t0_factor, t1_factor) in [
+            (LockConfig::new(8, 4, 8), 3.5, 1.8),
+            (LockConfig::new(4, 8, 8), 3.5, 1.8),
+            (LockConfig::new(4, 4, 16), 1.8, 1.8),
+        ] {
+            let b = cfg.budget();
+            assert!(b.help as f64 >= t0_factor * base.help as f64, "{cfg:?}");
+            assert!(b.settle as f64 >= t1_factor * base.settle as f64, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn cs_steps_only_ever_rises() {
         let cfg = LockConfig::new(3, 2, 5);
-        assert_eq!(cfg.t0(), cfg.c0 * 9 * 4 * 5);
-        assert_eq!(cfg.t1(), cfg.c1 * 3 * 2 * 5);
-        assert_eq!(cfg.step_bound(), cfg.t0() + cfg.t1());
+        assert_eq!(cfg.with_cs_steps(1).cs_steps, cfg.cs_steps);
+        let heavy = cfg.with_cs_steps(500);
+        assert_eq!(heavy.cs_steps, 500);
+        assert!(heavy.t0() > cfg.t0() && heavy.t1() > cfg.t1());
     }
 
     #[test]

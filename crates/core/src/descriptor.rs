@@ -71,6 +71,12 @@ impl Desc {
         W_LOCKS as usize + nlocks
     }
 
+    /// Own steps [`Desc::create`] takes for `nlocks` locks: the allocation,
+    /// two header writes and one write per lock id.
+    pub const fn create_steps(nlocks: usize) -> u64 {
+        3 + nlocks as u64
+    }
+
     /// Allocates and initializes a descriptor (counted steps; the record
     /// is private until inserted into the active sets, whose insert CAS is
     /// the Release publication point — so Release init writes suffice).

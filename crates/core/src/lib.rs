@@ -70,7 +70,7 @@ pub mod trylock;
 pub mod unknown;
 
 pub use abort::{AbortReason, Backoff, Deadline, GiveUp};
-pub use config::LockConfig;
+pub use config::{DelayBudget, LockConfig};
 pub use wfl_runtime::trace;
 pub use descriptor::{is_won, Desc, LockId, ST_ACTIVE, ST_COMBINED, ST_LOST, ST_WON};
 pub use metrics::{AttemptMetrics, RetryMetrics};

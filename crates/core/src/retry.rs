@@ -474,10 +474,10 @@ mod tests {
         // victims have exited, guaranteeing the victims keep seeing failed
         // attempts after the timer fires. Without the stop check the
         // victims never exit and attempt until they exhaust the per-process
-        // tag space — a loud failure instead of a hang. Delays with a large
-        // `c0` pace every attempt to tens of microseconds, so the tag space
-        // (4096 attempts/process/heap lifetime) comfortably outlasts the
-        // timer on the fixed path.
+        // tag space — a loud failure instead of a hang. Delays sized for a
+        // 5,000-step critical section pace every attempt to tens of
+        // microseconds, so the tag space (4096 attempts/process/heap
+        // lifetime) comfortably outlasts the timer on the fixed path.
         use wfl_runtime::real::{run_threads_with, RealConfig};
 
         let mut registry = Registry::new();
@@ -487,8 +487,7 @@ mod tests {
         let counter = heap.alloc_root(1);
         let victims_done = heap.alloc_root(1);
         let wins_out = heap.alloc_root(3);
-        let mut cfg = LockConfig::new(3, 1, 2);
-        cfg.c0 = 2000;
+        let cfg = LockConfig::new(3, 1, 2).with_cs_steps(5_000);
         let (space_ref, reg_ref, cfg_ref) = (&space, &registry, &cfg);
         let report = run_threads_with(
             &heap,

@@ -226,7 +226,19 @@ pub fn try_locks(
     req: TryLockRequest<'_>,
 ) -> AttemptMetrics {
     validate(space, registry, cfg.l_max, cfg.t_max, &req);
+    if cfg.delays {
+        validate_budget(registry, cfg, &req);
+    }
     let start = ctx.steps();
+    let budget = cfg.delays.then(|| cfg.budget());
+    // Absolute own-step targets of the reveal and of the attempt's end.
+    let reveal_at = budget.map(|b| start + b.t0());
+    let end_at = budget.map(|b| start + b.t0() + b.t1());
+    // Combining is paid from T1's slack: a round starts only while its
+    // worst case and the multiRemove after it still fit before the end.
+    let last_round_start =
+        budget.map(|b| (start + b.t0() + b.t1()).saturating_sub(b.combine_round + b.remove));
+    let round_fits = |ctx: &Ctx<'_>| last_round_start.is_none_or(|t| ctx.steps() <= t);
     let deadline = scratch.deadline;
     let tag_base = tags.next_base();
 
@@ -280,7 +292,7 @@ pub fn try_locks(
     scratch.sets.clear();
     scratch.sets.extend(req.locks.iter().map(|&l| *space.set(l)));
     let flag = RevealFlag {
-        reveal_at: cfg.delays.then(|| start + cfg.t0()),
+        reveal_at,
         tag_base,
         overrun: Cell::new(false),
     };
@@ -379,20 +391,22 @@ pub fn try_locks(
     //
     // Rounds repeat (bounded by κ) while claims land, so one winner can
     // still drain several peers; any failed claim or in-flight winner
-    // ends combining for this attempt.
+    // ends combining for this attempt. With delays on, so does a round
+    // that might not fit in what is left of `T1`: combining never
+    // lengthens an attempt.
     //
     // Gated on ST_WON, not `is_won`: an attempt that was itself claimed
     // (COMBINED) holds nothing — its thunk ran inside the claimant's
     // batch and the locks may already have new owners — so it must not
     // start a batch of its own.
     let mut combined_peers = 0u64;
-    if cfg.combine && p.status(ctx) == ST_WON {
+    if cfg.combine && round_fits(ctx) && p.status(ctx) == ST_WON {
         let Scratch { members, .. } = scratch;
         let covered = |ctx: &Ctx<'_>, q: Desc| {
             let qn = q.nlocks(ctx);
             qn <= req.locks.len() && (0..qn).all(|i| req.locks.contains(&q.lock(ctx, i)))
         };
-        'rounds: while combined_peers < cfg.kappa.max(1) as u64 {
+        'rounds: while combined_peers < cfg.kappa.max(1) as u64 && round_fits(ctx) {
             let mut chosen: Option<u64> = None;
             for &l in req.locks {
                 revealed_members(ctx, space.set(l), members);
@@ -444,11 +458,11 @@ pub fn try_locks(
     if let Some(cell) = scratch.probe {
         ctx.write_rel(cell, 0);
     }
-    if cfg.delays {
-        if ctx.steps() > start + cfg.t0() + cfg.t1() {
+    if let Some(end) = end_at {
+        if ctx.steps() > end {
             flag.overrun.set(true);
         }
-        ctx.stall_until_steps(start + cfg.t0() + cfg.t1());
+        ctx.stall_until_steps(end);
     }
 
     let status = p.status(ctx);
@@ -534,6 +548,24 @@ pub(crate) fn validate(
     }
     let ops = registry.get(req.thunk).max_ops();
     assert!(ops <= t_max, "thunk declares {ops} ops, exceeding the configured T = {t_max}");
+}
+
+/// The delay budget holds only for requests inside the bounds it was
+/// derived from: at most `T + 1` argument words, and a thunk declaring at
+/// most [`LockConfig::cs_steps`] body steps.
+fn validate_budget(registry: &Registry, cfg: &LockConfig, req: &TryLockRequest<'_>) {
+    assert!(
+        req.args.len() <= cfg.t_max + 1,
+        "{} argument words exceed the configured T + 1 = {}",
+        req.args.len(),
+        cfg.t_max + 1
+    );
+    let steps = registry.get(req.thunk).max_steps();
+    assert!(
+        steps <= cfg.cs_steps,
+        "thunk declares {steps} body steps, exceeding the configured cs_steps = {}",
+        cfg.cs_steps
+    );
 }
 
 /// Uncounted inspection helper for tests: whether a descriptor won

@@ -182,6 +182,7 @@ impl LockAlgo for CcSynch<'_> {
                 rescued: false,
                 combined: false,
                 combined_peers: 0,
+                delay_overrun: false,
             };
         }
         let frame = Frame::create(ctx, self.registry, req.thunk, tags.next_base(), req.args);
@@ -228,6 +229,7 @@ impl LockAlgo for CcSynch<'_> {
                     rescued: false,
                     combined: false,
                     combined_peers: 0,
+                    delay_overrun: false,
                 };
             }
             return AttemptOutcome {
@@ -240,6 +242,7 @@ impl LockAlgo for CcSynch<'_> {
                 rescued: tried_retract,
                 combined: !tried_retract,
                 combined_peers: 0,
+                delay_overrun: false,
             };
         }
 
@@ -255,6 +258,7 @@ impl LockAlgo for CcSynch<'_> {
                 rescued: false,
                 combined: false,
                 combined_peers: others,
+                delay_overrun: false,
             };
         }
         debug_assert!(self_applied);
@@ -265,6 +269,7 @@ impl LockAlgo for CcSynch<'_> {
             rescued: false,
             combined: false,
             combined_peers: others,
+            delay_overrun: false,
         }
     }
 }

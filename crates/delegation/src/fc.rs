@@ -153,6 +153,7 @@ impl LockAlgo for FcLock<'_> {
                 rescued: false,
                 combined: false,
                 combined_peers: 0,
+                delay_overrun: false,
             };
         }
         let my = self.record(me);
@@ -177,6 +178,7 @@ impl LockAlgo for FcLock<'_> {
                         // unless this process applied it itself.
                         combined: !self_applied,
                         combined_peers: others,
+                        delay_overrun: false,
                     };
                 }
                 REC_PENDING => {
@@ -205,6 +207,7 @@ impl LockAlgo for FcLock<'_> {
                                 rescued: false,
                                 combined: false,
                                 combined_peers: 0,
+                                delay_overrun: false,
                             };
                         }
                         while ctx.read_acq(my.off(W_STATE)) != REC_DONE {
@@ -218,6 +221,7 @@ impl LockAlgo for FcLock<'_> {
                             rescued: true,
                             combined: false,
                             combined_peers: 0,
+                            delay_overrun: false,
                         };
                     }
                     ctx.local_step();

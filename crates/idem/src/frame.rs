@@ -29,11 +29,22 @@ const W_NARGS: u32 = 2;
 const W_COMPLETED: u32 = 3;
 const W_ARGS: u32 = 4;
 
+/// Own steps [`Frame::help`] takes around a run of the thunk body: the
+/// completed-flag read, three header reads and the completion write. A
+/// help that finds the frame completed takes 1.
+pub const HELP_FIXED_STEPS: u64 = 5;
+
 impl Frame {
     /// Number of heap words a frame occupies for a thunk with `nops`
     /// operations and `nargs` arguments.
     pub fn words(nops: usize, nargs: usize) -> usize {
         4 + nargs + nops
+    }
+
+    /// Own steps [`Frame::create`] takes for `nargs` arguments: the
+    /// allocation, three header writes and one write per argument.
+    pub const fn create_steps(nargs: usize) -> u64 {
+        4 + nargs as u64
     }
 
     /// Creates and initializes a frame as the running process (counted
@@ -81,7 +92,15 @@ impl Frame {
         let args_base = self.0.off(W_ARGS);
         let log_base = self.0.off(W_ARGS + nargs as u32);
         let mut run = IdemRun::new(ctx, args_base, nargs, log_base, nops, tag_base);
-        registry.get(id).run(&mut run);
+        let thunk = registry.get(id);
+        let body_start = ctx.steps();
+        thunk.run(&mut run);
+        debug_assert!(
+            ctx.steps() - body_start <= thunk.max_steps(),
+            "thunk body took {} steps, above its declared max_steps {}",
+            ctx.steps() - body_start,
+            thunk.max_steps()
+        );
         // Mark completion (monotonic write; Release so the fast path's
         // Acquire read of the flag also sees the thunk's effects).
         ctx.write_rel(self.0.off(W_COMPLETED), 1);
@@ -154,6 +173,34 @@ mod tests {
         report.assert_clean();
         assert_eq!(cell::value(heap.peek(dst)), 42);
         assert!(frame.is_completed(&heap));
+    }
+
+    #[test]
+    fn solo_create_and_help_take_their_counted_steps() {
+        let mut registry = Registry::new();
+        let id = registry.register(AddInto);
+        let heap = Heap::new(1 << 10);
+        let src = heap.alloc_root(1);
+        let dst = heap.alloc_root(1);
+        let args = [src.to_word(), dst.to_word(), 2];
+        let reg = &registry;
+        let report = SimBuilder::new(&heap, 1)
+            .spawn(move |ctx: &Ctx| {
+                let mut tags = TagSource::new(0);
+                let frame = Frame::create(ctx, reg, id, tags.next_base(), &args);
+                assert_eq!(ctx.steps(), Frame::create_steps(args.len()));
+                let before = ctx.steps();
+                frame.help(ctx, reg);
+                // Three argument reads, a solo read (4) and a solo write
+                // (10) inside the fixed help steps.
+                assert_eq!(ctx.steps() - before, HELP_FIXED_STEPS + 3 + 4 + 10);
+                let before = ctx.steps();
+                frame.help(ctx, reg);
+                assert_eq!(ctx.steps() - before, 1, "a completed frame costs one read");
+            })
+            .run();
+        report.assert_clean();
+        assert_eq!(cell::value(heap.peek(dst)), 2);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod registry;
 pub mod run;
 pub mod tag;
 
-pub use frame::Frame;
-pub use registry::{Registry, Thunk, ThunkId};
-pub use run::IdemRun;
+pub use frame::{Frame, HELP_FIXED_STEPS};
+pub use registry::{body_steps, Registry, Thunk, ThunkId};
+pub use run::{IdemRun, OP_MAX_STEPS};
 pub use tag::TagSource;

@@ -31,6 +31,23 @@ pub trait Thunk: Send + Sync {
     /// Upper bound on the number of `IdemRun` operations a run performs
     /// (the paper's `T`, which also sizes the frame's log).
     fn max_ops(&self) -> usize;
+
+    /// Upper bound on the own steps one run of the body takes: its
+    /// operations, argument reads and local steps. The default,
+    /// [`body_steps`]`(max_ops)`, covers a body that reads at most
+    /// `max_ops + 1` arguments and takes no local steps; any other body
+    /// must override it. [`crate::Frame::help`] checks the bound in debug
+    /// builds, and the lock's delay budgets are derived from it.
+    fn max_steps(&self) -> u64 {
+        body_steps(self.max_ops())
+    }
+}
+
+/// The default [`Thunk::max_steps`] for a body of `ops` operations: each
+/// at its worst case ([`crate::run::OP_MAX_STEPS`]), plus `ops + 1`
+/// one-step argument reads.
+pub const fn body_steps(ops: usize) -> u64 {
+    ops as u64 * crate::run::OP_MAX_STEPS + ops as u64 + 1
 }
 
 /// An immutable collection of registered thunks, shared by all processes.
@@ -78,6 +95,12 @@ impl Registry {
             .get(id.0 as usize)
             .unwrap_or_else(|| panic!("unknown thunk id {}", id.0))
             .as_ref()
+    }
+
+    /// The largest [`Thunk::max_steps`] of any registered thunk (0 when
+    /// empty): the critical-section step budget that covers them all.
+    pub fn max_steps(&self) -> u64 {
+        self.thunks.iter().map(|t| t.max_steps()).max().unwrap_or(0)
     }
 
     /// Number of registered thunks.

@@ -34,6 +34,14 @@ const ST_WITNESS: u64 = 0b01 << 62;
 const ST_DONE: u64 = 0b10 << 62;
 const PAYLOAD_MASK: u64 = (1 << 62) - 1;
 
+/// Worst-case own steps of one logged operation (Theorem 4.2's constant).
+/// `write` and `cas` take at most 10: propose a witness (slot read, cell
+/// read, CAS), apply it (slot read, cell read, CAS), retire the slot (slot
+/// read, cell read, CAS) and see it DONE (slot read). A failed CAS can only
+/// skip ahead, since slot states never move back. `read` takes at most 4.
+/// A solo run takes exactly these counts (tests below).
+pub const OP_MAX_STEPS: u64 = 10;
+
 #[inline]
 fn payload(slot: u64) -> u64 {
     slot & PAYLOAD_MASK
@@ -296,6 +304,10 @@ mod tests {
         fn max_ops(&self) -> usize {
             2
         }
+        fn max_steps(&self) -> u64 {
+            // Four argument reads: one more than the default allows.
+            crate::body_steps(2) + 1
+        }
     }
 
     fn run_helpers(nprocs: usize, seed: u64, init_c: u32, exp: u32, new: u32) -> (u32, u32, u32) {
@@ -475,6 +487,49 @@ mod tests {
         let report = SimBuilder::new(&heap, 1).spawn(move |ctx: &Ctx| frame.help(ctx, reg)).run();
         assert_eq!(report.panics.len(), 1);
         assert!(report.panics[0].1.contains("max_ops"));
+    }
+
+    /// Records the own steps each of a read, a write and a successful cas
+    /// takes, via uncounted pokes into the cells at args 1..=3.
+    struct OpCosts;
+    impl Thunk for OpCosts {
+        fn run(&self, run: &mut IdemRun<'_, '_>) {
+            let c = Addr::from_word(run.arg(0));
+            let outs: Vec<Addr> = (1..=3).map(|i| Addr::from_word(run.arg(i))).collect();
+            let ctx = run.ctx();
+            let t = ctx.steps();
+            let v = run.read(c);
+            let t_read = ctx.steps();
+            run.write(c, v + 1);
+            let t_write = ctx.steps();
+            run.cas(c, v + 1, v + 2);
+            let t_cas = ctx.steps();
+            ctx.heap().poke(outs[0], t_read - t);
+            ctx.heap().poke(outs[1], t_write - t_read);
+            ctx.heap().poke(outs[2], t_cas - t_write);
+        }
+        fn max_ops(&self) -> usize {
+            3
+        }
+    }
+
+    #[test]
+    fn solo_ops_take_exactly_their_worst_case_steps() {
+        let mut registry = Registry::new();
+        let id = registry.register(OpCosts);
+        let heap = Heap::new(1 << 10);
+        let c = heap.alloc_root(1);
+        let outs = heap.alloc_root(3);
+        let mut tags = TagSource::new(0);
+        let args: Vec<u64> =
+            std::iter::once(c.to_word()).chain((0..3).map(|i| outs.off(i).to_word())).collect();
+        let frame = Frame::create_root(&heap, &registry, id, tags.next_base(), &args);
+        let reg = &registry;
+        let report = SimBuilder::new(&heap, 1).spawn(move |ctx: &Ctx| frame.help(ctx, reg)).run();
+        report.assert_clean();
+        let costs: Vec<u64> = (0..3).map(|i| heap.peek(outs.off(i))).collect();
+        assert_eq!(costs, vec![4, OP_MAX_STEPS, OP_MAX_STEPS], "read, write, cas");
+        assert_eq!(cell::value(heap.peek(c)), 2);
     }
 
     /// Step cost of an op sequence is linear with a small constant

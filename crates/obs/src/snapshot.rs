@@ -22,6 +22,9 @@ pub struct MetricsSnapshot {
     pub aborts: u64,
     pub rescues: u64,
     pub combined_wins: u64,
+    /// Attempts whose real work overran a delay target (`T0` or
+    /// `T0 + T1`): each one voids the run's fairness claim.
+    pub delay_overruns: u64,
     pub epochs: u64,
     /// Own steps per attempt.
     pub steps: FixedHistogram,
@@ -83,6 +86,7 @@ impl MetricsSnapshot {
         let _ = writeln!(out, "  \"aborts\": {},", self.aborts);
         let _ = writeln!(out, "  \"rescues\": {},", self.rescues);
         let _ = writeln!(out, "  \"combined_wins\": {},", self.combined_wins);
+        let _ = writeln!(out, "  \"delay_overruns\": {},", self.delay_overruns);
         let _ = writeln!(out, "  \"epochs\": {},", self.epochs);
         let _ = writeln!(out, "  \"give_up\": {},", self.give_up_json());
         let _ = writeln!(
@@ -125,6 +129,7 @@ mod tests {
             aborts: 2,
             rescues: 1,
             combined_wins: 0,
+            delay_overruns: 0,
             epochs: 3,
             give_up: vec![("stop", 0), ("deadline", 2)],
             wall_secs: Some(0.25),
@@ -140,6 +145,7 @@ mod tests {
         let v = JsonValue::parse(&doc).expect("snapshot JSON parses");
         assert_eq!(v.get("algo").unwrap().as_str(), Some("wfl"));
         assert_eq!(v.get("attempts").unwrap().as_num(), Some(10.0));
+        assert_eq!(v.get("delay_overruns").unwrap().as_num(), Some(0.0));
         assert_eq!(v.get("give_up").unwrap().get("deadline").unwrap().as_num(), Some(2.0));
         assert_eq!(v.get("steps").unwrap().get("count").unwrap().as_num(), Some(4.0));
         assert!(v.get("steps").unwrap().get("buckets").unwrap().get("8").is_some());

@@ -441,9 +441,24 @@ impl<'h> Ctx<'h> {
     /// `target` own steps in total. This is the paper's `Delay until ...
     /// total steps taken` primitive; the stall length is a deterministic
     /// function of the process's own step count, never of other processes.
+    ///
+    /// Under the simulator the whole stall is one gate request for its
+    /// remaining steps: the schedule grants them one slot at a time exactly
+    /// as for separate local steps, but the worker thread wakes only once.
     pub fn stall_until_steps(&self, target: u64) {
-        while self.steps.get() < target {
-            self.local_step();
+        let n = target.saturating_sub(self.steps.get());
+        match self.gate {
+            Some(gate) if n > 0 => {
+                self.steps.set(target);
+                gate.request_run(n);
+                self.last_now.set(gate.now());
+                gate.complete();
+            }
+            _ => {
+                while self.steps.get() < target {
+                    self.local_step();
+                }
+            }
         }
     }
 

@@ -15,8 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 enum State {
     /// Worker is running local code (or has not started).
     Idle,
-    /// Worker is blocked waiting for a grant.
-    Requesting,
+    /// Worker is blocked waiting for grants: this many consecutive steps,
+    /// the last of which wakes it (1 for a shared-memory step; more for a
+    /// run of local steps, see [`Gate::request_run`]).
+    Requesting(u64),
     /// Scheduler granted a step; worker may wake and run its operation.
     Granted,
     /// Worker finished its body and will never request again.
@@ -73,13 +75,23 @@ impl Gate {
     /// worker must perform exactly one shared-memory operation and then call
     /// [`Gate::complete`].
     pub fn request(&self) {
+        self.request_run(1);
+    }
+
+    /// Worker side: block until the scheduler has granted `n ≥ 1` steps to
+    /// this process, then return as after [`Gate::request`] (the caller
+    /// calls [`Gate::complete`]). For a run of local steps with no
+    /// shared-memory effect: the schedule consumes exactly the same grants
+    /// as `n` separate requests, but the worker wakes only for the last.
+    pub fn request_run(&self, n: u64) {
+        debug_assert!(n >= 1, "a run is at least one step");
         let mut st = self.state.lock();
         if *st == State::Poisoned {
             drop(st);
             std::panic::panic_any(PoisonToken);
         }
         debug_assert_eq!(*st, State::Idle, "request while not idle");
-        *st = State::Requesting;
+        *st = State::Requesting(n);
         self.cv.notify_all();
         while *st != State::Granted {
             if *st == State::Poisoned {
@@ -116,7 +128,13 @@ impl Gate {
         // code, which is finite by assumption).
         loop {
             match *st {
-                State::Requesting => break,
+                // Not the run's last step: consumed without waking the
+                // worker, which has nothing to execute for it.
+                State::Requesting(n) if n > 1 => {
+                    *st = State::Requesting(n - 1);
+                    return GrantOutcome::Stepped;
+                }
+                State::Requesting(_) => break,
                 State::Done | State::Poisoned => return GrantOutcome::WasDone,
                 State::Idle | State::Granted => self.cv.wait(&mut st),
             }
@@ -127,7 +145,7 @@ impl Gate {
         // sets Done, or immediately requests the next step).
         loop {
             match *st {
-                State::Idle | State::Requesting | State::Done | State::Poisoned => {
+                State::Idle | State::Requesting(_) | State::Done | State::Poisoned => {
                     return GrantOutcome::Stepped
                 }
                 State::Granted => self.cv.wait(&mut st),
@@ -183,6 +201,24 @@ mod tests {
         }
         assert_eq!(gate.grant(11), GrantOutcome::WasDone);
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn a_run_consumes_one_grant_per_step_and_wakes_once() {
+        let gate = Arc::new(Gate::new());
+        let g = gate.clone();
+        let worker = std::thread::spawn(move || {
+            g.request_run(5);
+            let seen = g.now();
+            g.complete();
+            g.finish();
+            seen
+        });
+        for t in 0..5 {
+            assert_eq!(gate.grant(t), GrantOutcome::Stepped);
+        }
+        assert_eq!(gate.grant(5), GrantOutcome::WasDone);
+        assert_eq!(worker.join().unwrap(), 4, "the worker wakes at the run's last grant");
     }
 
     #[test]

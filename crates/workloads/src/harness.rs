@@ -98,6 +98,9 @@ impl Thunk for TouchAll {
     fn max_ops(&self) -> usize {
         2 * self.max_locks
     }
+    fn max_steps(&self) -> u64 {
+        wfl_idem::body_steps(self.max_ops()) + self.cs_work
+    }
 }
 
 /// Scheduler families for simulated experiments.
@@ -373,6 +376,11 @@ pub struct HarnessReport {
     /// that applied at least one peer request (the sample is the peer
     /// count). Empty when combining never fired — E17's histogram gate.
     pub combine_batch: Summary,
+    /// wfl attempts whose real work overran a delay target (`T0` or
+    /// `T0 + T1`). Nonzero means the delay budget did not cover the run
+    /// (contention above `κ`, or a thunk above its declared step bound)
+    /// and the run's fairness claim (Theorem 6.9) is void.
+    pub delay_overruns: u64,
     /// Give-up events by reason, indexed by [`GiveUp::index`]: per-attempt
     /// aborts land under `Deadline`/`Stop`; a batch cut short by heap
     /// pressure or the stop flag adds one `HeapLow`/`Stop` event per
@@ -440,6 +448,7 @@ impl HarnessReport {
             aborts: self.aborts,
             rescues: self.rescues,
             combined_wins: self.combined_wins,
+            delay_overruns: self.delay_overruns,
             epochs: self.epochs,
             steps: fold(&self.steps),
             abort_steps: fold(&self.abort_steps),
@@ -461,7 +470,8 @@ impl HarnessReport {
 /// Per-`(process, round)` outcome slots in the shared heap for **one
 /// epoch**: 0 = round not run (timed run stopped first), else `1 + bits`
 /// with bit 0 = won, bit 1 = aborted, bit 2 = rescued, bit 3 = the stop
-/// flag was up when the abort was recorded (classifies the abort reason);
+/// flag was up when the abort was recorded (classifies the abort reason),
+/// bit 4 = combined, bit 5 = delay overrun, the combine batch size above;
 /// plus a parallel word of own-steps per attempt and one batch-exit word
 /// per process (0 = ran its full batch, else `1 + GiveUp::index`). The
 /// recorder knows its epoch's base round so aggregation reports *global*
@@ -489,9 +499,11 @@ const OUT_STOPPING: u64 = 8;
 /// The win was granted by a combining holder (disjoint from
 /// [`OUT_RESCUED`]; implies [`OUT_WON`]).
 const OUT_COMBINED: u64 = 16;
+/// The attempt's real work overran a delay target (wfl with delays).
+const OUT_OVERRUN: u64 = 32;
 /// Bits above this shift carry the winner's combine batch size (peer
 /// requests applied while holding; 0 for non-combining wins).
-const OUT_PEERS_SHIFT: u32 = 5;
+const OUT_PEERS_SHIFT: u32 = 6;
 
 impl Outcomes {
     fn create_root(heap: &Heap, nprocs: usize, cap: usize, base_round: usize) -> Outcomes {
@@ -555,6 +567,9 @@ impl Outcomes {
         if out.combined {
             bits |= OUT_COMBINED;
         }
+        if out.delay_overrun {
+            bits |= OUT_OVERRUN;
+        }
         bits |= out.combined_peers << OUT_PEERS_SHIFT;
         ctx.write_rel(self.outcomes.off(idx), 1 + bits);
         ctx.write_rel(self.steps.off(idx), out.steps);
@@ -584,6 +599,7 @@ impl Outcomes {
         let mut abort_steps = Summary::new();
         let mut give_up = [0u64; GiveUp::COUNT];
         let mut combined_wins = 0u64;
+        let mut delay_overruns = 0u64;
         let mut combine_batch = Summary::new();
         for (pid, pp) in per_pid.iter_mut().enumerate() {
             for slot in 0..self.cap {
@@ -610,6 +626,9 @@ impl Outcomes {
                 }
                 if bits & OUT_COMBINED != 0 {
                     combined_wins += 1;
+                }
+                if bits & OUT_OVERRUN != 0 {
+                    delay_overruns += 1;
                 }
                 let peers = bits >> OUT_PEERS_SHIFT;
                 if peers > 0 {
@@ -640,6 +659,7 @@ impl Outcomes {
             abort_steps,
             combined_wins,
             combine_batch,
+            delay_overruns,
             give_up,
             wall: None,
             epochs: 1,
@@ -664,6 +684,7 @@ struct Totals {
     abort_steps: Summary,
     combined_wins: u64,
     combine_batch: Summary,
+    delay_overruns: u64,
     give_up: [u64; GiveUp::COUNT],
     epochs: u64,
 }
@@ -682,6 +703,7 @@ impl Totals {
             abort_steps: Summary::new(),
             combined_wins: 0,
             combine_batch: Summary::new(),
+            delay_overruns: 0,
             give_up: [0; GiveUp::COUNT],
             epochs: 0,
         }
@@ -703,6 +725,7 @@ impl Totals {
         self.abort_steps.merge(&epoch_report.abort_steps);
         self.combined_wins += epoch_report.combined_wins;
         self.combine_batch.merge(&epoch_report.combine_batch);
+        self.delay_overruns += epoch_report.delay_overruns;
         for (acc, e) in self.give_up.iter_mut().zip(&epoch_report.give_up) {
             *acc += e;
         }
@@ -722,6 +745,7 @@ impl Totals {
             abort_steps: self.abort_steps,
             combined_wins: self.combined_wins,
             combine_batch: self.combine_batch,
+            delay_overruns: self.delay_overruns,
             give_up: self.give_up,
             wall,
             epochs: self.epochs,
@@ -976,7 +1000,7 @@ impl<'reg> AlgoHandle<'reg> {
         t_max: usize,
         layout: SpaceLayout,
     ) -> AlgoHandle<'reg> {
-        let cfg = known_cfg(kind, nprocs, l_max, t_max);
+        let cfg = known_cfg(kind, nprocs, l_max, t_max, registry);
         let spec = AlgoSpec { kind, nlocks, aset: nprocs.max(2), layout, cfg };
         AlgoHandle { registry, instance: AlgoInstance::create(heap, registry, &spec) }
     }
@@ -988,14 +1012,21 @@ impl<'reg> AlgoHandle<'reg> {
 }
 
 /// The known-bounds configuration a workload hands to the harness:
-/// the `AlgoKind`'s κ/ablation switches with the workload's `L` and `T`.
-fn known_cfg(algo: AlgoKind, default_kappa: usize, l_max: usize, t_max: usize) -> LockConfig {
+/// the `AlgoKind`'s κ/ablation switches with the workload's `L` and `T`,
+/// and a critical-section budget covering every registered thunk.
+fn known_cfg(
+    algo: AlgoKind,
+    default_kappa: usize,
+    l_max: usize,
+    t_max: usize,
+    registry: &Registry,
+) -> LockConfig {
     let (kappa, delays, helping) = match algo {
         AlgoKind::Wfl { kappa, delays, helping } => (kappa, delays, helping),
         AlgoKind::WflCombine { kappa } => (kappa, true, true),
         _ => (default_kappa, true, true),
     };
-    let mut cfg = LockConfig::new(kappa.max(1), l_max, t_max);
+    let mut cfg = LockConfig::new(kappa.max(1), l_max, t_max).with_cs_steps(registry.max_steps());
     cfg.delays = delays;
     cfg.helping = helping;
     cfg.combine = matches!(algo, AlgoKind::WflCombine { .. });
@@ -1510,7 +1541,13 @@ pub fn run_random_conflict_mode(spec: &SimSpec, algo: AlgoKind, mode: &ExecMode)
     let mut registry = Registry::new();
     let touch = registry.register(TouchAll { max_locks: spec.locks_per_attempt, cs_work: spec.cs_work });
     let heap = Heap::with_mode(spec.heap_words, spec.alloc);
-    let cfg = known_cfg(algo, spec.nprocs, spec.locks_per_attempt, 2 * spec.locks_per_attempt);
+    let cfg = known_cfg(
+        algo,
+        spec.nprocs,
+        spec.locks_per_attempt,
+        2 * spec.locks_per_attempt,
+        &registry,
+    );
     let aspec =
         AlgoSpec { kind: algo, nlocks: spec.nlocks, aset: spec.nprocs.max(2), layout: spec.layout, cfg };
     let wl = ConflictWl { spec: *spec, touch };
@@ -1592,7 +1629,7 @@ pub fn run_philosophers_mode(
     let mut registry = Registry::new();
     let eat = registry.register(philosophers::EatThunk);
     let heap = Heap::new(heap_words);
-    let cfg = known_cfg(algo, 2, 2, 2);
+    let cfg = known_cfg(algo, 2, 2, 2, &registry);
     let aspec = AlgoSpec { kind: algo, nlocks: n, aset: 3, layout: SpaceLayout::default(), cfg };
     let wl = PhilWl { n, eat };
     drive_epochs(&heap, &registry, aspec, n, seed, attempts, mode, &wl)
@@ -1754,7 +1791,7 @@ fn run_bank_inner(
     let mut registry = Registry::new();
     let transfer = registry.register(crate::bank::TransferThunk);
     let heap = Heap::new(heap_words);
-    let cfg = known_cfg(algo, nprocs, 2, 4);
+    let cfg = known_cfg(algo, nprocs, 2, 4, &registry);
     let aspec = AlgoSpec {
         kind: algo,
         nlocks: accounts,
@@ -1885,7 +1922,7 @@ pub fn run_list_mode(
     let delete = registry.register(crate::list::DeleteThunk);
     let pool = 1 + nprocs * keys_per_epoch;
     let heap = Heap::new(heap_words);
-    let cfg = known_cfg(algo, nprocs, 2, 4);
+    let cfg = known_cfg(algo, nprocs, 2, 4, &registry);
     let aspec = AlgoSpec {
         kind: algo,
         nlocks: pool,
@@ -1982,7 +2019,7 @@ pub fn run_graph_mode(
     let mut registry = Registry::new();
     let relax = registry.register(crate::graph::RelaxThunk { max_degree: 2 });
     let heap = Heap::new(heap_words);
-    let cfg = known_cfg(algo, nprocs, 3, 5);
+    let cfg = known_cfg(algo, nprocs, 3, 5, &registry);
     let aspec = AlgoSpec {
         kind: algo,
         nlocks: vertices,

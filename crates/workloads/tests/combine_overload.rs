@@ -185,11 +185,16 @@ fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
     // Long critical sections make the helped-frame cost dominate: an
     // uncontended attempt stays well under the budget while an attempt
     // that helps (or executes) peer frames blows it — the one shape where
-    // aborts and combining genuinely coexist in a single run.
+    // aborts and combining genuinely coexist in a single run. That takes
+    // attempts of unequal length, so κ = 1 deliberately understates the
+    // 4-way contention: the delays then budget no helping, an attempt that
+    // helps a peer frame overruns T0 and misses the deadline, and one that
+    // finds no peer revealed does not. With κ = 4 the delays cover every
+    // attempt, and a deadline aborts either all of them or none.
     let mut combined_total = 0u64;
     let mut abort_total = 0u64;
     for seed in 1u64..=4 {
-        let r = run_cell_cs(AlgoKind::WflCombine { kappa: 4 }, sched, Some(3_600), seed, 2_000);
+        let r = run_cell_cs(AlgoKind::WflCombine { kappa: 1 }, sched, Some(3_600), seed, 2_000);
         audit(&format!("faulted-combining seed {seed}"), &r, 80);
         combined_total += r.combined_wins;
         abort_total += r.aborts;
