@@ -2,12 +2,15 @@
 //! overhead per operation.
 //!
 //! A thunk of k writes is executed (a) raw and (b) through the idempotent
-//! log, solo; the table shows steps and the ratio, which must be flat in
-//! k (constant factor), plus the helped case (4 concurrent helpers) where
-//! the *combined* work is shared.
+//! log, solo. Both totals include a fixed frame cost, so their ratio is
+//! not flat in k; the constant factor is the *marginal* cost per write,
+//! `(idem(k2) - idem(k1)) / (k2 - k1)`, which must equal
+//! [`wfl_idem::OP_MAX_STEPS`] between every pair of consecutive k (a solo
+//! write takes its worst case). The binary exits nonzero otherwise. The
+//! helped case (4 concurrent helpers) shows the *combined* work is shared.
 
 use wfl_bench::{header, row, verdict};
-use wfl_idem::{cell, Frame, IdemRun, Registry, TagSource, Thunk};
+use wfl_idem::{cell, Frame, IdemRun, Registry, TagSource, Thunk, OP_MAX_STEPS};
 use wfl_runtime::schedule::SeededRandom;
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -67,27 +70,29 @@ fn helped_steps(k: usize, helpers: usize) -> u64 {
 
 fn main() {
     println!("# E9: idempotence overhead (Theorem 4.2: constant factor)");
-    header(&["k ops", "raw steps", "idem steps (solo)", "ratio", "combined steps (4 helpers)"]);
-    let mut ratios = Vec::new();
+    header(&["k ops", "raw steps", "idem steps (solo)", "raw per write", "idem per write", "combined steps (4 helpers)"]);
+    let mut prev: Option<(usize, u64, u64)> = None;
+    let mut exact = true;
     for &k in &[1usize, 4, 16, 64, 128] {
         let raw = steps_for(k, true);
         let idem = steps_for(k, false);
         let helped = helped_steps(k, 4);
-        let ratio = idem as f64 / raw as f64;
-        ratios.push(ratio);
-        row(&[
-            k.to_string(),
-            raw.to_string(),
-            idem.to_string(),
-            format!("{ratio:.2}"),
-            helped.to_string(),
-        ]);
+        // Marginal steps per write since the previous k.
+        let (raw_per, idem_per) = match prev {
+            Some((k0, raw0, idem0)) => {
+                let dk = (k - k0) as f64;
+                exact &= idem - idem0 == OP_MAX_STEPS * (k - k0) as u64;
+                (format!("{:.2}", (raw - raw0) as f64 / dk), format!("{:.2}", (idem - idem0) as f64 / dk))
+            }
+            None => ("-".to_string(), "-".to_string()),
+        };
+        prev = Some((k, raw, idem));
+        row(&[k.to_string(), raw.to_string(), idem.to_string(), raw_per, idem_per, helped.to_string()]);
     }
     println!();
-    let spread = ratios.iter().cloned().fold(f64::MIN, f64::max)
-        / ratios.iter().cloned().fold(f64::MAX, f64::min);
     println!(
-        "overhead ratio spread across k: {spread:.2}x — flat ratio = constant factor ... {}",
-        verdict(spread < 2.0)
+        "marginal idem steps per write == OP_MAX_STEPS ({OP_MAX_STEPS}) at every k ... {}",
+        verdict(exact)
     );
+    assert!(exact, "the marginal cost of an idempotent write is not OP_MAX_STEPS");
 }

@@ -202,11 +202,11 @@ mod tests {
 
     #[test]
     fn budget_matches_a_hand_count() {
-        // κ = 2, L = 2, T = 4: a body of 4 operations at 10 steps and 5
+        // κ = 2, L = 2, T = 4: a body of 4 operations at 5 steps and 5
         // argument reads; helping it costs 5 more, celebrating it 2 more.
         let cfg = LockConfig::new(2, 2, 4);
-        assert_eq!(cfg.cs_steps, 45);
-        let celebrate = 2 + 5 + 45;
+        assert_eq!(cfg.cs_steps, 25);
+        let celebrate = 2 + 5 + 25;
         let member = 4 + celebrate;
         // A lock with one member: id, getSet (1 + 2), one priority, p's
         // status, the member; with two members: getSet (1 + 4).
@@ -220,8 +220,8 @@ mod tests {
         assert_eq!(b.insert, 1 + 2 * (4 + 28));
         assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate);
         assert_eq!(b.remove, 1 + 2 * (1 + 28) + 1);
-        assert_eq!((b.t0(), b.t1()), (564, 359));
-        assert_eq!(cfg.step_bound(), 923);
+        assert_eq!((b.t0(), b.t1()), (404, 259));
+        assert_eq!(cfg.step_bound(), 663);
         // A round: gate read, a pass over 2 locks of 2 members (getSet,
         // flag filter, and per member status, cover check, eliminate,
         // re-read), the claim, the claimed thunk.
@@ -238,11 +238,20 @@ mod tests {
         for (cfg, t0_factor, t1_factor) in [
             (LockConfig::new(8, 4, 8), 3.5, 1.8),
             (LockConfig::new(4, 8, 8), 3.5, 1.8),
-            (LockConfig::new(4, 4, 16), 1.8, 1.8),
         ] {
             let b = cfg.budget();
             assert!(b.help as f64 >= t0_factor * base.help as f64, "{cfg:?}");
             assert!(b.settle as f64 >= t1_factor * base.settle as f64, "{cfg:?}");
+        }
+        // Both phases are affine in T with a positive slope: every thunk
+        // help costs `cs_steps = body_steps(T)`, and nothing else depends
+        // on T.
+        let at = |t| LockConfig::new(4, 4, t).budget();
+        let (b1, b2, b3) = (at(8), at(16), at(24));
+        for phase in [|b: &DelayBudget| b.help, |b: &DelayBudget| b.settle] {
+            let step = phase(&b2) - phase(&b1);
+            assert!(step > 0);
+            assert_eq!(phase(&b3) - phase(&b2), step);
         }
     }
 

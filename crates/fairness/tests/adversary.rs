@@ -272,11 +272,20 @@ fn probing_keeps_wfl_attempt_length_fixed() {
         spec.heap_words = 1 << 24;
         run_adversary(&spec, wfl(2), &ExecMode::sim(SchedKind::RoundRobin, 100_000_000))
     };
+    // Latency histograms record per-acquisition step totals, retries
+    // included. With delays every attempt takes the same fixed number of
+    // own steps, so each acquisition's latency is its try count times one
+    // attempt length, and that length must not depend on whether the
+    // adversary watches. (How often the victim retries may differ.)
+    let attempt_len = |r: &FairnessReport| -> u64 {
+        let v = r.victim();
+        assert!(!v.latency.is_empty());
+        let len = v.latency.sum() / v.tries.sum();
+        assert_eq!(v.latency.sum(), len * v.tries.sum(), "attempt lengths differ within a run");
+        assert_eq!(v.latency.max() % len, 0, "an acquisition is not a whole number of attempts");
+        assert!(v.latency.max() / len <= v.tries.max());
+        len
+    };
     let (a, b) = (run(true), run(false));
-    // Latency histograms record per-acquisition step totals; with delays
-    // every attempt is exactly T0+T1 (plus think), so the victim's mean
-    // latency must agree whether or not the adversary watches.
-    let (la, lb) = (&a.per_proc[0].latency, &b.per_proc[0].latency);
-    assert!(!la.is_empty() && !lb.is_empty());
-    assert_eq!(la.max(), lb.max(), "probe writes leaked outside the delay windows");
+    assert_eq!(attempt_len(&a), attempt_len(&b), "probe writes leaked outside the delay windows");
 }

@@ -191,9 +191,9 @@ mod tests {
                 assert_eq!(ctx.steps(), Frame::create_steps(args.len()));
                 let before = ctx.steps();
                 frame.help(ctx, reg);
-                // Three argument reads, a solo read (4) and a solo write
-                // (10) inside the fixed help steps.
-                assert_eq!(ctx.steps() - before, HELP_FIXED_STEPS + 3 + 4 + 10);
+                // Three argument reads, a solo read (3) and a solo write
+                // (5) inside the fixed help steps.
+                assert_eq!(ctx.steps() - before, HELP_FIXED_STEPS + 3 + 3 + 5);
                 let before = ctx.steps();
                 frame.help(ctx, reg);
                 assert_eq!(ctx.steps() - before, 1, "a completed frame costs one read");

@@ -19,20 +19,23 @@
 //!
 //! * **Reads** record the value read; the recorded read is the
 //!   linearization point. Races with arbitrary concurrent writers are
-//!   allowed.
-//! * **Writes** target *tagged cells* ([`cell`]): each cell word packs a
-//!   32-bit value with a 30-bit tag unique to this (attempt, operation).
-//!   Applying with a full-word CAS means a write can take effect at most
-//!   once (cell states never repeat, so there is no ABA), and the
-//!   tag-observed / log-recorded checks make it take effect at least once.
-//!   Races with other tagged writers are allowed.
-//! * **CAS** uses a two-phase *witness* protocol: helpers agree via the log
-//!   on a single witnessed cell state, then all apply from exactly that
-//!   witness, so at most one apply can succeed. This is linearizable
-//!   provided CAS-target cells are mutated only through tagged operations
-//!   (no unrelated racy plain writes to CAS targets) — the restriction,
-//!   relative to the paper's full-version construction, is documented in
-//!   `DESIGN.md` §1.4. All uses in this repository satisfy it.
+//!   allowed. The recording CAS replies with the winner's record, so a
+//!   read takes at most [`READ_MAX_STEPS`] steps.
+//! * **Writes and CAS** target *tagged cells* ([`cell`]): each cell word
+//!   packs a 32-bit value with a 30-bit tag unique to this (attempt,
+//!   operation), so cell states never repeat and there is no ABA. They use
+//!   a two-phase *witness* protocol: helpers agree via the log on a single
+//!   witnessed cell word (the agreement CAS replies with the agreed word),
+//!   then each applies with one full-word CAS from exactly that witness.
+//!   At most one apply can succeed, and a failed one proves another
+//!   succeeded: only this operation's apply can move the cell off its
+//!   witness. So every helper may retire the slot after its own apply CAS,
+//!   with no confirming re-read, in at most [`OP_MAX_STEPS`] steps. This is
+//!   linearizable provided the target cells are mutated only by this
+//!   thunk's helpers during its interval (no unrelated racy plain writes)
+//!   — the restriction, relative to the paper's full-version construction,
+//!   is documented in `DESIGN.md` §1.4. All uses in this repository
+//!   satisfy it.
 //! * **One-shot transitions** (e.g. a descriptor status moving
 //!   `active → won`) need no log at all: monotonic CAS transitions are
 //!   idempotent under arbitrary races.
@@ -84,5 +87,5 @@ pub mod tag;
 
 pub use frame::{Frame, HELP_FIXED_STEPS};
 pub use registry::{body_steps, Registry, Thunk, ThunkId};
-pub use run::{IdemRun, OP_MAX_STEPS};
+pub use run::{IdemRun, OP_MAX_STEPS, READ_MAX_STEPS};
 pub use tag::TagSource;

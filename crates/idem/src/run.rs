@@ -10,10 +10,17 @@
 //!              for DONE, the recorded result
 //! ```
 //!
-//! Slot states advance monotonically `EMPTY → (WITNESS →) DONE`; an
-//! operation returns only once its slot is DONE, so all runs agree on every
-//! result, and hence (for deterministic thunks) on the entire operation
-//! sequence.
+//! Slot states advance monotonically `EMPTY → (WITNESS →) DONE`. A helper
+//! marks a slot DONE only after the operation's effect has happened, and
+//! starts operation `i + 1` only after seeing slot `i` DONE, so all runs
+//! agree on every result, and hence (for deterministic thunks) on the
+//! entire operation sequence.
+//!
+//! No operation re-reads a word to confirm what a CAS already decided: the
+//! agreement CAS on the slot returns the agreed word itself, and an apply
+//! CAS from the agreed witness proves the apply happened whether it
+//! succeeds or fails. A read takes at most [`READ_MAX_STEPS`] own steps, a
+//! write or cas at most [`OP_MAX_STEPS`], under any interleaving.
 //!
 //! # Safety scope (see DESIGN.md §1.4)
 //!
@@ -21,8 +28,8 @@
 //! * `write` and `cas` are correct when, during the thunk's interval, the
 //!   target cell is mutated only by helpers of this same thunk — exactly
 //!   the protection the lock algorithm provides for critical-section data.
-//!   (`write` additionally tolerates *earlier stale helpers* of the same
-//!   thunk, whose re-applies are defused by tag uniqueness.)
+//!   (Stale helpers of earlier operations and thunks are harmless: they
+//!   apply from witnesses that can never recur.)
 
 use crate::cell;
 use crate::tag::op_tag;
@@ -34,13 +41,17 @@ const ST_WITNESS: u64 = 0b01 << 62;
 const ST_DONE: u64 = 0b10 << 62;
 const PAYLOAD_MASK: u64 = (1 << 62) - 1;
 
-/// Worst-case own steps of one logged operation (Theorem 4.2's constant).
-/// `write` and `cas` take at most 10: propose a witness (slot read, cell
-/// read, CAS), apply it (slot read, cell read, CAS), retire the slot (slot
-/// read, cell read, CAS) and see it DONE (slot read). A failed CAS can only
-/// skip ahead, since slot states never move back. `read` takes at most 4.
-/// A solo run takes exactly these counts (tests below).
-pub const OP_MAX_STEPS: u64 = 10;
+/// Worst-case own steps of one logged `write` or `cas` (Theorem 4.2's
+/// constant): agree on a witness (slot read, cell read, CAS), apply it
+/// (CAS) and retire the slot (CAS). A helper that finds the slot already
+/// agreed skips the cell read and the agreement CAS; one that finds it
+/// DONE returns after the slot read. A solo run takes exactly 5.
+pub const OP_MAX_STEPS: u64 = 5;
+
+/// Worst-case own steps of one logged `read`: slot read, cell read and the
+/// recording CAS, whose reply is the agreed value. A solo run takes
+/// exactly 3.
+pub const READ_MAX_STEPS: u64 = 3;
 
 #[inline]
 fn payload(slot: u64) -> u64 {
@@ -138,30 +149,55 @@ impl<'c, 'h> IdemRun<'c, 'h> {
             return cell::value(self.ctx.read_acq(cell_addr));
         }
         let (slot, _tag) = self.take_op();
-        loop {
-            let s = self.ctx.read_acq(slot);
-            if s & ST_MASK == ST_DONE {
-                wfl_runtime::trace::emit(|| format!("t={} pid={} idem.read cell={:?} slot={:?} -> {}", self.ctx.now(), self.ctx.pid(), cell_addr, slot, payload(s) as u32));
-                return payload(s) as u32;
-            }
-            let w = self.ctx.read_acq(cell_addr);
-            // Record the value we saw; the first recorder wins.
-            self.ctx.cas_bool_sync(slot, ST_EMPTY, ST_DONE | cell::value(w) as u64);
+        let s = self.ctx.read_acq(slot);
+        if s & ST_MASK == ST_DONE {
+            return payload(s) as u32;
         }
+        // Record the value we see; the first recorder wins, and a failed
+        // CAS replies with the winner's record.
+        let v = cell::value(self.ctx.read_acq(cell_addr));
+        let prev = self.ctx.cas_val_sync(slot, ST_EMPTY, ST_DONE | v as u64);
+        if prev == ST_EMPTY {
+            return v;
+        }
+        debug_assert_eq!(prev & ST_MASK, ST_DONE, "corrupt log slot state {prev:#x}");
+        payload(prev) as u32
+    }
+
+    /// Agrees with the other helpers on the witness of the op at `slot`:
+    /// the cell word it applies from. Returns the agreed slot word, WITNESS
+    /// or DONE.
+    ///
+    /// A witness proposal succeeds only while the slot is still EMPTY, so
+    /// no helper has applied this op yet and no later op has started: the
+    /// cell still holds the proposed word, and only this op's apply can
+    /// move it off. If the slot has moved on, the CAS fails and replies
+    /// with the word that beat it; the EMPTY branch never touches the cell
+    /// with a stale read.
+    fn agree(&self, slot: Addr, cell_addr: Addr) -> u64 {
+        let mut agreed = self.ctx.read_acq(slot);
+        if agreed & ST_MASK == ST_EMPTY {
+            let proposed = ST_WITNESS | self.ctx.read_acq(cell_addr);
+            let prev = self.ctx.cas_val_sync(slot, ST_EMPTY, proposed);
+            agreed = if prev == ST_EMPTY { proposed } else { prev };
+        }
+        debug_assert_ne!(agreed & ST_MASK, ST_MASK, "corrupt log slot state {agreed:#x}");
+        agreed
     }
 
     /// Idempotent write of a 32-bit value to a tagged cell.
     ///
-    /// Uses the same two-phase **witness protocol** as [`IdemRun::cas`]:
-    /// helpers first agree (via the log slot) on a single witnessed cell
-    /// state, and the apply CAS expects exactly that agreed witness — never
-    /// a re-read value. Because the witness (with its unique tag) can never
-    /// recur in the cell, at most one apply can ever succeed, *including*
-    /// by helpers that slept across the slot check (the double-apply race a
+    /// Helpers first agree (via the log slot) on a single witnessed cell
+    /// word, then apply with a CAS that expects exactly that witness —
+    /// never a re-read value. Because the witness can never recur in the
+    /// cell, at most one apply can ever succeed, *including* by helpers
+    /// that slept across the op's completion (the double-apply race a
     /// check-then-apply scheme would allow — found by the seed-106
-    /// adversarial trace, see the regression test in `tests/`). Requires
-    /// that the cell is not concurrently mutated by code outside this
-    /// thunk's helpers (lock-protected data).
+    /// adversarial trace, see the regression test in `tests/`). A failed
+    /// apply means the cell already left the witness, which only this op's
+    /// apply can do, so either way the write has happened when the slot is
+    /// retired. Requires that the cell is not concurrently mutated by code
+    /// outside this thunk's helpers (lock-protected data).
     pub fn write(&mut self, cell_addr: Addr, value: u32) {
         if matches!(self.mode, Mode::Raw) {
             self.next_op += 1;
@@ -169,71 +205,23 @@ impl<'c, 'h> IdemRun<'c, 'h> {
             return;
         }
         let (slot, tag) = self.take_op();
-        loop {
-            let s = self.ctx.read_acq(slot);
-            match s & ST_MASK {
-                ST_DONE => {
-                    wfl_runtime::trace::emit(|| {
-                        format!(
-                            "t={} pid={} idem.write cell={:?} slot={:?} tag={:x} v={} done (cell now {:x})",
-                            self.ctx.now(),
-                            self.ctx.pid(),
-                            cell_addr,
-                            slot,
-                            tag,
-                            value,
-                            self.ctx.heap().peek(cell_addr)
-                        )
-                    });
-                    return;
-                }
-                ST_EMPTY => {
-                    // Propose what we see as THE witness. If our slot read
-                    // was stale (the op has advanced), this CAS fails and
-                    // the loop re-reads the slot — we never touch the cell
-                    // from the EMPTY branch.
-                    let w = self.ctx.read_acq(cell_addr);
-                    self.ctx.cas_bool_sync(slot, ST_EMPTY, ST_WITNESS | w);
-                }
-                ST_WITNESS => {
-                    let w = payload(s);
-                    let cur = self.ctx.read_acq(cell_addr);
-                    if cell::tag(cur) == tag {
-                        // The apply happened (by us or another helper).
-                        self.ctx.cas_bool_sync(slot, s, ST_DONE);
-                        continue;
-                    }
-                    // Apply from exactly the agreed witness; since `w` can
-                    // never recur, at most one such CAS ever succeeds.
-                    let ok = self.ctx.cas_bool_sync(cell_addr, w, cell::pack(tag, value));
-                    wfl_runtime::trace::emit(|| {
-                        format!(
-                            "t={} pid={} idem.write cell={:?} slot={:?} tag={:x} v={} apply from {:x} ok={}",
-                            self.ctx.now(),
-                            self.ctx.pid(),
-                            cell_addr,
-                            slot,
-                            tag,
-                            value,
-                            w,
-                            ok
-                        )
-                    });
-                }
-                _ => unreachable!("corrupt log slot state {s:#x}"),
-            }
+        let s = self.agree(slot, cell_addr);
+        if s & ST_MASK == ST_DONE {
+            return;
         }
+        self.ctx.cas_bool_sync(cell_addr, payload(s), cell::pack(tag, value));
+        self.ctx.cas_bool_sync(slot, s, ST_DONE);
     }
 
     /// Idempotent compare-and-swap on a tagged cell: atomically replaces
     /// the value `expected` with `new`; returns whether it succeeded. All
     /// runs observe the same outcome.
     ///
-    /// Uses a two-phase witness protocol: helpers agree (via the log) on a
-    /// single witnessed cell state; a failure outcome linearizes at that
-    /// witness read, a success at the unique apply. Requires that the cell
-    /// is mutated only by this thunk's helpers during the thunk's interval
-    /// (lock-protected data).
+    /// Uses the witness protocol of [`IdemRun::write`]. The outcome is a
+    /// pure function of the agreed witness, so every helper computes the
+    /// same one: a failure linearizes at the witness read, a success at
+    /// the unique apply. Requires that the cell is mutated only by this
+    /// thunk's helpers during the thunk's interval (lock-protected data).
     pub fn cas(&mut self, cell_addr: Addr, expected: u32, new: u32) -> bool {
         if matches!(self.mode, Mode::Raw) {
             self.next_op += 1;
@@ -242,41 +230,18 @@ impl<'c, 'h> IdemRun<'c, 'h> {
                 .cas_bool_sync(cell_addr, cell::untagged(expected), cell::untagged(new));
         }
         let (slot, tag) = self.take_op();
-        loop {
-            let s = self.ctx.read_acq(slot);
-            match s & ST_MASK {
-                ST_DONE => return payload(s) != 0,
-                ST_EMPTY => {
-                    let w = self.ctx.read_acq(cell_addr);
-                    if cell::tag(w) == tag {
-                        // Applied already (so a witness exists); re-read the
-                        // slot, which can no longer be EMPTY.
-                        continue;
-                    }
-                    // Propose what we saw as THE witness.
-                    self.ctx.cas_bool_sync(slot, ST_EMPTY, ST_WITNESS | w);
-                }
-                ST_WITNESS => {
-                    let w = payload(s);
-                    if cell::value(w) != expected {
-                        // Agreed witness refutes `expected`: CAS fails,
-                        // linearizing at the witness read.
-                        self.ctx.cas_bool_sync(slot, s, ST_DONE);
-                        continue;
-                    }
-                    let cur = self.ctx.read_acq(cell_addr);
-                    if cell::tag(cur) == tag {
-                        // The apply happened (by us or another helper).
-                        self.ctx.cas_bool_sync(slot, s, ST_DONE | 1);
-                        continue;
-                    }
-                    // Apply from exactly the agreed witness; at most one
-                    // such CAS can ever succeed.
-                    self.ctx.cas_bool_sync(cell_addr, w, cell::pack(tag, new));
-                }
-                _ => unreachable!("corrupt log slot state {s:#x}"),
-            }
+        let s = self.agree(slot, cell_addr);
+        if s & ST_MASK == ST_DONE {
+            return payload(s) != 0;
         }
+        let w = payload(s);
+        let ok = cell::value(w) == expected;
+        if ok {
+            self.ctx.cas_bool_sync(cell_addr, w, cell::pack(tag, new));
+        }
+        // A failed retire means another helper made the same transition.
+        self.ctx.cas_bool_sync(slot, s, ST_DONE | ok as u64);
+        ok
     }
 }
 
@@ -528,7 +493,8 @@ mod tests {
         let report = SimBuilder::new(&heap, 1).spawn(move |ctx: &Ctx| frame.help(ctx, reg)).run();
         report.assert_clean();
         let costs: Vec<u64> = (0..3).map(|i| heap.peek(outs.off(i))).collect();
-        assert_eq!(costs, vec![4, OP_MAX_STEPS, OP_MAX_STEPS], "read, write, cas");
+        assert_eq!(costs, vec![3, 5, 5], "read, write, cas");
+        assert_eq!(costs, vec![READ_MAX_STEPS, OP_MAX_STEPS, OP_MAX_STEPS], "solo runs hit the worst case");
         assert_eq!(cell::value(heap.peek(c)), 2);
     }
 
@@ -565,9 +531,9 @@ mod tests {
         let steps = report.steps[0] as usize;
         // A raw run would take n writes; the idempotent run must stay
         // within a constant factor (plus frame-header constant). A solo
-        // witness-protocol write costs 10 steps (3 slot reads, 2 cell
-        // reads, 3 CAS, bookkeeping), so 12n is a safe constant bound.
-        assert!(steps <= 12 * n + 16, "steps {steps} for {n} ops is not O(1) overhead");
+        // witness-protocol write costs 5 steps (slot read, cell read,
+        // agreement CAS, apply CAS, retire CAS), so 6n is a safe bound.
+        assert!(steps <= 6 * n + 16, "steps {steps} for {n} ops is not O(1) overhead");
         for i in 0..n {
             assert_eq!(cell::value(heap.peek(base.off(i as u32))), i as u32);
         }

@@ -10,6 +10,8 @@
 //! opt in to combining, `WflCombine` must be bit-identical to plain
 //! `Wfl`, and every sim cell must replay exactly.
 
+use wfl_core::LockConfig;
+use wfl_idem::body_steps;
 use wfl_workloads::harness::{
     run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
@@ -182,19 +184,27 @@ fn masked_combine_is_bit_identical_to_wfl_under_aborts() {
 #[test]
 fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
     let sched = SchedKind::FaultsCombining { period: 9_000, quantum: 6_000 };
-    // Long critical sections make the helped-frame cost dominate: an
-    // uncontended attempt stays well under the budget while an attempt
-    // that helps (or executes) peer frames blows it — the one shape where
-    // aborts and combining genuinely coexist in a single run. That takes
-    // attempts of unequal length, so κ = 1 deliberately understates the
-    // 4-way contention: the delays then budget no helping, an attempt that
-    // helps a peer frame overruns T0 and misses the deadline, and one that
-    // finds no peer revealed does not. With κ = 4 the delays cover every
-    // attempt, and a deadline aborts either all of them or none.
+    // Long critical sections make the helped-frame cost dominate. With
+    // exact delays every attempt reaches its post-reveal abort poll at the
+    // same own step, just after T0, unless its helping overran T0. So a
+    // deadline before that step aborts every attempt, and one past it
+    // aborts only the overrunning ones. Aborts and combining coexist in
+    // one run only when κ understates the 4-way contention. κ = 2 is the
+    // smallest that works: T0 budgets helping one revealed competitor, so
+    // an attempt that must help more overruns it, and a deadline ten steps
+    // past the reveal aborts exactly those attempts. κ = 1 fails because
+    // its T1 budgets no member beside the winner: a combining round must
+    // then fit in the unused worst case of the winner's own thunk, which
+    // is smaller than a round with 5-step idempotent ops (DESIGN §1.4).
+    // κ = 2's T1 budgets a second member, and when that member is absent
+    // or already settled its share pays for a round.
+    let kappa = 2;
+    let cs_work = 2_000;
+    let t0 = LockConfig::new(kappa, 1, 2).with_cs_steps(body_steps(2) + cs_work).t0();
     let mut combined_total = 0u64;
     let mut abort_total = 0u64;
     for seed in 1u64..=4 {
-        let r = run_cell_cs(AlgoKind::WflCombine { kappa: 1 }, sched, Some(3_600), seed, 2_000);
+        let r = run_cell_cs(AlgoKind::WflCombine { kappa }, sched, Some(t0 + 10), seed, cs_work);
         audit(&format!("faulted-combining seed {seed}"), &r, 80);
         combined_total += r.combined_wins;
         abort_total += r.aborts;

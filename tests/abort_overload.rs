@@ -71,7 +71,7 @@ fn abort_help_race_survives_schedule_sweep() {
         SchedKind::RandomFaults { period: 6_000, quantum: 3_000 },
         SchedKind::RandomFaults { period: 40_000, quantum: 30_000 },
     ];
-    // Below the kappa=3 reveal stall (T0 = 1,008 own steps), between stall
+    // Below the kappa=3 reveal stall (T0 = 948 own steps), between stall
     // and a comfortable attempt, and loose enough that only freezes bite.
     let deadlines = [500u64, 1_500, 6_000];
     let algos = [

@@ -23,7 +23,7 @@ fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
 /// victim for its first 56700 global slots.
 const FAULTS: SchedKind = SchedKind::RandomFaults { period: 85_050, quantum: 56_700 };
 /// A deadline below wfl's mandatory pre-decision stall at κ = 3 (`T0`,
-/// ~2,700 own steps with this padded critical section), so every armed
+/// ~2,630 own steps with this padded critical section), so every armed
 /// attempt aborts at the first post-stall poll point — a dense
 /// abort/give-up event mix.
 const TIGHT: u64 = 675;
