@@ -1,16 +1,8 @@
-//! E13 — real-threads scaling, and the proof obligations for the three
-//! contention-free hot paths:
+//! E13 — real-threads scaling on the contention-free hot path
+//! ([`wfl_runtime::real::RealConfig::fast`]: batched clock leases, the
+//! acquire/release ordering tier, per-process allocation lanes):
 //!
-//! * **legacy vs fast** (since PR 1): the historical driver configuration
-//!   (global per-step `SeqCst` clock `fetch_add`, all-`SeqCst` memory
-//!   operations — [`RealConfig::precise`]) against batched clock leases +
-//!   the acquire/release ordering tier ([`RealConfig::fast`]), on the
-//!   philosophers workload.
-//! * **global vs laned** (since PR 4): the historical single-bump-cursor
-//!   arena ([`AllocMode::Global`] — one shared `fetch_add` per cons cell,
-//!   descriptor and log record) against the sharded per-process allocation
-//!   lanes ([`AllocMode::laned`] — a plain uncontended bump, one shared
-//!   RMW per slab), on the allocation-heavy random-conflict workload.
+//! * **philosophers sweep**: wins/s per algorithm across the thread sweep.
 //! * **packed+unified vs padded+sharded** (since PR 8): the historical
 //!   memory layout (lock words and active-set slots allocated
 //!   back-to-back, one neighborhood) against the cache-line-isolated
@@ -21,6 +13,8 @@
 //!   series also yields each algorithm's **scaling knee**: the first
 //!   swept thread count whose marginal goodput per added thread drops
 //!   below 50% of the base (lowest-thread-count) slope.
+//! * **flight recorder**: wfl wins/s with the recorder never enabled,
+//!   disabled after a cycle, and enabled, at the top of the sweep.
 //!
 //! Since PR 2 this binary is a thin client of the **unified workload
 //! harness**, so every timed cell also runs its workload's safety check,
@@ -31,8 +25,7 @@
 //!
 //! Usage: `e13_scaling [--smoke] [--threads N,N,...] [--trace out.json]`
 //!   --smoke   : CI-sized sweep (2 and 4 threads, small attempt counts).
-//!               The smoke run **gates** two refactors: the laned arena
-//!               must keep >= 0.8x of the global cursor's wins/s, and the
+//!               The smoke run **gates** the layout and the recorder: the
 //!               padded+sharded layout must keep >= 0.95x of
 //!               packed+unified at the low thread count and strictly beat
 //!               it at the top of the sweep, and the flight recorder must
@@ -53,38 +46,13 @@
 
 use std::fmt::Write as _;
 use wfl_core::SpaceLayout;
-use wfl_runtime::real::RealConfig;
 use wfl_runtime::stats::Summary;
-use wfl_runtime::{available_parallelism, AllocMode, Placement};
+use wfl_runtime::{available_parallelism, Placement};
 use wfl_workloads::harness::{
-    run_philosophers_mode, run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SimSpec,
+    run_philosophers, run_random_conflict, AlgoKind, ExecMode, HarnessReport, SimSpec,
 };
 
 const REPEATS: usize = 3;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Pre-change hot path: precise global clock, SeqCst tier.
-    Legacy,
-    /// Contention-free hot path: leased clock, tiered orderings.
-    Fast,
-}
-
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Legacy => "legacy",
-            Mode::Fast => "fast",
-        }
-    }
-
-    fn real_config(self) -> RealConfig {
-        match self {
-            Mode::Legacy => RealConfig::precise(),
-            Mode::Fast => RealConfig::fast(),
-        }
-    }
-}
 
 struct Sample {
     /// Successful acquisitions (critical sections run) per second — the
@@ -93,9 +61,8 @@ struct Sample {
     ops_per_sec: f64,
     /// Arena pressure: highest usage at any epoch boundary, in words.
     heap_high_water: usize,
-    /// The per-lane breakdown (workers first, root lane last; a single
-    /// entry under the global cursor), already compacted to the lanes
-    /// this run used.
+    /// The per-lane breakdown (workers first, root lane last), already
+    /// compacted to the lanes this run used.
     heap_high_water_lanes: Vec<usize>,
     /// The uniform metrics fold the shared row writer serializes.
     metrics: wfl_obs::MetricsSnapshot,
@@ -131,50 +98,22 @@ fn algo_kind(name: &str, threads: usize) -> AlgoKind {
     }
 }
 
-/// One timed run: `threads` philosophers each make `attempts` eating
-/// attempts through the unified harness. Returns the best of `REPEATS`
-/// runs (least-noise estimate on a shared machine); the harness's
-/// meal-count safety check is asserted on every run.
-fn run_config(algo_name: &str, mode: Mode, threads: usize, attempts: usize) -> Sample {
-    let mut best: Option<Sample> = None;
-    for _ in 0..REPEATS {
-        let exec = ExecMode::Real {
-            threads,
-            run_for: None,
-            cfg: mode.real_config(),
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        };
-        let r = run_philosophers_mode(threads, attempts, 42, algo_kind(algo_name, 2), 1 << 23, &exec);
-        assert!(
-            r.safety_ok,
-            "{algo_name}/{}/{threads}t: philosopher meal counters diverged",
-            mode.name()
-        );
-        best = Some(Sample::from_report(&r).better_of(best));
-    }
-    best.expect("at least one repeat")
-}
-
-/// One allocator cell: the random-conflict workload (every attempt
-/// allocates a frame, a descriptor and active-set cons cells — the
-/// allocation-heaviest path we have) under an explicit [`AllocMode`].
-fn run_alloc_cell(alloc: AllocMode, threads: usize, attempts: usize, repeats: usize) -> Sample {
+/// One timed cell: `threads` philosophers each make `attempts` eating
+/// attempts through the unified harness under `exec`. Returns the best of
+/// `repeats` runs (least-noise estimate on a shared machine); the
+/// harness's meal-count safety check is asserted on every run.
+fn run_config(
+    algo_name: &str,
+    threads: usize,
+    attempts: usize,
+    repeats: usize,
+    exec: ExecMode,
+) -> Sample {
     let mut best: Option<Sample> = None;
     for _ in 0..repeats {
-        let mut spec = SimSpec::new(threads, attempts, (2 * threads).max(3), 2);
-        spec.seed = 42;
-        spec.think_max = 0; // back-to-back attempts: allocator pressure
-        spec.heap_words = 1 << 23;
-        spec.alloc = alloc;
-        let algo = AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &ExecMode::real(threads));
-        assert!(
-            r.safety_ok,
-            "random_conflict/{}/{threads}t: safety check failed",
-            alloc.label()
-        );
+        let algo = algo_kind(algo_name, 2);
+        let r = run_philosophers(threads, attempts, 42, algo, 1 << 23, &exec);
+        assert!(r.safety_ok, "{algo_name}/{threads}t: philosopher meal counters diverged");
         best = Some(Sample::from_report(&r).better_of(best));
     }
     best.expect("at least one repeat")
@@ -199,7 +138,7 @@ fn run_layout_cell(
         spec.think_max = 0;
         spec.heap_words = 1 << 23;
         spec.layout = layout;
-        let r = run_random_conflict_mode(&spec, algo_kind(algo_name, threads), &ExecMode::real(threads));
+        let r = run_random_conflict(&spec, algo_kind(algo_name, threads), &ExecMode::real());
         assert!(
             r.safety_ok,
             "random_conflict/{algo_name}/{}/{threads}t: safety check failed",
@@ -229,30 +168,6 @@ fn verdict((lo, hi): (f64, f64), threshold: f64) -> &'static str {
     } else {
         "unresolved"
     }
-}
-
-/// One flight-recorder overhead cell: the wfl philosophers cell on the
-/// fast hot path, with the recorder in an explicit state. The caller
-/// cycles the global recorder to prepare the "steady disabled" state.
-fn run_recorder_cell(threads: usize, attempts: usize, repeats: usize, recorder: bool) -> Sample {
-    let mut best: Option<Sample> = None;
-    for _ in 0..repeats {
-        let mut exec = ExecMode::Real {
-            threads,
-            run_for: None,
-            cfg: Mode::Fast.real_config(),
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        };
-        if recorder {
-            exec = exec.with_recorder();
-        }
-        let r = run_philosophers_mode(threads, attempts, 42, algo_kind("wfl", 2), 1 << 23, &exec);
-        assert!(r.safety_ok, "recorder cell: philosopher meal counters diverged");
-        best = Some(Sample::from_report(&r).better_of(best));
-    }
-    best.expect("at least one repeat")
 }
 
 /// The scaling knee of a `(threads, wins/s)` series: the first thread
@@ -314,7 +229,6 @@ fn json_row(
     workload: &str,
     algo: &str,
     mode: &str,
-    allocator: &str,
     layout: &str,
     threads: usize,
     s: &Sample,
@@ -324,7 +238,6 @@ fn json_row(
             ("workload", workload.to_string()),
             ("algo", algo.to_string()),
             ("mode", mode.to_string()),
-            ("allocator", allocator.to_string()),
             ("layout", layout.to_string()),
         ],
         &[
@@ -372,7 +285,7 @@ fn main() {
     };
     let algos = pick(&["wfl", "tsp", "naive"]);
     let layout_algos = pick(&["wfl", "tsp", "naive", "blocking", "blocking-cohort"]);
-    println!("# E13: real-threads scaling — hot-path, allocator and layout A/B cells (smoke = {smoke})");
+    println!("# E13: real-threads scaling — philosophers sweep and layout A/B cells (smoke = {smoke})");
     println!(
         "(unified harness; philosophers {phil_attempts} attempts/thread, random-conflict \
          {conflict_attempts} attempts/thread, best of {REPEATS}; threads {thread_counts:?}, \
@@ -389,89 +302,26 @@ fn main() {
     let _ = writeln!(json, "  \"repeats\": {REPEATS},");
     let mut rows = wfl_bench::Rows::new();
 
-    // --- legacy vs fast (philosophers; arena stays the default laned) ---
-    let mut wfl_speedup_at_max = 0.0f64;
+    // --- philosophers sweep (fast hot path) ---
     for algo in &algos {
         let algo = algo.as_str();
-        wfl_bench::header(&["threads", "legacy wins/s", "fast wins/s", "speedup"]);
+        wfl_bench::header(&["threads", "wins/s"]);
         for &threads in &thread_counts {
-            let legacy = run_config(algo, Mode::Legacy, threads, phil_attempts);
-            let fast = run_config(algo, Mode::Fast, threads, phil_attempts);
-            let speedup = fast.ops_per_sec / legacy.ops_per_sec;
-            if algo == "wfl" && threads == top_threads {
-                wfl_speedup_at_max = speedup;
-            }
-            wfl_bench::row(&[
-                format!("{algo} x{threads}"),
-                format!("{:.0}", legacy.ops_per_sec),
-                format!("{:.0}", fast.ops_per_sec),
-                format!("{speedup:.2}x"),
-            ]);
-            for (mode_name, s) in [("legacy", &legacy), ("fast", &fast)] {
-                json_row(
-                    &mut rows,
-                    "philosophers",
-                    algo,
-                    mode_name,
-                    "laned",
-                    "padded+sharded",
-                    threads,
-                    s,
-                );
-            }
+            let s = run_config(algo, threads, phil_attempts, REPEATS, ExecMode::real());
+            wfl_bench::row(&[format!("{algo} x{threads}"), format!("{:.0}", s.ops_per_sec)]);
+            json_row(&mut rows, "philosophers", algo, "fast", "padded+sharded", threads, &s);
         }
         println!();
     }
 
-    // --- global vs laned (random-conflict; hot path stays fast) ---
-    println!("## allocator: global bump cursor vs sharded lanes");
-    wfl_bench::header(&["threads", "global wins/s", "laned wins/s", "speedup"]);
-    let mut laned_over_global_at_max = 0.0f64;
     // The smoke gates compare millisecond-scale runs on a shared CI
     // runner: take the best of more repeats there so a single noisy
     // neighbor on one side cannot fake a regression.
     let gate_repeats = if smoke { 7 } else { REPEATS };
-    for &threads in &thread_counts {
-        let global = run_alloc_cell(AllocMode::Global, threads, conflict_attempts, gate_repeats);
-        let laned = run_alloc_cell(AllocMode::laned(), threads, conflict_attempts, gate_repeats);
-        let speedup = laned.ops_per_sec / global.ops_per_sec;
-        if threads == top_threads {
-            laned_over_global_at_max = speedup;
-        }
-        wfl_bench::row(&[
-            format!("wfl x{threads}"),
-            format!("{:.0}", global.ops_per_sec),
-            format!("{:.0}", laned.ops_per_sec),
-            format!("{speedup:.2}x"),
-        ]);
-        for (alloc_name, s) in [("global", &global), ("laned", &laned)] {
-            json_row(
-                &mut rows,
-                "random_conflict",
-                "wfl",
-                "fast",
-                alloc_name,
-                "padded+sharded",
-                threads,
-                s,
-            );
-        }
-        if smoke {
-            // The CI gate: the sharded allocator must not cost throughput.
-            assert!(
-                laned.ops_per_sec >= 0.8 * global.ops_per_sec,
-                "laned allocator regresses >20% at {threads} threads: \
-                 {:.0} laned vs {:.0} global wins/s",
-                laned.ops_per_sec,
-                global.ops_per_sec
-            );
-        }
-    }
-    println!();
 
     // --- packed+unified vs padded+sharded, per algorithm ---
     println!("## layout: packed+unified vs padded+sharded (random-conflict)");
-    // Longer cells than the allocator A/B: the layout effect is a few
+    // Long cells: the layout effect is a few
     // percent, so full runs stretch each cell (still under the 4095
     // rounds/process tag-space cap of a single epoch) to push scheduler
     // noise below it.
@@ -537,16 +387,7 @@ fn main() {
                 format!("{speedup:.2}x"),
             ]);
             for (layout, s) in [(&packed_unified, &packed), (&padded_sharded, &padded)] {
-                json_row(
-                    &mut rows,
-                    "random_conflict",
-                    algo,
-                    "fast",
-                    "laned",
-                    &layout.label(),
-                    threads,
-                    s,
-                );
+                json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, s);
             }
             if algo == "wfl" {
                 // The off-diagonal cells: which half of the layout change
@@ -556,16 +397,7 @@ fn main() {
                     SpaceLayout { placement: Placement::Packed, shards: 0 },
                 ] {
                     let s = run_layout_cell(algo, layout, threads, layout_attempts, REPEATS);
-                    json_row(
-                        &mut rows,
-                        "random_conflict",
-                        algo,
-                        "fast",
-                        "laned",
-                        &layout.label(),
-                        threads,
-                        &s,
-                    );
+                    json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, &s);
                 }
             }
             if smoke && algo == "wfl" {
@@ -660,7 +492,10 @@ fn main() {
     let mut best: [Option<Sample>; 3] = [None, None, None];
     let mut totals = [(0u64, 0f64); 3];
     let run_cfg = |cfg: usize, best: &mut [Option<Sample>; 3], totals: &mut [(u64, f64); 3]| {
-        let s = run_recorder_cell(top_threads, gate_attempts, 1, cfg == 2);
+        // Config 2 records; the caller cycles the global recorder to
+        // prepare the "steady disabled" state of config 1.
+        let exec = if cfg == 2 { ExecMode::real().with_recorder() } else { ExecMode::real() };
+        let s = run_config("wfl", top_threads, gate_attempts, 1, exec);
         totals[cfg].0 += s.metrics.wins;
         totals[cfg].1 += s.metrics.wall_secs.expect("real runs report wall time");
         best[cfg] = Some(s.better_of(best[cfg].take()));
@@ -703,7 +538,6 @@ fn main() {
             "philosophers",
             "wfl",
             &format!("fast+{name}"),
-            "laned",
             "padded+sharded",
             top_threads,
             s,
@@ -712,16 +546,8 @@ fn main() {
     println!();
     // --trace: export one recorded top-of-sweep wfl philosophers cell.
     if let Some(path) = wfl_bench::parse_trace(&args) {
-        let exec = ExecMode::Real {
-            threads: top_threads,
-            run_for: None,
-            cfg: Mode::Fast.real_config(),
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        }
-        .with_recorder();
-        let r = run_philosophers_mode(top_threads, phil_attempts, 42, algo_kind("wfl", 2), 1 << 23, &exec);
+        let exec = ExecMode::real().with_recorder();
+        let r = run_philosophers(top_threads, phil_attempts, 42, algo_kind("wfl", 2), 1 << 23, &exec);
         assert!(r.safety_ok, "traced cell: philosopher meal counters diverged");
         let meta = [
             ("bench", "e13_scaling".to_string()),
@@ -763,8 +589,6 @@ fn main() {
     json.push_str(",\n");
     let _ = writeln!(json, "  \"recorder_disabled_over_baseline\": {rec_disabled_ratio:.3},");
     let _ = writeln!(json, "  \"recorder_enabled_over_baseline\": {rec_enabled_ratio:.3},");
-    let _ = writeln!(json, "  \"wfl_fast_over_legacy_at_max_threads\": {wfl_speedup_at_max:.3},");
-    let _ = writeln!(json, "  \"laned_over_global_at_max_threads\": {laned_over_global_at_max:.3},");
     let _ = writeln!(
         json,
         "  \"padded_sharded_over_packed_unified_at_max_threads\": {layout_speedup_at_max:.3},"
@@ -780,8 +604,6 @@ fn main() {
     json.push_str("}\n");
 
     std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    println!("wfl fast/legacy at {top_threads} threads: {wfl_speedup_at_max:.2}x");
-    println!("wfl laned/global at {top_threads} threads: {laned_over_global_at_max:.2}x");
     println!("wfl padded+sharded/packed+unified at {top_threads} threads: {layout_speedup_at_max:.2}x");
     println!("wrote BENCH_scaling.json");
 }

@@ -36,8 +36,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_workloads::harness::{
-    run_bank_mode, run_graph_mode, run_list_mode, run_philosophers_mode,
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_bank, run_graph, run_list, run_philosophers, run_random_conflict, AlgoKind, Backend,
+    ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 #[derive(Clone, Copy)]
@@ -165,15 +165,15 @@ fn run_cell(
             let mut spec = SimSpec::new(threads, p.conflict_attempts, (2 * threads).max(3), 2);
             spec.seed = seed;
             spec.heap_words = p.heap_words;
-            run_random_conflict_mode(&spec, algo, mode)
+            run_random_conflict(&spec, algo, mode)
         }
         "philosophers" => {
             // A table needs >= 2 seats, so `cell_procs` already widened a
             // 1-thread row to a 2-philosopher cell (and the row is labeled
             // with the widened count — a 2-seat table fully contends).
-            run_philosophers_mode(threads, p.phil_attempts, seed, algo, p.heap_words, mode)
+            run_philosophers(threads, p.phil_attempts, seed, algo, p.heap_words, mode)
         }
-        "bank" => run_bank_mode(
+        "bank" => run_bank(
             threads,
             (threads + 2).max(4),
             p.bank_rounds,
@@ -183,8 +183,8 @@ fn run_cell(
             p.heap_words,
             mode,
         ),
-        "list" => run_list_mode(threads, p.list_keys, seed, algo, p.heap_words, mode),
-        "graph" => run_graph_mode(
+        "list" => run_list(threads, p.list_keys, seed, algo, p.heap_words, mode),
+        "graph" => run_graph(
             threads,
             (2 * threads).max(4).max(3),
             p.graph_rounds,
@@ -270,7 +270,7 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
             for algo in algos(threads, smoke, algo_filter.as_ref()) {
                 let modes = [
                     ExecMode::sim(SchedKind::Random, p.sim_steps),
-                    ExecMode::real_timed(threads, p.real_budget),
+                    ExecMode::real_timed(p.real_budget),
                 ];
                 for mode in &modes {
                     let r = run_cell(workload, algo, threads, &shape, mode);
@@ -387,7 +387,7 @@ fn run_soak(p: &SoakParams, smoke: bool) {
                         &sim_shape,
                     ),
                     (
-                        ExecMode::real_timed(threads, p.real_budget).with_epoch_rounds(epoch_len),
+                        ExecMode::real_timed(p.real_budget).with_epoch_rounds(epoch_len),
                         &shape,
                     ),
                 ];
@@ -395,7 +395,7 @@ fn run_soak(p: &SoakParams, smoke: bool) {
                     let r = run_cell(workload, algo, threads, cell_shape, mode);
                     let cell = format!("{workload}/{}/{}t/{}", algo.label(), threads, mode.label());
                     assert!(r.safety_ok, "SAFETY VIOLATION across epochs: {cell}");
-                    if let ExecMode::Real { run_for: Some(budget), .. } = mode {
+                    if let Backend::Real { run_for: Some(budget), .. } = mode.backend {
                         // The acceptance criteria of the epoch lifecycle:
                         // several boundaries crossed, the full wall budget
                         // used (within 10% plus scheduling slack), the
@@ -403,7 +403,7 @@ fn run_soak(p: &SoakParams, smoke: bool) {
                         assert!(r.epochs >= 3, "{cell}: only {} epochs", r.epochs);
                         let wall = r.wall.expect("real cells report wall");
                         let lo = budget.mul_f64(0.9);
-                        let hi = *budget + budget.mul_f64(0.10).max(Duration::from_millis(250));
+                        let hi = budget + budget.mul_f64(0.10).max(Duration::from_millis(250));
                         assert!(
                             wall >= lo && wall <= hi,
                             "{cell}: wall {wall:?} not within 10% of requested {budget:?}"

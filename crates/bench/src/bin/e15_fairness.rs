@@ -75,7 +75,7 @@ fn run_real_cell(algo: AlgoKind, threads: usize, strength: AdvStrength, budget: 
     spec.strength = strength;
     spec.victim_period = PERIOD;
     spec.seed = 7;
-    let mode = ExecMode::real_timed(threads, budget).with_epoch_rounds(ROUNDS);
+    let mode = ExecMode::real_timed(budget).with_epoch_rounds(ROUNDS);
     let report = run_adversary(&spec, algo, &mode);
     assert!(
         report.safety_ok,

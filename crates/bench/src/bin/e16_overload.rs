@@ -60,7 +60,7 @@ use wfl_bench::{header, row, verdict};
 use wfl_runtime::clamp_threads;
 use wfl_runtime::real::{FaultSpec, RealConfig};
 use wfl_workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, Backend, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 const SEED: u64 = 1312;
@@ -204,7 +204,7 @@ fn run_sim_cell(
     if record {
         mode = mode.with_recorder();
     }
-    let r = run_random_conflict_mode(&spec, algo, &mode);
+    let r = run_random_conflict(&spec, algo, &mode);
     assert!(
         r.safety_ok,
         "{}/{threads}t/deadline {deadline:?}/faults {faulted}: safety audit failed",
@@ -224,16 +224,8 @@ fn run_real_cell(algo: AlgoKind, threads: usize, attempts: usize, deadline: u64,
     } else {
         RealConfig::fast()
     };
-    let mode = ExecMode::Real {
-        threads,
-        run_for: None,
-        cfg,
-        epoch_rounds: None,
-        deadline_steps: None,
-        recorder: false,
-    }
-    .with_deadline_steps(deadline);
-    let r = run_random_conflict_mode(&spec, algo, &mode);
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg }).with_deadline_steps(deadline);
+    let r = run_random_conflict(&spec, algo, &mode);
     assert!(
         r.safety_ok,
         "{}/{threads}t/real/faults {faulted}: safety audit failed",

@@ -41,9 +41,8 @@
 //!   --smoke : CI-sized cells, and the run **gates**:
 //!     (a) wfl+combine actually combines under sim contention (nonempty
 //!         batch histogram) and stays safe doing it;
-//!     (b) masked replay: under the plain `Random` family, wfl+combine is
-//!         bit-identical to plain wfl (recorded schedules keep replaying),
-//!         and a faulted combining cell replays deterministically;
+//!     (b) a faulted combining cell replays deterministically, flight
+//!         recorder trace included;
 //!     (c) wfl+combine keeps wait-freedom under injected freezes (zero
 //!         aborts, >= 0.8x fault-free goodput); fc and ccsynch lose it
 //!         (faulted aborts appear with p99 >= the SLO), and fc's
@@ -64,7 +63,7 @@ use wfl_fairness::jain_index;
 use wfl_runtime::real::{FaultSpec, RealConfig};
 use wfl_runtime::{available_parallelism, clamp_threads};
 use wfl_workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, Backend, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 const SEED: u64 = 1312;
@@ -112,17 +111,14 @@ fn roster(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
     wfl_bench::retain_algos(all, |k| k.label(), filter)
 }
 
-/// The schedule family for a sim cell: combining algorithms need the
-/// opted-in families ([`SchedKind::allows_combining`]) or the fast path
-/// stays masked; everything else runs the plain families so their cells
-/// replay against the E16 corpus.
-fn sched_for(algo: AlgoKind, faulted: bool, threads: usize) -> SchedKind {
+/// The schedule family for a sim cell: the E16 families, so every cell
+/// replays against the E16 corpus.
+fn sched_for(faulted: bool, threads: usize) -> SchedKind {
     let (period, quantum) = fault_window(threads);
-    match (matches!(algo, AlgoKind::WflCombine { .. }), faulted) {
-        (true, false) => SchedKind::RandomCombining,
-        (true, true) => SchedKind::FaultsCombining { period, quantum },
-        (false, false) => SchedKind::Random,
-        (false, true) => SchedKind::RandomFaults { period, quantum },
+    if faulted {
+        SchedKind::RandomFaults { period, quantum }
+    } else {
+        SchedKind::Random
     }
 }
 
@@ -188,12 +184,12 @@ fn run_sim_overload(
     record: bool,
 ) -> Cell {
     let spec = overload_spec(threads, attempts);
-    let mut mode = ExecMode::sim(sched_for(algo, faulted, threads), 2_000_000_000)
+    let mut mode = ExecMode::sim(sched_for(faulted, threads), 2_000_000_000)
         .with_deadline_steps(slo(threads));
     if record {
         mode = mode.with_recorder();
     }
-    let r = run_random_conflict_mode(&spec, algo, &mode);
+    let r = run_random_conflict(&spec, algo, &mode);
     assert!(
         r.safety_ok,
         "{}/{threads}t/sim/faults {faulted}: safety audit failed",
@@ -206,7 +202,7 @@ fn run_closed_loop(algo: AlgoKind, threads: usize, attempts: usize) -> Cell {
     let spec = closed_loop_spec(threads, attempts);
     let mut best: Option<Cell> = None;
     for _ in 0..REPEATS {
-        let r = run_random_conflict_mode(&spec, algo, &ExecMode::real(threads));
+        let r = run_random_conflict(&spec, algo, &ExecMode::real());
         assert!(r.safety_ok, "{}/{threads}t/closed-loop: safety audit failed", algo.label());
         let c = Cell::from_report(r);
         best = Some(match best {
@@ -228,9 +224,8 @@ fn run_real_fault(algo: AlgoKind, threads: usize, attempts: usize, faulted: bool
     } else {
         RealConfig::fast()
     };
-    let mode = ExecMode::Real { threads, run_for: None, cfg, epoch_rounds: None, deadline_steps: None, recorder: false }
-        .with_deadline_steps(slo(threads));
-    let r = run_random_conflict_mode(&spec, algo, &mode);
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg }).with_deadline_steps(slo(threads));
+    let r = run_random_conflict(&spec, algo, &mode);
     assert!(
         r.safety_ok,
         "{}/{threads}t/real/faults {faulted}: safety audit failed",
@@ -330,14 +325,14 @@ fn main() {
     let mut gates_ok = true;
 
     // --- gate (a): combining fires under deterministic sim contention ---
-    // Every process hammers one lock under the opted-in random family; some
-    // winner must find claimable ACTIVE peers. This cell is also the
+    // Every process hammers one lock under the random family; some winner
+    // must find claimable ACTIVE peers. This cell is also the
     // checked-in batch histogram's canonical source: fully deterministic.
     {
         let mut spec = closed_loop_spec(4, if smoke { 120 } else { 240 });
         spec.nlocks = 1;
-        let mode = ExecMode::sim(SchedKind::RandomCombining, 2_000_000_000);
-        let r = run_random_conflict_mode(&spec, AlgoKind::WflCombine { kappa: 4 }, &mode);
+        let mode = ExecMode::sim(SchedKind::Random, 2_000_000_000);
+        let r = run_random_conflict(&spec, AlgoKind::WflCombine { kappa: 4 }, &mode);
         assert!(r.safety_ok, "sim contention cell: safety audit failed");
         let c = Cell::from_report(r);
         println!(
@@ -355,24 +350,7 @@ fn main() {
     }
     println!();
 
-    // --- gate (b), first half: masked replay equivalence ---
-    // Under the plain Random family wfl+combine must be bit-identical to
-    // plain wfl: recorded schedules from earlier PRs keep replaying.
-    {
-        let run = |algo: AlgoKind| {
-            let spec = overload_spec(3, 60);
-            let mode = ExecMode::sim(SchedKind::Random, 2_000_000_000).with_deadline_steps(slo(3));
-            let r = run_random_conflict_mode(&spec, algo, &mode);
-            (r.wins, r.aborts, r.rescues, r.steps.max(), r.per_pid.clone(), r.combined_wins)
-        };
-        let plain = run(AlgoKind::Wfl { kappa: 3, delays: true, helping: true });
-        let masked = run(AlgoKind::WflCombine { kappa: 3 });
-        let identical = plain == masked && masked.5 == 0;
-        println!("masked-combining replay identity (plain Random family): {}", verdict(identical));
-        gates_ok &= identical;
-    }
-
-    // --- sim overload block: the wait-freedom showdown, and gates (b2),
+    // --- sim overload block: the wait-freedom showdown, and gates (b),
     // (c), (d) ---
     let (fp, fq) = fault_window(fault_threads);
     println!();
@@ -472,7 +450,7 @@ fn main() {
         }
     }
 
-    // Gate (b), second half: a faulted combining cell replays exactly —
+    // Gate (b): a faulted combining cell replays exactly —
     // including its full flight-recorder event sequence (both replays run
     // with the recorder on).
     {

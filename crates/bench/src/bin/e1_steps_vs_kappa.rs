@@ -12,7 +12,7 @@
 use wfl_bench::{header, row, verdict};
 use wfl_core::LockConfig;
 use wfl_runtime::stats::loglog_slope;
-use wfl_workloads::harness::{run_random_conflict, AlgoKind, SchedKind, SimSpec};
+use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
 
 fn main() {
     println!("# E1: steps per attempt vs kappa (L=2, T=4, delays off => real work)");
@@ -22,10 +22,10 @@ fn main() {
     for &kappa in &[2usize, 4, 8, 16] {
         let mut spec = SimSpec::new(kappa, 60, 2, 2);
         spec.seed = 17;
-        spec.sched = SchedKind::Random;
         spec.think_max = 8;
         spec.heap_words = 1 << 25;
-        let r = run_random_conflict(&spec, AlgoKind::Wfl { kappa, delays: false, helping: true });
+        let algo = AlgoKind::Wfl { kappa, delays: false, helping: true };
+        let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 400_000_000));
         assert!(r.safety_ok, "safety violated at kappa={kappa}");
         points.push((kappa as f64, r.steps.mean()));
         // The final status read after the end-of-attempt stall is the `+ 1`.

@@ -8,7 +8,7 @@
 
 use wfl_bench::{header, row, verdict};
 use wfl_runtime::stats::loglog_slope;
-use wfl_workloads::harness::{run_random_conflict, AlgoKind, SimSpec};
+use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
 
 fn main() {
     println!("# E2: steps per attempt vs L (kappa=4, T=2L, delays off => real work)");
@@ -19,7 +19,8 @@ fn main() {
         let mut spec = SimSpec::new(4, 50, 2 * l, l);
         spec.seed = 23;
         spec.heap_words = 1 << 25;
-        let r = run_random_conflict(&spec, AlgoKind::Wfl { kappa: 4, delays: false, helping: true });
+        let algo = AlgoKind::Wfl { kappa: 4, delays: false, helping: true };
+        let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 400_000_000));
         assert!(r.safety_ok, "safety violated at L={l}");
         let t = (2 * l) as f64;
         raw.push((l as f64, r.steps.mean()));

@@ -7,7 +7,7 @@
 //! lower bound of the measured rate is compared against `1/(κL)`.
 
 use wfl_bench::{fmt_success, header, row, verdict};
-use wfl_workloads::harness::{run_random_conflict, AlgoKind, SchedKind, SimSpec};
+use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
 
 fn main() {
     println!("# E3: per-attempt success probability vs the 1/(kappa*L) bound");
@@ -16,11 +16,10 @@ fn main() {
     for &(kappa, l) in &[(2usize, 1usize), (2, 2), (4, 1), (4, 2), (8, 1)] {
         let mut spec = SimSpec::new(kappa, 150, l, l); // nlocks = L: everyone takes all locks
         spec.seed = 31;
-        spec.sched = SchedKind::Random;
         spec.think_max = 32;
         spec.heap_words = 1 << 25;
-        spec.max_steps = 2_000_000_000;
-        let r = run_random_conflict(&spec, AlgoKind::Wfl { kappa, delays: true, helping: true });
+        let algo = AlgoKind::Wfl { kappa, delays: true, helping: true };
+        let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 2_000_000_000));
         assert!(r.safety_ok, "safety violated at kappa={kappa} L={l}");
         let bound = 1.0 / (kappa * l) as f64;
         let ok = r.success.wilson_lower(2.58) >= bound;

@@ -7,7 +7,7 @@
 //! helping).
 
 use wfl_bench::{fmt_success, header, row, verdict};
-use wfl_workloads::harness::{run_philosophers, AlgoKind, SchedKind};
+use wfl_workloads::harness::{run_philosophers, AlgoKind, ExecMode, SchedKind};
 
 fn main() {
     println!("# E4: dining philosophers — success >= 1/4, steps independent of n");
@@ -15,14 +15,8 @@ fn main() {
     let mut all_ok = true;
     let mut step_means = Vec::new();
     for &n in &[3usize, 8, 32, 64] {
-        let r = run_philosophers(
-            n,
-            60,
-            41,
-            SchedKind::Random,
-            AlgoKind::Wfl { kappa: 2, delays: true, helping: true },
-            1 << 25,
-        );
+        let algo = AlgoKind::Wfl { kappa: 2, delays: true, helping: true };
+        let r = run_philosophers(n, 60, 41, algo, 1 << 25, &ExecMode::sim(SchedKind::Random, 600_000_000));
         assert!(r.safety_ok, "meal counters diverged at n={n}");
         let ok = r.success.wilson_lower(2.58) >= 0.25;
         all_ok &= ok;

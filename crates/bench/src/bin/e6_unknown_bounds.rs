@@ -8,7 +8,7 @@
 //! algorithms' rates under skewed schedules.
 
 use wfl_bench::{fmt_success, header, row, verdict};
-use wfl_workloads::harness::{run_random_conflict, AlgoKind, SchedKind, SimSpec};
+use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
 
 fn main() {
     println!("# E6: unknown-bounds variant vs Theorem 6.10 bound");
@@ -26,13 +26,12 @@ fn main() {
         for sched in [SchedKind::Random, SchedKind::WeightedRamp] {
             let mut spec = SimSpec::new(kappa, 120, l, l);
             spec.seed = 67;
-            spec.sched = sched;
             spec.think_max = 32;
             spec.heap_words = 1 << 25;
-            spec.max_steps = 2_000_000_000;
-            let known =
-                run_random_conflict(&spec, AlgoKind::Wfl { kappa, delays: true, helping: true });
-            let unknown = run_random_conflict(&spec, AlgoKind::WflUnknown);
+            let mode = ExecMode::sim(sched, 2_000_000_000);
+            let algo = AlgoKind::Wfl { kappa, delays: true, helping: true };
+            let known = run_random_conflict(&spec, algo, &mode);
+            let unknown = run_random_conflict(&spec, AlgoKind::WflUnknown, &mode);
             assert!(known.safety_ok && unknown.safety_ok, "safety violated");
             let t = 2 * l;
             let log_factor = ((kappa * l * t) as f64).ln().max(1.0);

@@ -19,7 +19,7 @@ use wfl_idem::{Registry, TagSource};
 use wfl_runtime::schedule::{RoundRobin, StallWindow, Stalls};
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::{Ctx, Heap};
-use wfl_workloads::harness::{run_random_conflict, AlgoKind, SchedKind, SimSpec};
+use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
 use wfl_workloads::philosophers::Table;
 
 fn throughput_table() {
@@ -34,10 +34,8 @@ fn throughput_table() {
     ] {
         let mut spec = SimSpec::new(4, 80, 3, 2);
         spec.seed = 77;
-        spec.sched = SchedKind::Bursty(30);
         spec.heap_words = 1 << 25;
-        spec.max_steps = 2_000_000_000;
-        let r = run_random_conflict(&spec, algo);
+        let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Bursty(30), 2_000_000_000));
         assert!(r.safety_ok, "{name}: safety violated");
         row(&[
             name.to_string(),

@@ -71,7 +71,6 @@ pub mod unknown;
 
 pub use abort::{AbortReason, Backoff, Deadline, GiveUp};
 pub use config::{DelayBudget, LockConfig};
-pub use wfl_runtime::trace;
 pub use descriptor::{is_won, Desc, LockId, ST_ACTIVE, ST_COMBINED, ST_LOST, ST_WON};
 pub use metrics::{AttemptMetrics, RetryMetrics};
 pub use retry::{lock_and_run, lock_and_run_limited, lock_and_run_until};

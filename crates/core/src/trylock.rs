@@ -131,9 +131,7 @@ pub(crate) fn decide(ctx: &Ctx<'_>, p: Desc) {
 #[inline]
 pub(crate) fn celebrate_if_won(ctx: &Ctx<'_>, registry: &Registry, p: Desc) {
     if is_won(p.status(ctx)) {
-        wfl_runtime::trace::emit(|| format!("t={} pid={} celebrate({:?}) begin", ctx.now(), ctx.pid(), p.0));
         p.frame(ctx).help(ctx, registry);
-        wfl_runtime::trace::emit(|| format!("t={} pid={} celebrate({:?}) end", ctx.now(), ctx.pid(), p.0));
     }
 }
 
@@ -153,7 +151,6 @@ pub(crate) fn run_desc(
     p: Desc,
     members: &mut Vec<u64>,
 ) {
-    wfl_runtime::trace::emit(|| format!("t={} pid={} run_desc({:?}) begin", ctx.now(), ctx.pid(), p.0));
     let nlocks = p.nlocks(ctx);
     let snap = p.snapshot(ctx);
     let mut snap_off = 0u32;
@@ -170,7 +167,6 @@ pub(crate) fn run_desc(
             }
             snap_off += 1 + count;
         }
-        wfl_runtime::trace::emit(|| format!("t={} pid={} run_desc({:?}) lock#{} members={:?} p.status={}", ctx.now(), ctx.pid(), p.0, li, members, ctx.heap().peek(p.status_addr())));
         if p.status(ctx) == ST_ACTIVE {
             for &m in members.iter() {
                 let q = Desc::from_item(m);
@@ -184,7 +180,6 @@ pub(crate) fn run_desc(
                             eliminate(ctx, p);
                         }
                     } else if pp > PRIO_TBD && pq > PRIO_TBD {
-                        wfl_runtime::trace::emit(|| format!("t={} pid={} compare p={:?}({:x}) q={:?}({:x}) -> eliminate {:?}", ctx.now(), ctx.pid(), p.0, pp, q.0, pq, if pp > pq { q.0 } else { p.0 }));
                         if pp > pq {
                             eliminate(ctx, q);
                         } else if q != p {
@@ -197,9 +192,7 @@ pub(crate) fn run_desc(
         }
     }
     decide(ctx, p);
-    wfl_runtime::trace::emit(|| format!("t={} pid={} decide({:?}) -> status={}", ctx.now(), ctx.pid(), p.0, ctx.heap().peek(p.status_addr())));
     celebrate_if_won(ctx, registry, p);
-    wfl_runtime::trace::emit(|| format!("t={} pid={} run_desc({:?}) end status={}", ctx.now(), ctx.pid(), p.0, ctx.heap().peek(p.status_addr())));
 }
 
 /// Executes one tryLock attempt (the known-bounds algorithm of §6).
@@ -246,7 +239,6 @@ pub fn try_locks(
     let frame = Frame::create(ctx, registry, req.thunk, tag_base, req.args);
     let p = Desc::create(ctx, req.locks, frame);
     obs(ctx, EventKind::AttemptStart, req.locks.len() as u64);
-    wfl_runtime::trace::emit(|| format!("t={} pid={} start attempt {:?} frame={:?}", ctx.now(), ctx.pid(), p.0, frame.0));
     if let Some(cell) = scratch.probe {
         // Fairness probe: hand the adversary this attempt's descriptor the
         // moment it exists — it can watch the priority word for the
@@ -298,7 +290,6 @@ pub fn try_locks(
     };
     multi_insert_into(ctx, &flag, p.item(), &scratch.sets, &mut scratch.slots);
     obs(ctx, EventKind::RevealDone, 0);
-    wfl_runtime::trace::emit(|| format!("t={} pid={} revealed {:?} prio={:x}", ctx.now(), ctx.pid(), p.0, ctx.heap().peek(p.prio_addr())));
 
     // Post-reveal abort poll (the `T0` reveal stall just ran, so this is
     // where an expired deadline usually surfaces). The descriptor is now
@@ -323,7 +314,6 @@ pub fn try_locks(
         if let Some(cell) = scratch.probe {
             ctx.write_rel(cell, 0);
         }
-        wfl_runtime::trace::emit(|| format!("t={} pid={} abort({:?}) post-reveal {:?} rescued={}", ctx.now(), ctx.pid(), p.0, r, rescued));
         obs(ctx, EventKind::Abort, r.index() as u64 | 1 << 8);
         if rescued {
             obs(ctx, EventKind::Rescue, 0);
@@ -424,7 +414,6 @@ pub fn try_locks(
                                     break;
                                 }
                                 if ctx.cas_bool_sync(s.status_addr(), ST_ACTIVE, ST_LOST) {
-                                    wfl_runtime::trace::emit(|| format!("t={} pid={} combine({:?}) pass eliminates {:?}", ctx.now(), ctx.pid(), p.0, s.0));
                                     break;
                                 }
                                 // Lost the race to its decide: re-read.
@@ -443,7 +432,6 @@ pub fn try_locks(
             if !ctx.cas_bool_sync(q.status_addr(), ST_ACTIVE, ST_COMBINED) {
                 break;
             }
-            wfl_runtime::trace::emit(|| format!("t={} pid={} combine({:?}) claims {:?}", ctx.now(), ctx.pid(), p.0, q.0));
             obs(ctx, EventKind::CombineClaim, qm);
             celebrate_if_won(ctx, registry, q);
             combined_peers += 1;
@@ -509,7 +497,6 @@ pub(crate) fn abort_unrevealed(
     if let Some(cell) = scratch.probe {
         ctx.write_rel(cell, 0);
     }
-    wfl_runtime::trace::emit(|| format!("t={} pid={} abort({:?}) pre-reveal {:?}", ctx.now(), ctx.pid(), p.0, reason));
     obs(ctx, EventKind::Abort, reason.index() as u64);
     obs(ctx, EventKind::AttemptEnd, AttemptOutcomeBits::pack(false, true, false, false, 0));
     AttemptMetrics {

@@ -35,7 +35,7 @@ use wfl_runtime::real::run_threads_epochs;
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, CachePadded, Ctx, Heap, History};
-use wfl_workloads::harness::{AlgoHandle, AlgoKind, ExecMode};
+use wfl_workloads::harness::{AlgoHandle, AlgoKind, Backend, ExecMode};
 use wfl_workloads::player::{
     flood_decision, run_player_loop_stats, AdvStrength, TargetedStarter, PROBE_OPAQUE,
 };
@@ -185,20 +185,17 @@ const T_MAX: usize = 3;
 ///
 /// # Panics
 /// Panics on spec/mode mismatches (sim with `nlocks != 1` or epoch
-/// batching; real with `threads != nprocs`), on process panics, and on a
-/// per-epoch round count above the tag space.
+/// batching), on process panics, and on a per-epoch round count above the
+/// tag space.
 pub fn run_adversary(spec: &AdversarySpec, algo: AlgoKind, mode: &ExecMode) -> FairnessReport {
     assert!(spec.nprocs >= 2);
-    match *mode {
-        ExecMode::Sim { sched, max_steps, epoch_rounds, .. } => {
-            assert!(epoch_rounds.is_none(), "sim adversary runs are single-epoch");
+    match mode.backend {
+        Backend::Sim { sched, max_steps } => {
+            assert!(mode.epoch_rounds.is_none(), "sim adversary runs are single-epoch");
             assert_eq!(spec.nlocks, 1, "the sim adversary contests a single lock");
             run_sim(spec, algo, sched, max_steps)
         }
-        ExecMode::Real { threads, run_for, cfg, epoch_rounds, .. } => {
-            assert_eq!(threads, spec.nprocs, "ExecMode::Real.threads must equal spec.nprocs");
-            run_real(spec, algo, run_for, cfg, epoch_rounds.is_some(), mode)
-        }
+        Backend::Real { run_for, cfg } => run_real(spec, algo, run_for, cfg, mode),
     }
 }
 
@@ -324,7 +321,6 @@ fn run_real(
     algo: AlgoKind,
     run_for: Option<Duration>,
     cfg: wfl_runtime::real::RealConfig,
-    batched: bool,
     mode: &ExecMode,
 ) -> FairnessReport {
     assert!(spec.nlocks >= 1);
@@ -333,7 +329,7 @@ fn run_real(
     assert!(epoch_len <= MIN_PROCESS_CAPACITY as usize, "epoch length exceeds the tag space");
     // A timed run with an epoch length keeps opening epochs until the
     // deadline (the soak shape); otherwise the victim's total is `rounds`.
-    let unbounded = run_for.is_some() && batched;
+    let unbounded = run_for.is_some() && mode.epoch_rounds.is_some();
     // The holder audit's real-time-precedence condition is only sound on
     // globally ordered timestamps; leased clocks hand out per-thread
     // blocks, which would make the audit flag correct runs.

@@ -10,7 +10,7 @@ use wfl_lincheck::holders::{assert_holder_exclusive, check_holder_exclusivity};
 use wfl_runtime::real::RealConfig;
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::{Addr, Ctx, Heap};
-use wfl_workloads::harness::{AlgoHandle, AlgoKind, ExecMode, SchedKind};
+use wfl_workloads::harness::{AlgoHandle, AlgoKind, Backend, ExecMode, SchedKind};
 use wfl_workloads::player::{run_player_loop_stats, TargetedStarter};
 
 fn wfl(kappa: usize) -> AlgoKind {
@@ -27,7 +27,7 @@ fn real_adversary_all_strengths_safe_and_complete() {
             spec.strength = strength;
             spec.victim_period = 50;
             spec.seed = 11;
-            let r = run_adversary(&spec, algo, &ExecMode::real(3));
+            let r = run_adversary(&spec, algo, &ExecMode::real());
             assert!(r.safety_ok, "{strength:?}/{algo:?}: counter != recorded wins");
             let v = r.victim_success();
             assert_eq!(v.trials, 40, "{strength:?}/{algo:?}: victim must complete its rounds");
@@ -55,7 +55,7 @@ fn timed_adversarial_soak_crosses_epochs_for_full_budget() {
     spec.victim_period = 20;
     spec.seed = 5;
     let budget = Duration::from_millis(80);
-    let mode = ExecMode::real_timed(3, budget).with_epoch_rounds(32);
+    let mode = ExecMode::real_timed(budget).with_epoch_rounds(32);
     let r = run_adversary(&spec, wfl(3), &mode);
     assert!(r.safety_ok, "soak safety failed");
     assert!(r.epochs >= 3, "only {} epochs crossed in {budget:?}", r.epochs);
@@ -213,16 +213,10 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
     spec.victim_period = 30;
     spec.seed = 9;
     spec.record = true;
-    let mode = ExecMode::Real {
-        threads: 3,
-        run_for: None,
-        // Precise clock: the audit's real-time precedence needs globally
-        // ordered event timestamps.
-        cfg: RealConfig::precise(),
-        epoch_rounds: Some(8),
-        deadline_steps: None,
-        recorder: false,
-    };
+    // Precise clock: the audit's real-time precedence needs globally
+    // ordered event timestamps.
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
+        .with_epoch_rounds(8);
     let r = run_adversary(&spec, wfl(3), &mode);
     assert!(r.safety_ok);
     assert_eq!(r.epochs, 2, "16 rounds at 8/epoch");
@@ -257,7 +251,7 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
 fn recorded_runs_reject_the_leased_clock() {
     let mut spec = AdversarySpec::new(2, 4);
     spec.record = true;
-    run_adversary(&spec, wfl(2), &ExecMode::real(2)); // real() = fast() = leased
+    run_adversary(&spec, wfl(2), &ExecMode::real()); // real() = fast() = leased
 }
 
 /// The probe machinery must not perturb the paper algorithm's fixed

@@ -36,7 +36,6 @@ pub mod perfetto;
 pub mod rec;
 mod ring;
 mod snapshot;
-mod text;
 
 pub use event::{AttemptOutcomeBits, Event, EventKind};
 pub use hist::{FixedHistogram, BUCKETS};
@@ -44,4 +43,3 @@ pub use json::{escape, JsonValue};
 pub use rec::{TraceSnapshot, CTRL_PID, MAX_PIDS};
 pub use ring::EventRing;
 pub use snapshot::MetricsSnapshot;
-pub use text::TextRing;

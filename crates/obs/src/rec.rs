@@ -8,7 +8,7 @@
 //! single-writer stores into the caller's own ring — no locks, no
 //! allocation, no shared cache lines beyond the flag.
 //!
-//! The recorder is global (like `wfl_runtime::trace`) because the emit
+//! The recorder is global because the emit
 //! sites live deep inside `wfl_core::trylock`, which deliberately has no
 //! side channel for observers. Single-writer safety holds because ring
 //! index = pid, and a pid runs on exactly one thread in both backends;

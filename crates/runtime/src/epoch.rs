@@ -38,8 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The heap rewind point and per-run epoch accounting shared by all
 /// workers. High-water marks are tracked **per allocation lane** (one per
-/// process plus the root lane; a single lane in
-/// [`crate::heap::AllocMode::Global`] mode), so arena-pressure reports show
+/// process plus the root lane), so arena-pressure reports show
 /// where the words went, not just how many.
 #[derive(Debug)]
 pub struct EpochState {

@@ -11,18 +11,15 @@
 //!
 //! # Allocation lanes (DESIGN.md §1.1.2)
 //!
-//! The historical allocator was a single global `fetch_add` cursor: one
-//! shared hot word that every cons cell, descriptor and idempotence-log
-//! record of every thread serialized through — exactly the steady-state
-//! coherence bottleneck the long-execution literature predicts. Under
-//! [`AllocMode::Laned`] (the default) the arena is instead carved into
+//! A single global `fetch_add` cursor would be one shared hot word that
+//! every cons cell, descriptor and idempotence-log record of every thread
+//! serialized through. The arena is instead carved into
 //! cache-line-aligned **slabs**; each process id owns a private **lane**
 //! and bumps a plain, uncontended cursor inside its current slab, touching
 //! the shared slab cursor only once per slab (or once per multi-slab grab
 //! for records larger than a slab). Records allocated by different lanes
 //! therefore never share a cache line, and the contended RMW amortizes
-//! from once-per-record to once-per-slab. [`AllocMode::Global`] keeps the
-//! historical single-cursor behavior for A/B comparison (experiment E13).
+//! from once-per-record to once-per-slab.
 //!
 //! A small **emergency reserve** at the top of the arena lets an attempt
 //! that exhausts the slab region finish cleanly: [`crate::Ctx::alloc`]
@@ -115,49 +112,9 @@ impl Lane {
     }
 }
 
-/// How a [`Heap`] hands out words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocMode {
-    /// The historical allocator: one shared bump cursor, one `fetch_add`
-    /// per record. Kept for A/B comparison (E13's `global-vs-laned` cell).
-    Global,
-    /// Sharded per-process lanes over cache-line-aligned slabs (see the
-    /// module docs). `0` for either field means "auto": [`DEFAULT_LANES`]
-    /// lanes, and a slab size scaled to the arena (at most
-    /// [`MAX_SLAB_WORDS`], at least one cache line).
-    Laned {
-        /// Number of process lanes (pids `0..lanes`); a root lane for
-        /// uncounted setup allocations is added on top.
-        lanes: usize,
-        /// Slab size in words (rounded up to a cache-line multiple).
-        slab_words: usize,
-    },
-}
-
-impl AllocMode {
-    /// The default sharded mode with auto-sized lanes and slabs.
-    pub fn laned() -> AllocMode {
-        AllocMode::Laned { lanes: 0, slab_words: 0 }
-    }
-
-    /// Short label for tables and JSON ("global" / "laned").
-    pub fn label(&self) -> &'static str {
-        match self {
-            AllocMode::Global => "global",
-            AllocMode::Laned { .. } => "laned",
-        }
-    }
-}
-
-impl Default for AllocMode {
-    fn default() -> Self {
-        AllocMode::laned()
-    }
-}
-
 /// How setup-time shared records (lock words, active-set slot arrays) are
-/// placed relative to cache lines. Orthogonal to [`AllocMode`]: the
-/// allocator shards *who allocates*, placement shards *what neighbors
+/// placed relative to cache lines. Orthogonal to the allocation lanes:
+/// the allocator shards *who allocates*, placement shards *what neighbors
 /// what*.
 ///
 /// Placement is pure address arithmetic — it changes which words a record
@@ -204,14 +161,13 @@ pub const DEFAULT_LANES: usize = 64;
 /// Largest auto-selected slab: 512 words = 4 KiB.
 pub const MAX_SLAB_WORDS: usize = 512;
 
-/// Recoverable allocation failure: the slab region (or, in global mode,
-/// the bump region) is exhausted. Callers on the attempt path receive this
+/// Recoverable allocation failure: the slab region is exhausted. Callers on the attempt path receive this
 /// through [`Heap::alloc`] / the [`crate::Ctx::heap_low`] latch and give
 /// up cleanly at the next epoch boundary, where a quiescent
 /// [`Heap::reset_to_quiescent`] rewinds every lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapExhausted {
-    /// Lane that failed (lane count = root lane, `usize::MAX` = global).
+    /// Lane that failed (the last lane is the root lane).
     pub lane: usize,
     /// Words requested by the failing allocation.
     pub requested: usize,
@@ -234,7 +190,7 @@ struct LaneMark {
     used: usize,
 }
 
-/// A full-allocator rewind point: the shared slab (or global bump) cursor,
+/// A full-allocator rewind point: the shared slab cursor,
 /// the reserve cursor, and every lane's state. Captured by [`Heap::mark`]
 /// and consumed by [`Heap::reset_to`] / [`Heap::reset_to_quiescent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,8 +203,8 @@ pub struct HeapMark {
 /// A fixed-capacity arena of atomic `u64` words with a sharded bump
 /// allocator (see the module docs).
 ///
-/// The allocator is wait-free in both modes (plain bump or `fetch_add`),
-/// satisfying the model's requirement that every instruction of a tryLock
+/// The allocator is wait-free (a plain bump, plus one `fetch_add` per
+/// slab), satisfying the model's requirement that every instruction of a tryLock
 /// attempt is bounded. Allocation never reuses memory during an epoch; the
 /// harness reclaims transient allocations at quiescent points via
 /// [`Heap::mark`] / [`Heap::reset_to`].
@@ -257,28 +213,24 @@ pub struct Heap {
     /// Usable words (word indices `0..capacity`; `capacity` may be below
     /// the line-rounded storage).
     capacity: usize,
-    /// Slab size in words (cache-line multiple; meaningless in global
-    /// mode).
+    /// Slab size in words (cache-line multiple).
     slab_words: usize,
     /// First word of the emergency reserve region (== `capacity` when the
     /// arena is too small to carry a reserve).
     reserve_base: usize,
-    /// Laned: next unassigned slab's first word (always a slab multiple).
-    /// Global: the classic bump cursor (starts at 1; word 0 is NULL).
-    /// The only cross-lane contended word, touched once per slab.
+    /// Next unassigned slab's first word (always a slab multiple). The
+    /// only cross-lane contended word, touched once per slab.
     cursor: AtomicUsize,
     /// Next free word of the emergency reserve.
     reserve: AtomicUsize,
-    /// Per-pid lanes plus one trailing root lane (empty in global mode).
+    /// Per-pid lanes plus one trailing root lane.
     lanes: Box<[Lane]>,
-    global: bool,
 }
 
 impl std::fmt::Debug for Heap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Heap")
             .field("capacity", &self.capacity)
-            .field("mode", if self.global { &"global" } else { &"laned" })
             .field("slab_words", &self.slab_words)
             .field("used", &self.used())
             .finish()
@@ -286,20 +238,25 @@ impl std::fmt::Debug for Heap {
 }
 
 impl Heap {
-    /// Creates a laned heap with `capacity` words (all zero) and auto-sized
-    /// lanes/slabs. Word 0 is reserved as the null address.
+    /// Creates a heap with `capacity` words (all zero), [`DEFAULT_LANES`]
+    /// process lanes and an auto-sized slab. Word 0 is reserved as the
+    /// null address.
     ///
     /// # Panics
     /// Panics if `capacity` is 0 or exceeds `u32::MAX` words.
     pub fn new(capacity: usize) -> Heap {
-        Heap::with_mode(capacity, AllocMode::laned())
+        Heap::with_lanes(capacity, DEFAULT_LANES, 0)
     }
 
-    /// Creates a heap with an explicit [`AllocMode`].
+    /// Creates a heap with `lanes` process lanes (pids `0..lanes`; a root
+    /// lane for uncounted setup allocations is added on top) and slabs of
+    /// `slab_words` words, rounded up to a cache-line multiple. A zero
+    /// `slab_words` scales the slab to the arena (at most
+    /// [`MAX_SLAB_WORDS`], at least one cache line).
     ///
     /// # Panics
     /// Panics if `capacity` is 0 or exceeds `u32::MAX` words.
-    pub fn with_mode(capacity: usize, mode: AllocMode) -> Heap {
+    pub fn with_lanes(capacity: usize, lanes: usize, slab_words: usize) -> Heap {
         assert!(capacity > 0, "heap capacity must be positive");
         assert!(
             capacity <= u32::MAX as usize,
@@ -310,46 +267,26 @@ impl Heap {
         v.resize_with(nlines, Line::zeroed);
         let lines = v.into_boxed_slice();
 
-        match mode {
-            AllocMode::Global => {
-                let reserve_base = Self::reserve_base_for(capacity, MAX_SLAB_WORDS.min(capacity));
-                Heap {
-                    lines,
-                    capacity,
-                    slab_words: 0,
-                    reserve_base,
-                    cursor: AtomicUsize::new(1), // word 0 reserved for NULL
-                    reserve: AtomicUsize::new(reserve_base),
-                    lanes: Box::new([]),
-                    global: true,
-                }
-            }
-            AllocMode::Laned { lanes, slab_words } => {
-                let nlanes = if lanes == 0 { DEFAULT_LANES } else { lanes };
-                let slab = Self::effective_slab(capacity, slab_words);
-                let reserve_base = Self::reserve_base_for(capacity, slab);
-                let mut lane_vec = Vec::with_capacity(nlanes + 1);
-                lane_vec.resize_with(nlanes + 1, Lane::empty);
-                let heap = Heap {
-                    lines,
-                    capacity,
-                    slab_words: slab,
-                    reserve_base,
-                    // Slab 0 is pre-assigned to the root lane below.
-                    cursor: AtomicUsize::new(slab.min(reserve_base)),
-                    reserve: AtomicUsize::new(reserve_base),
-                    lanes: lane_vec.into_boxed_slice(),
-                    global: false,
-                };
-                // The root lane starts inside slab 0, past the NULL word,
-                // so the first root allocation is `Addr(1)` as it always
-                // was.
-                let root = &heap.lanes[nlanes];
-                root.cur.store(1, Ordering::Relaxed);
-                root.end.store(slab.min(reserve_base), Ordering::Relaxed);
-                heap
-            }
-        }
+        let slab = Self::effective_slab(capacity, slab_words);
+        let reserve_base = Self::reserve_base_for(capacity, slab);
+        let mut lane_vec = Vec::with_capacity(lanes + 1);
+        lane_vec.resize_with(lanes + 1, Lane::empty);
+        let heap = Heap {
+            lines,
+            capacity,
+            slab_words: slab,
+            reserve_base,
+            // Slab 0 is pre-assigned to the root lane below.
+            cursor: AtomicUsize::new(slab.min(reserve_base)),
+            reserve: AtomicUsize::new(reserve_base),
+            lanes: lane_vec.into_boxed_slice(),
+        };
+        // The root lane starts inside slab 0, past the NULL word, so the
+        // first root allocation is `Addr(1)`.
+        let root = &heap.lanes[lanes];
+        root.cur.store(1, Ordering::Relaxed);
+        root.end.store(slab.min(reserve_base), Ordering::Relaxed);
+        heap
     }
 
     /// Auto slab size: scale with the arena (aim for ~64 slabs) but stay
@@ -386,41 +323,30 @@ impl Heap {
         self.capacity
     }
 
-    /// The configured slab size in words (0 in global mode).
+    /// The configured slab size in words.
     #[inline]
     pub fn slab_words(&self) -> usize {
         self.slab_words
     }
 
-    /// The allocation mode label ("global" / "laned").
-    pub fn mode_label(&self) -> &'static str {
-        if self.global { "global" } else { "laned" }
-    }
-
-    /// Number of lanes the allocator accounts (1 in global mode; process
-    /// lanes plus the trailing root lane in laned mode).
+    /// Number of lanes the allocator accounts: process lanes plus the
+    /// trailing root lane.
     pub fn lane_count(&self) -> usize {
-        if self.global { 1 } else { self.lanes.len() }
+        self.lanes.len()
     }
 
     /// Index of the root lane (uncounted setup allocations).
     pub fn root_lane(&self) -> usize {
-        if self.global { 0 } else { self.lanes.len() - 1 }
+        self.lanes.len() - 1
     }
 
-    /// Words handed out by `lane` since the last rewind. In global mode
-    /// lane 0 reports the whole arena's usage.
+    /// Words handed out by `lane` since the last rewind.
     pub fn lane_used(&self, lane: usize) -> usize {
-        if self.global {
-            assert_eq!(lane, 0, "global mode has a single lane");
-            self.used()
-        } else {
-            self.lanes[lane].used.load(Ordering::SeqCst)
-        }
+        self.lanes[lane].used.load(Ordering::SeqCst)
     }
 
-    /// Arena footprint in words: every word of every slab handed out (or,
-    /// in global mode, the bump watermark) plus the consumed reserve.
+    /// Arena footprint in words: every word of every slab handed out plus
+    /// the consumed reserve.
     /// Includes per-lane slack, so it is the number that must stay within
     /// [`Heap::capacity`].
     #[inline]
@@ -435,9 +361,6 @@ impl Heap {
     /// unassigned slab region.
     pub fn lane_remaining(&self, lane: usize) -> usize {
         let region = self.reserve_base.saturating_sub(self.cursor.load(Ordering::SeqCst));
-        if self.global {
-            return region;
-        }
         let l = &self.lanes[lane];
         let slack = l.end.load(Ordering::Relaxed).saturating_sub(l.cur.load(Ordering::Relaxed));
         region + slack
@@ -447,9 +370,8 @@ impl Heap {
     /// slab(s) from the shared slab cursor only on exhaustion. Wait-free:
     /// a plain bump on the hot path, one `fetch_add` per slab handoff.
     ///
-    /// In laned mode `lane` must be the calling process's pid (lanes are
-    /// single-writer: two threads allocating through the same lane race);
-    /// in global mode `lane` is ignored and the shared cursor is used.
+    /// `lane` must be the calling process's pid (lanes are single-writer:
+    /// two threads allocating through the same lane race).
     ///
     /// # Errors
     /// [`HeapExhausted`] when the slab region cannot satisfy the request;
@@ -457,26 +379,16 @@ impl Heap {
     /// rewind.
     ///
     /// # Panics
-    /// Panics if `n` is zero or `lane` is out of range (laned mode).
+    /// Panics if `n` is zero or `lane` is out of range.
     #[inline]
     pub fn alloc(&self, lane: usize, n: usize) -> Result<Addr, HeapExhausted> {
         // Hard assert (not debug): a zero-word allocation would return an
         // address aliasing the lane's next record.
         assert!(n > 0, "zero-word allocation");
-        if self.global {
-            // Relaxed: disjointness comes from RMW atomicity alone, and
-            // records are published through release CAS/stores, never
-            // through the bump cursor.
-            let base = self.cursor.fetch_add(n, Ordering::Relaxed);
-            if base + n > self.reserve_base {
-                return Err(HeapExhausted { lane: usize::MAX, requested: n });
-            }
-            return Ok(Addr(base as u32));
-        }
         assert!(
             lane < self.lanes.len(),
             "lane {lane} out of range: this heap has {} process lanes \
-             (build it with Heap::with_mode(cap, AllocMode::Laned {{ lanes, .. }}))",
+             (build it with Heap::with_lanes)",
             self.lanes.len() - 1
         );
         let l = &self.lanes[lane];
@@ -489,7 +401,9 @@ impl Heap {
             return Ok(Addr(cur as u32));
         }
         // Slab handoff: abandon the current slab's tail and take enough
-        // contiguous slabs for `n` in one shared RMW.
+        // contiguous slabs for `n` in one shared RMW. Relaxed:
+        // disjointness comes from RMW atomicity alone, and records are
+        // published through release CAS/stores, never through cursors.
         let take = n.div_ceil(self.slab_words) * self.slab_words;
         let base = self.cursor.fetch_add(take, Ordering::Relaxed);
         if base + n > self.reserve_base {
@@ -519,8 +433,7 @@ impl Heap {
             std::panic::panic_any(HeapExhausted { lane, requested: n });
         }
         // Reserve words still bill the requesting lane's usage, so the
-        // high-water accounting covers pressure runs too (global mode has
-        // no lanes — `used()` already includes the consumed reserve there).
+        // high-water accounting covers pressure runs too.
         if let Some(l) = self.lanes.get(lane) {
             l.used.store(l.used.load(Ordering::Relaxed) + n, Ordering::Relaxed);
         }
@@ -528,7 +441,7 @@ impl Heap {
     }
 
     /// Allocates `n` zeroed words for setup-time roots (harness and epoch
-    /// re-rooting; uncounted). Uses the dedicated root lane in laned mode.
+    /// re-rooting; uncounted). Uses the dedicated root lane.
     ///
     /// # Panics
     /// Panics when the heap is exhausted; root creation failing is a
@@ -645,8 +558,7 @@ impl Heap {
     fn rewind(&self, mark: &HeapMark) {
         let cursor = self.cursor.load(Ordering::SeqCst).min(self.reserve_base);
         assert!(mark.cursor <= cursor, "reset mark {} beyond cursor {cursor}", mark.cursor);
-        // Whole slabs (or, in global mode, the bump region) handed out
-        // after the mark.
+        // Whole slabs handed out after the mark.
         for i in mark.cursor..cursor {
             self.word(i).store(0, Ordering::Relaxed);
         }
@@ -820,22 +732,10 @@ mod tests {
     }
 
     #[test]
-    fn global_mode_reproduces_the_single_cursor_layout() {
-        let heap = Heap::with_mode(256, AllocMode::Global);
-        assert_eq!(heap.mode_label(), "global");
-        assert_eq!(heap.lane_count(), 1);
-        let a = heap.alloc(7, 4).unwrap(); // lane ignored
-        let b = heap.alloc(3, 4).unwrap();
-        assert_eq!(a.0, 1);
-        assert_eq!(b.0, 5);
-        assert_eq!(heap.used(), 9);
-    }
-
-    #[test]
     fn exhausted_lane_reports_error_and_reserve_completes() {
         // 64 slabs of 8 words and a reserve: exhaust the slab region, then
         // verify the recoverable error plus the reserve fallback.
-        let heap = Heap::with_mode(64 * 8, AllocMode::Laned { lanes: 2, slab_words: 8 });
+        let heap = Heap::with_lanes(64 * 8, 2, 8);
         assert!(heap.capacity() > heap.lane_remaining(0), "a reserve must exist here");
         let mut last = 0;
         while let Ok(a) = heap.alloc(0, 8) {
@@ -888,7 +788,7 @@ mod tests {
 
     #[test]
     fn reset_rewinds_every_lane_and_the_reserve() {
-        let heap = Heap::with_mode(64 * 8, AllocMode::Laned { lanes: 3, slab_words: 8 });
+        let heap = Heap::with_lanes(64 * 8, 3, 8);
         let keep = heap.alloc(1, 2).unwrap();
         heap.poke(keep, 11);
         let mark = heap.mark();
@@ -962,7 +862,7 @@ mod tests {
         // 8 threads, each on its own lane, racing the shared slab cursor:
         // every returned region must be pairwise disjoint and, for
         // sub-slab sizes, never straddle a slab boundary.
-        let heap = Heap::with_mode(1 << 17, AllocMode::Laned { lanes: 8, slab_words: 64 });
+        let heap = Heap::with_lanes(1 << 17, 8, 64);
         let slab = heap.slab_words();
         let regions: Vec<std::sync::Mutex<Vec<(usize, usize)>>> =
             (0..8).map(|_| std::sync::Mutex::new(Vec::new())).collect();

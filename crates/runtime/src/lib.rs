@@ -64,12 +64,11 @@ pub mod rng;
 pub mod schedule;
 pub mod sim;
 pub mod stats;
-pub mod trace;
 
 pub use ctx::{ClockMode, Ctx, OrderTier};
 pub use epoch::{run_epoch_worker, Arrival, EpochState, EpochSync};
 pub use heap::{
-    Addr, AllocMode, CachePadded, Heap, HeapExhausted, HeapMark, Placement, LINE_WORDS, NULL,
+    Addr, CachePadded, Heap, HeapExhausted, HeapMark, Placement, LINE_WORDS, NULL,
 };
 pub use history::{Event, History};
 pub use real::{

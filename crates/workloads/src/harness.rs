@@ -2,11 +2,11 @@
 //! first-class **epoch lifecycle**.
 //!
 //! Every workload driver in this module runs under **either execution
-//! backend** behind [`ExecMode`]:
+//! backend** behind [`ExecMode::backend`]:
 //!
-//! * [`ExecMode::Sim`] — the deterministic simulator (any schedule family,
+//! * [`Backend::Sim`] — the deterministic simulator (any schedule family,
 //!   bounded scheduled steps), for adversarial and replayable runs;
-//! * [`ExecMode::Real`] — one free-running OS thread per process via
+//! * [`Backend::Real`] — one free-running OS thread per process via
 //!   [`wfl_runtime::real`], optionally timed, for throughput and
 //!   hardware-race stress.
 //!
@@ -65,7 +65,7 @@ use wfl_runtime::rng::Pcg;
 use wfl_runtime::schedule::{Bursty, PeriodicFaults, RoundRobin, Schedule, SeededRandom, Weighted};
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::stats::{Bernoulli, Summary};
-use wfl_runtime::{Addr, AllocMode, Ctx, Event, Heap, History};
+use wfl_runtime::{Addr, Ctx, Event, Heap, History};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
@@ -125,20 +125,6 @@ pub enum SchedKind {
         /// Stalled slots per window (`<= period`).
         quantum: u64,
     },
-    /// [`SchedKind::Random`], additionally opting the run in to the wfl
-    /// combining fast path ([`LockConfig::combine`]). Combining changes the
-    /// counted step sequence, so it stays off in sim replays unless the
-    /// schedule family names it — recordings under the plain families keep
-    /// replaying bit-identically.
-    RandomCombining,
-    /// [`SchedKind::RandomFaults`] with combining opted in (the E17 sim
-    /// fault arm: frozen processes *and* a live combining fast path).
-    FaultsCombining {
-        /// Window length in scheduled slots.
-        period: u64,
-        /// Stalled slots per window (`<= period`).
-        quantum: u64,
-    },
 }
 
 impl SchedKind {
@@ -154,35 +140,20 @@ impl SchedKind {
                 &(0..n as u64).map(|i| 1 + 3 * i).collect::<Vec<_>>(),
                 seed,
             )),
-            SchedKind::RandomFaults { period, quantum }
-            | SchedKind::FaultsCombining { period, quantum } => Box::new(PeriodicFaults::new(
+            SchedKind::RandomFaults { period, quantum } => Box::new(PeriodicFaults::new(
                 SeededRandom::new(n, seed),
                 n,
                 period,
                 quantum,
                 seed ^ 0x5EED_FA17,
             )),
-            SchedKind::RandomCombining => Box::new(SeededRandom::new(n, seed)),
         }
-    }
-
-    /// Whether sim runs under this family may use the wfl combining fast
-    /// path. The interleaving families are unchanged — opting in only
-    /// unmasks [`LockConfig::combine`] in [`ExecMode::Sim`] (real-threads
-    /// runs always honor the config; they never claim replayability).
-    pub fn allows_combining(self) -> bool {
-        matches!(self, SchedKind::RandomCombining | SchedKind::FaultsCombining { .. })
     }
 }
 
-/// Which backend executes a workload's process bodies, and how the run is
-/// batched into epochs.
-///
-/// The bodies themselves are identical across backends — they are written
-/// against [`Ctx`] — so switching the mode changes *only* who grants steps
-/// and where the epoch boundaries fall.
+/// Who grants the process bodies their steps.
 #[derive(Debug, Clone, Copy)]
-pub enum ExecMode {
+pub enum Backend {
     /// Deterministic simulator.
     Sim {
         /// Schedule family.
@@ -190,86 +161,69 @@ pub enum ExecMode {
         /// Scheduled-phase budget **per epoch** (the simulator drains
         /// cooperatively past the budget).
         max_steps: u64,
-        /// Rounds per process per epoch (`None` = the whole run is one
-        /// epoch). Deterministic, so epoch-crossing bugs are replayable.
-        epoch_rounds: Option<usize>,
-        /// Per-round own-step deadline budget armed into the attempt's
-        /// [`Scratch::deadline`] (`None` = attempts run to a decision, the
-        /// historical behavior). See [`ExecMode::with_deadline_steps`].
-        deadline_steps: Option<u64>,
-        /// Capture a flight-recorder trace of the run (see
-        /// [`ExecMode::with_recorder`]).
-        recorder: bool,
     },
-    /// Free-running OS threads. `threads` must equal the workload's process
-    /// count (it is spelled out so a matrix sweep reads naturally). With
-    /// `run_for` set, the driver raises the cooperative stop flag at the
-    /// deadline and every attempt loop drains; recorded outcomes then cover
-    /// a variable number of completed rounds.
+    /// Free-running OS threads, one per workload process. With `run_for`
+    /// set, the driver raises the cooperative stop flag at the deadline
+    /// and every attempt loop drains; recorded outcomes then cover a
+    /// variable number of completed rounds.
     Real {
-        /// OS threads == workload processes.
-        threads: usize,
         /// Optional wall-clock budget (timed run).
         run_for: Option<Duration>,
         /// Hot-path configuration of the real driver.
         cfg: RealConfig,
-        /// Rounds per process per epoch. With `run_for` also set, the run
-        /// keeps opening fresh epochs until the deadline — wall-clock
-        /// soaks unbounded by the tag space. `None` = single epoch
-        /// (historical behavior).
-        epoch_rounds: Option<usize>,
-        /// Per-round own-step deadline budget (see the `Sim` variant).
-        deadline_steps: Option<u64>,
-        /// Capture a flight-recorder trace of the run (see
-        /// [`ExecMode::with_recorder`]).
-        recorder: bool,
     },
 }
 
+/// Which backend executes a workload's process bodies, and how the run is
+/// batched into epochs.
+///
+/// The bodies themselves are identical across backends — they are written
+/// against [`Ctx`] — so switching the backend changes *only* who grants
+/// steps and where the epoch boundaries fall.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecMode {
+    /// The executing backend.
+    pub backend: Backend,
+    /// Rounds per process per epoch (`None` = the whole run is one epoch).
+    /// Deterministic in sim, so epoch-crossing bugs are replayable; on
+    /// timed real runs the driver keeps opening fresh epochs until the
+    /// deadline — wall-clock soaks unbounded by the tag space.
+    pub epoch_rounds: Option<usize>,
+    /// Per-round own-step deadline budget armed into the attempt's
+    /// [`Scratch::deadline`] (`None` = attempts run to a decision). See
+    /// [`ExecMode::with_deadline_steps`].
+    pub deadline_steps: Option<u64>,
+    /// Capture a flight-recorder trace of the run (see
+    /// [`ExecMode::with_recorder`]).
+    pub recorder: bool,
+}
+
 impl ExecMode {
+    /// A single-epoch mode on `backend`, without deadlines or recorder.
+    pub fn new(backend: Backend) -> ExecMode {
+        ExecMode { backend, epoch_rounds: None, deadline_steps: None, recorder: false }
+    }
+
     /// A simulator mode (single epoch).
     pub fn sim(sched: SchedKind, max_steps: u64) -> ExecMode {
-        ExecMode::Sim {
-            sched,
-            max_steps,
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        }
+        ExecMode::new(Backend::Sim { sched, max_steps })
     }
 
     /// An untimed real-threads mode with the contention-free hot path.
-    pub fn real(threads: usize) -> ExecMode {
-        ExecMode::Real {
-            threads,
-            run_for: None,
-            cfg: RealConfig::fast(),
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        }
+    pub fn real() -> ExecMode {
+        ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::fast() })
     }
 
     /// A timed real-threads mode with the contention-free hot path.
-    pub fn real_timed(threads: usize, run_for: Duration) -> ExecMode {
-        ExecMode::Real {
-            threads,
-            run_for: Some(run_for),
-            cfg: RealConfig::fast(),
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        }
+    pub fn real_timed(run_for: Duration) -> ExecMode {
+        ExecMode::new(Backend::Real { run_for: Some(run_for), cfg: RealConfig::fast() })
     }
 
     /// Batches the run into epochs of `rounds` rounds per process (clamped
-    /// to at least 1). See the variant docs for the timed/untimed split.
+    /// to at least 1). See [`ExecMode::epoch_rounds`] for the
+    /// timed/untimed split.
     pub fn with_epoch_rounds(mut self, rounds: usize) -> ExecMode {
-        let r = Some(rounds.max(1));
-        match &mut self {
-            ExecMode::Sim { epoch_rounds, .. } => *epoch_rounds = r,
-            ExecMode::Real { epoch_rounds, .. } => *epoch_rounds = r,
-        }
+        self.epoch_rounds = Some(rounds.max(1));
         self
     }
 
@@ -280,11 +234,7 @@ impl ExecMode {
     /// overstaying its SLO. Applies to **all five workloads** — the budget
     /// rides [`Scratch`], untouched by workload-specific round logic.
     pub fn with_deadline_steps(mut self, steps: u64) -> ExecMode {
-        let d = Some(steps.max(1));
-        match &mut self {
-            ExecMode::Sim { deadline_steps, .. } => *deadline_steps = d,
-            ExecMode::Real { deadline_steps, .. } => *deadline_steps = d,
-        }
+        self.deadline_steps = Some(steps.max(1));
         self
     }
 
@@ -295,46 +245,20 @@ impl ExecMode {
     /// [`HarnessReport::trace`]. The recorder is process-global, so traced
     /// runs must not overlap other traced runs in the same process.
     pub fn with_recorder(mut self) -> ExecMode {
-        match &mut self {
-            ExecMode::Sim { recorder, .. } => *recorder = true,
-            ExecMode::Real { recorder, .. } => *recorder = true,
-        }
+        self.recorder = true;
         self
-    }
-
-    /// Whether the run captures a flight-recorder trace.
-    pub fn recorder(&self) -> bool {
-        match self {
-            ExecMode::Sim { recorder, .. } | ExecMode::Real { recorder, .. } => *recorder,
-        }
-    }
-
-    /// The configured epoch length, if any.
-    pub fn epoch_rounds(&self) -> Option<usize> {
-        match self {
-            ExecMode::Sim { epoch_rounds, .. } | ExecMode::Real { epoch_rounds, .. } => *epoch_rounds,
-        }
-    }
-
-    /// The configured per-round deadline budget, if any.
-    pub fn deadline_steps(&self) -> Option<u64> {
-        match self {
-            ExecMode::Sim { deadline_steps, .. } | ExecMode::Real { deadline_steps, .. } => {
-                *deadline_steps
-            }
-        }
     }
 
     /// Rounds per process per epoch for a run of `total_rounds`.
     pub fn epoch_len(&self, total_rounds: usize) -> usize {
-        self.epoch_rounds().unwrap_or(total_rounds).max(1)
+        self.epoch_rounds.unwrap_or(total_rounds).max(1)
     }
 
     /// Short label for tables and JSON ("sim" / "real").
     pub fn label(&self) -> &'static str {
-        match self {
-            ExecMode::Sim { .. } => "sim",
-            ExecMode::Real { .. } => "real",
+        match self.backend {
+            Backend::Sim { .. } => "sim",
+            Backend::Real { .. } => "real",
         }
     }
 }
@@ -398,7 +322,7 @@ pub struct HarnessReport {
     /// setup and re-root allocations).
     pub heap_high_water_lanes: Vec<usize>,
     /// Recorded invoke/respond history (empty unless the workload records
-    /// one, e.g. [`run_bank_mode_recorded`]).
+    /// one, e.g. [`run_bank_recorded`]).
     pub history: History,
     /// The drained flight-recorder trace ([`ExecMode::with_recorder`]
     /// runs only).
@@ -975,33 +899,9 @@ impl<'reg> AlgoHandle<'reg> {
         l_max: usize,
         t_max: usize,
     ) -> AlgoHandle<'reg> {
-        Self::create_with_layout(
-            heap,
-            registry,
-            kind,
-            nlocks,
-            nprocs,
-            l_max,
-            t_max,
-            SpaceLayout::default(),
-        )
-    }
-
-    /// [`AlgoHandle::create`] with an explicit memory [`SpaceLayout`]
-    /// (layout A/B experiments; everything else uses the default).
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_with_layout(
-        heap: &Heap,
-        registry: &'reg Registry,
-        kind: AlgoKind,
-        nlocks: usize,
-        nprocs: usize,
-        l_max: usize,
-        t_max: usize,
-        layout: SpaceLayout,
-    ) -> AlgoHandle<'reg> {
         let cfg = known_cfg(kind, nprocs, l_max, t_max, registry);
-        let spec = AlgoSpec { kind, nlocks, aset: nprocs.max(2), layout, cfg };
+        let spec =
+            AlgoSpec { kind, nlocks, aset: nprocs.max(2), layout: SpaceLayout::default(), cfg };
         AlgoHandle { registry, instance: AlgoInstance::create(heap, registry, &spec) }
     }
 
@@ -1157,22 +1057,14 @@ fn drive_epochs<WL: EpochWorkload>(
     // what makes rewinding the tag counters sound.
     let state = EpochState::new(heap);
     let epoch_len = mode.epoch_len(total_rounds);
-    let deadline_steps = mode.deadline_steps();
+    let deadline_steps = mode.deadline_steps;
     // The flight recorder is enabled at quiescence, before any process
     // spawns, and drained after the last join — the single points where
     // every ring is guaranteed writer-free. The recorder is global, so a
     // traced run owns it for its whole duration.
-    let recording = mode.recorder();
+    let recording = mode.recorder;
     if recording {
         wfl_obs::rec::enable();
-    }
-    // Combining is masked in the simulator unless the schedule family opts
-    // in: a combining winner takes extra counted steps, so recordings made
-    // under the plain families must keep replaying bit-identically
-    // (`SchedKind::allows_combining`). Real runs always honor the config.
-    let mut spec = spec;
-    if let ExecMode::Sim { sched, .. } = *mode {
-        spec.cfg.combine &= sched.allows_combining();
     }
     let make_world = |epoch: usize| World {
         algo: AlgoInstance::create(heap, registry, &spec),
@@ -1180,8 +1072,8 @@ fn drive_epochs<WL: EpochWorkload>(
         rec: Outcomes::create_root(heap, nprocs, epoch_len, epoch * epoch_len),
     };
 
-    let mut report = match *mode {
-        ExecMode::Sim { sched, max_steps, .. } => {
+    let mut report = match mode.backend {
+        Backend::Sim { sched, max_steps } => {
             let mut totals = Totals::new(nprocs);
             let mut events: Vec<Event> = Vec::new();
             let mut epoch = 0usize;
@@ -1211,7 +1103,7 @@ fn drive_epochs<WL: EpochWorkload>(
                 // Each epoch's sim clock restarts near zero, so events from
                 // different epochs must never be mixed into one ordered
                 // history: recording is only meaningful inside epoch 0
-                // (run_bank_mode_recorded caps itself accordingly).
+                // (run_bank_recorded caps itself accordingly).
                 debug_assert!(
                     epoch == 0 || report.history.is_empty(),
                     "sim history recorded past epoch 0 would interleave as falsely concurrent"
@@ -1233,15 +1125,11 @@ fn drive_epochs<WL: EpochWorkload>(
             }
             totals.into_report(None, &state, History::from_parts(vec![events]))
         }
-        ExecMode::Real { threads, run_for, cfg, epoch_rounds, .. } => {
-            assert_eq!(
-                threads, nprocs,
-                "ExecMode::Real.threads must equal the workload's process count"
-            );
+        Backend::Real { run_for, cfg } => {
             // A timed run with an explicit epoch length keeps opening
             // epochs until the deadline; otherwise the run covers exactly
             // `total_rounds`.
-            let unbounded = run_for.is_some() && epoch_rounds.is_some();
+            let unbounded = run_for.is_some() && mode.epoch_rounds.is_some();
             let sync = EpochSync::new(nprocs);
             let slot_world = RwLock::new(make_world(0));
             let totals = Mutex::new(Totals::new(nprocs));
@@ -1416,16 +1304,8 @@ pub struct SimSpec {
     pub cs_work: u64,
     /// Workload + schedule seed.
     pub seed: u64,
-    /// Scheduler family (used by the [`run_random_conflict`] legacy entry
-    /// point, which runs `ExecMode::sim(self.sched, self.max_steps)`).
-    pub sched: SchedKind,
-    /// Scheduled-phase budget for the legacy entry point.
-    pub max_steps: u64,
     /// Heap size in words.
     pub heap_words: usize,
-    /// Allocator mode for the arena (default: sharded lanes; `Global`
-    /// keeps the historical single bump cursor for the E13 A/B cell).
-    pub alloc: AllocMode,
     /// Memory layout of the lock space and baseline lock words (default:
     /// padded + sharded; `SpaceLayout::packed_unified()` is the historical
     /// layout for the E13 A/B cells). Pure address arithmetic — sim replays
@@ -1444,17 +1324,9 @@ impl SimSpec {
             think_max: 16,
             cs_work: 0,
             seed: 1,
-            sched: SchedKind::Random,
-            max_steps: 400_000_000,
             heap_words: 1 << 23,
-            alloc: AllocMode::laned(),
             layout: SpaceLayout::default(),
         }
-    }
-
-    /// The execution mode the legacy sim-only entry points use.
-    pub fn sim_mode(&self) -> ExecMode {
-        ExecMode::sim(self.sched, self.max_steps)
     }
 }
 
@@ -1525,22 +1397,16 @@ impl EpochWorkload for ConflictWl {
     }
 }
 
-/// Runs the random-conflict workload in the simulator (legacy entry point;
-/// equivalent to [`run_random_conflict_mode`] with [`SimSpec::sim_mode`]).
-pub fn run_random_conflict(spec: &SimSpec, algo: AlgoKind) -> HarnessReport {
-    run_random_conflict_mode(spec, algo, &spec.sim_mode())
-}
-
 /// Runs the random-conflict workload under the given algorithm on either
 /// backend and returns aggregated metrics. Safety check (every epoch):
 /// each lock's counter must equal the number of *recorded* winning
 /// attempts covering it (recomputed from the deterministic
 /// `(seed, pid, round)` lock sets).
-pub fn run_random_conflict_mode(spec: &SimSpec, algo: AlgoKind, mode: &ExecMode) -> HarnessReport {
+pub fn run_random_conflict(spec: &SimSpec, algo: AlgoKind, mode: &ExecMode) -> HarnessReport {
     assert!(spec.locks_per_attempt <= spec.nlocks);
     let mut registry = Registry::new();
     let touch = registry.register(TouchAll { max_locks: spec.locks_per_attempt, cs_work: spec.cs_work });
-    let heap = Heap::with_mode(spec.heap_words, spec.alloc);
+    let heap = Heap::new(spec.heap_words);
     let cfg = known_cfg(
         algo,
         spec.nprocs,
@@ -1601,24 +1467,11 @@ impl EpochWorkload for PhilWl {
     }
 }
 
-/// Runs the dining-philosophers workload (E4) in the simulator (legacy
-/// entry point).
-pub fn run_philosophers(
-    n: usize,
-    attempts: usize,
-    seed: u64,
-    sched: SchedKind,
-    algo: AlgoKind,
-    heap_words: usize,
-) -> HarnessReport {
-    run_philosophers_mode(n, attempts, seed, algo, heap_words, &ExecMode::sim(sched, 600_000_000))
-}
-
 /// Runs the dining-philosophers workload on either backend: `n`
 /// philosophers, each making up to `attempts` eating attempts per epoch
 /// with random think time. Safety check (every epoch): each philosopher's
 /// meal counter must equal their recorded wins.
-pub fn run_philosophers_mode(
+pub fn run_philosophers(
     n: usize,
     attempts: usize,
     seed: u64,
@@ -1639,7 +1492,7 @@ pub fn run_philosophers_mode(
 // Bank transfers
 // ---------------------------------------------------------------------------
 
-/// History op code recorded by [`run_bank_mode_recorded`] for a winning
+/// History op code recorded by [`run_bank_recorded`] for a winning
 /// transfer. Numerically equal to `wfl_lincheck::regular::MS_INSERT`: a won
 /// transfer "inserts" its unique token, so a set-regularity pass against a
 /// final getSet synthesized from the *heap-recorded* outcomes cross-checks
@@ -1662,7 +1515,7 @@ struct BankWl {
     seed: u64,
     transfer: ThunkId,
     /// Record invoke/respond history events for global rounds below this
-    /// bound (0 = off; [`run_bank_mode_recorded`] sets it to the first
+    /// bound (0 = off; [`run_bank_recorded`] sets it to the first
     /// epoch's length).
     record_rounds: usize,
     /// Tokens of heap-recorded wins among the recorded rounds, collected at
@@ -1741,7 +1594,7 @@ impl EpochWorkload for BankWl {
 /// (conservation — any mutual-exclusion or idempotence failure moves
 /// money).
 #[allow(clippy::too_many_arguments)]
-pub fn run_bank_mode(
+pub fn run_bank(
     nprocs: usize,
     accounts: usize,
     rounds: usize,
@@ -1754,7 +1607,7 @@ pub fn run_bank_mode(
     run_bank_inner(nprocs, accounts, rounds, initial, seed, algo, heap_words, mode, false).0
 }
 
-/// Like [`run_bank_mode`], but records a history of the **first epoch**'s
+/// Like [`run_bank`], but records a history of the **first epoch**'s
 /// transfer attempts (invoke/respond events with [`BANK_HIST_WIN`] /
 /// [`BANK_HIST_LOSS`] opcodes) and returns the [`bank_history_token`]s of
 /// the first epoch's heap-recorded wins alongside the report. Feed the
@@ -1762,7 +1615,7 @@ pub fn run_bank_mode(
 /// `wfl_lincheck::regular` to cross-check the real-mode history pipeline
 /// (use [`RealConfig::precise`] so event timestamps are globally ordered).
 #[allow(clippy::too_many_arguments)]
-pub fn run_bank_mode_recorded(
+pub fn run_bank_recorded(
     nprocs: usize,
     accounts: usize,
     rounds: usize,
@@ -1900,7 +1753,7 @@ impl EpochWorkload for ListWl {
 /// the only contention is on adjacent splice points). Safety check (every
 /// epoch): the final list snapshot is exactly the sorted set of keys whose
 /// inserts were recorded as wins.
-pub fn run_list_mode(
+pub fn run_list(
     nprocs: usize,
     keys_per_proc: usize,
     seed: u64,
@@ -2006,7 +1859,7 @@ impl EpochWorkload for GraphWl {
 /// Safety check (every epoch): every vertex's lock-protected update counter
 /// equals the number of recorded wins targeting it.
 #[allow(clippy::too_many_arguments)]
-pub fn run_graph_mode(
+pub fn run_graph(
     nprocs: usize,
     vertices: usize,
     rounds: usize,
@@ -2034,6 +1887,11 @@ pub fn run_graph_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The default simulator mode of the unit tests.
+    fn sim() -> ExecMode {
+        ExecMode::sim(SchedKind::Random, 400_000_000)
+    }
 
     #[test]
     fn pick_locks_is_deterministic_distinct_sorted() {
@@ -2075,7 +1933,8 @@ mod tests {
     fn harness_runs_wfl_and_checks_safety() {
         let mut spec = SimSpec::new(3, 4, 3, 2);
         spec.seed = 11;
-        let r = run_random_conflict(&spec, AlgoKind::Wfl { kappa: 3, delays: false, helping: true });
+        let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
+        let r = run_random_conflict(&spec, algo, &sim());
         assert!(r.safety_ok, "harness safety check failed");
         assert_eq!(r.attempts, 12);
         assert!(r.wins >= 1);
@@ -2090,7 +1949,7 @@ mod tests {
         for algo in [AlgoKind::Tsp, AlgoKind::Blocking, AlgoKind::Naive, AlgoKind::WflUnknown] {
             let mut spec = SimSpec::new(3, 3, 3, 2);
             spec.seed = 21;
-            let r = run_random_conflict(&spec, algo);
+            let r = run_random_conflict(&spec, algo, &sim());
             assert!(r.safety_ok, "{algo:?}: safety check failed");
             assert_eq!(r.attempts, 9, "{algo:?}");
             if matches!(algo, AlgoKind::Tsp | AlgoKind::Blocking) {
@@ -2104,7 +1963,7 @@ mod tests {
         assert_eq!(AlgoKind::BlockingCohort.label(), "blocking-cohort");
         let mut spec = SimSpec::new(3, 3, 3, 2);
         spec.seed = 21;
-        let r = run_random_conflict(&spec, AlgoKind::BlockingCohort);
+        let r = run_random_conflict(&spec, AlgoKind::BlockingCohort, &sim());
         assert!(r.safety_ok, "cohort safety check failed");
         assert_eq!(r.attempts, 9);
         assert_eq!(r.wins, 9, "blocking-style algorithms always succeed");
@@ -2130,7 +1989,7 @@ mod tests {
         for algo in [AlgoKind::FlatCombining, AlgoKind::CcSynch] {
             let mut spec = SimSpec::new(3, 4, 3, 2);
             spec.seed = 41;
-            let r = run_random_conflict(&spec, algo);
+            let r = run_random_conflict(&spec, algo, &sim());
             assert!(r.safety_ok, "{algo:?}: safety check failed");
             assert_eq!(r.attempts, 12, "{algo:?}");
             assert_eq!(r.wins, 12, "{algo:?}: the combiner applies every request");
@@ -2142,42 +2001,17 @@ mod tests {
     }
 
     #[test]
-    fn wfl_combine_is_masked_under_plain_sim_schedules() {
-        // Replay-compat contract: under a schedule family that does not
-        // opt in, WflCombine must be bit-identical to plain Wfl — the
-        // combining fast path changes the counted step sequence, so it
-        // only runs when the family names it.
-        let run = |algo: AlgoKind| {
-            let mut spec = SimSpec::new(4, 6, 4, 2);
-            spec.seed = 77;
-            spec.think_max = 0;
-            let r = run_random_conflict(&spec, algo);
-            assert!(r.safety_ok, "{algo:?}");
-            (r.attempts, r.wins, r.aborts, r.steps.max(), r.steps.mean().to_bits(), r.per_pid.clone())
-        };
-        let plain = run(AlgoKind::Wfl { kappa: 4, delays: true, helping: true });
-        let combine = run(AlgoKind::WflCombine { kappa: 4 });
-        assert_eq!(combine, plain, "masked combining diverged from plain wfl");
-        let mut spec = SimSpec::new(4, 6, 4, 2);
-        spec.seed = 77;
-        spec.think_max = 0;
-        let r = run_random_conflict(&spec, AlgoKind::WflCombine { kappa: 4 });
-        assert_eq!(r.combined_wins, 0, "combining fired under a non-combining family");
-        assert!(r.combine_batch.is_empty());
-    }
-
-    #[test]
     fn wfl_combine_fires_under_opted_in_schedules() {
         // Single shared lock, no think time: every attempt contends, so
-        // over enough rounds some winner must find a claimable ACTIVE peer.
+        // over enough rounds some winner must find a claimable ACTIVE peer
+        // under the plain Random family (sim honors the combine bit).
         let mut spec = SimSpec::new(4, 40, 1, 1);
         spec.seed = 5;
         spec.think_max = 0;
-        spec.sched = SchedKind::RandomCombining;
-        let r = run_random_conflict(&spec, AlgoKind::WflCombine { kappa: 4 });
+        let r = run_random_conflict(&spec, AlgoKind::WflCombine { kappa: 4 }, &sim());
         assert!(r.safety_ok, "combining broke the counter invariant");
         assert_eq!(r.attempts, 160);
-        assert!(r.combined_wins > 0, "combining never fired under RandomCombining");
+        assert!(r.combined_wins > 0, "combining never fired under Random");
         assert!(!r.combine_batch.is_empty(), "no batch sizes recorded");
         assert!(r.combined_wins <= r.wins);
         // Each combined win was granted by exactly one batch sample peer.
@@ -2196,7 +2030,7 @@ mod tests {
             let mut spec = SimSpec::new(4, 6, 8, 2);
             spec.seed = 33;
             spec.layout = layout;
-            let r = run_random_conflict(&spec, algo);
+            let r = run_random_conflict(&spec, algo, &sim());
             assert!(r.safety_ok);
             (r.attempts, r.wins, r.aborts, r.steps.max(), r.steps.mean().to_bits(), r.per_pid.clone())
         };
@@ -2220,14 +2054,8 @@ mod tests {
 
     #[test]
     fn philosophers_harness_reports_consistent_meals() {
-        let r = run_philosophers(
-            4,
-            5,
-            3,
-            SchedKind::Random,
-            AlgoKind::Wfl { kappa: 2, delays: false, helping: true },
-            1 << 22,
-        );
+        let algo = AlgoKind::Wfl { kappa: 2, delays: false, helping: true };
+        let r = run_philosophers(4, 5, 3, algo, 1 << 22, &ExecMode::sim(SchedKind::Random, 600_000_000));
         assert!(r.safety_ok);
         assert_eq!(r.attempts, 20);
     }
@@ -2244,7 +2072,7 @@ mod tests {
             let mut spec = SimSpec::new(4, 60, 4, 2);
             spec.seed = 9;
             spec.heap_words = 1 << 22;
-            let r = run_random_conflict_mode(&spec, algo, &ExecMode::real(4));
+            let r = run_random_conflict(&spec, algo, &ExecMode::real());
             assert!(r.safety_ok, "{algo:?}: real-threads safety check failed");
             assert_eq!(r.attempts, 240, "{algo:?}: untimed real runs complete every round");
             assert!(r.wall.is_some());
@@ -2254,7 +2082,7 @@ mod tests {
 
     /// The E17 roster on free-running threads: the combining fast path and
     /// both delegation baselines must pass the same recorded-outcome
-    /// safety check as everything else (real mode never masks combining).
+    /// safety check as everything else.
     #[test]
     fn real_threads_extended_algos_safe() {
         for algo in
@@ -2263,7 +2091,7 @@ mod tests {
             let mut spec = SimSpec::new(4, 60, 4, 2);
             spec.seed = 9;
             spec.heap_words = 1 << 22;
-            let r = run_random_conflict_mode(&spec, algo, &ExecMode::real(4));
+            let r = run_random_conflict(&spec, algo, &ExecMode::real());
             assert!(r.safety_ok, "{algo:?}: real-threads safety check failed");
             assert_eq!(r.attempts, 240, "{algo:?}");
             assert!(r.combined_wins <= r.wins, "{algo:?}");
@@ -2279,7 +2107,7 @@ mod tests {
             spec.seed = 31;
             spec.think_max = 0;
             spec.heap_words = 1 << 24;
-            let r = run_random_conflict_mode(&spec, algo, &ExecMode::real(8));
+            let r = run_random_conflict(&spec, algo, &ExecMode::real());
             assert!(r.safety_ok, "{algo:?}: lost update under real-threads stress");
             assert_eq!(r.attempts, 3200, "{algo:?}");
             assert!(r.wins >= 1, "{algo:?}: some attempt must succeed");
@@ -2295,8 +2123,8 @@ mod tests {
         spec.seed = 17;
         spec.think_max = 4;
         spec.heap_words = 1 << 24;
-        let mode = ExecMode::real_timed(2, Duration::from_millis(20));
-        let r = run_random_conflict_mode(&spec, AlgoKind::Naive, &mode);
+        let mode = ExecMode::real_timed(Duration::from_millis(20));
+        let r = run_random_conflict(&spec, AlgoKind::Naive, &mode);
         assert!(r.safety_ok, "timed real run failed the safety check");
         assert!(r.attempts > 0, "no attempts completed in the window");
         assert!(r.attempts <= 6000);
@@ -2310,7 +2138,7 @@ mod tests {
             AlgoKind::Wfl { kappa: 2, delays: false, helping: true },
             AlgoKind::Blocking,
         ] {
-            let r = run_philosophers_mode(4, 50, 7, algo, 1 << 22, &ExecMode::real(4));
+            let r = run_philosophers(4, 50, 7, algo, 1 << 22, &ExecMode::real());
             assert!(r.safety_ok, "{algo:?}: meal counters diverged on real threads");
             assert_eq!(r.attempts, 200, "{algo:?}");
         }
@@ -2318,12 +2146,12 @@ mod tests {
 
     #[test]
     fn bank_conserves_money_on_both_backends() {
-        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real(3)] {
+        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real()] {
             for algo in [
                 AlgoKind::Wfl { kappa: 3, delays: false, helping: true },
                 AlgoKind::Tsp,
             ] {
-                let r = run_bank_mode(3, 4, 12, 100, 23, algo, 1 << 22, &mode);
+                let r = run_bank(3, 4, 12, 100, 23, algo, 1 << 22, &mode);
                 assert!(r.safety_ok, "{}/{algo:?}: money not conserved", mode.label());
                 assert_eq!(r.attempts, 36, "{}/{algo:?}", mode.label());
             }
@@ -2332,12 +2160,12 @@ mod tests {
 
     #[test]
     fn list_snapshot_matches_recorded_wins_on_both_backends() {
-        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real(3)] {
+        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real()] {
             for algo in [
                 AlgoKind::Wfl { kappa: 4, delays: false, helping: true },
                 AlgoKind::Naive,
             ] {
-                let r = run_list_mode(3, 4, 41, algo, 1 << 22, &mode);
+                let r = run_list(3, 4, 41, algo, 1 << 22, &mode);
                 assert!(r.safety_ok, "{}/{algo:?}: snapshot != recorded wins", mode.label());
                 assert_eq!(r.attempts, 12, "{}/{algo:?}", mode.label());
             }
@@ -2346,23 +2174,16 @@ mod tests {
 
     #[test]
     fn graph_update_counters_match_recorded_wins_on_both_backends() {
-        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real(3)] {
+        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real()] {
             for algo in [
                 AlgoKind::Wfl { kappa: 3, delays: false, helping: true },
                 AlgoKind::WflUnknown,
             ] {
-                let r = run_graph_mode(3, 6, 10, 13, algo, 1 << 22, &mode);
+                let r = run_graph(3, 6, 10, 13, algo, 1 << 22, &mode);
                 assert!(r.safety_ok, "{}/{algo:?}: update counters diverged", mode.label());
                 assert_eq!(r.attempts, 30, "{}/{algo:?}", mode.label());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "threads must equal")]
-    fn real_mode_thread_mismatch_is_rejected() {
-        let spec = SimSpec::new(3, 2, 3, 2);
-        run_random_conflict_mode(&spec, AlgoKind::Tsp, &ExecMode::real(4));
     }
 
     // ----- the epoch lifecycle -----
@@ -2377,7 +2198,7 @@ mod tests {
             spec.seed = 77;
             spec.heap_words = 1 << 22;
             let mode = ExecMode::sim(SchedKind::Random, 100_000_000).with_epoch_rounds(epoch_rounds);
-            let r = run_random_conflict_mode(
+            let r = run_random_conflict(
                 &spec,
                 AlgoKind::Wfl { kappa: 3, delays: false, helping: true },
                 &mode,
@@ -2399,8 +2220,8 @@ mod tests {
     /// the epoch driver briefly clamped every epoch to >= 1 round).
     #[test]
     fn zero_round_runs_attempt_nothing() {
-        for mode in [ExecMode::sim(SchedKind::Random, 1_000_000), ExecMode::real(3)] {
-            let r = run_bank_mode(3, 4, 0, 100, 1, AlgoKind::Tsp, 1 << 20, &mode);
+        for mode in [ExecMode::sim(SchedKind::Random, 1_000_000), ExecMode::real()] {
+            let r = run_bank(3, 4, 0, 100, 1, AlgoKind::Tsp, 1 << 20, &mode);
             assert_eq!(r.attempts, 0, "{}: zero rounds must mean zero attempts", mode.label());
             assert!(r.safety_ok, "{}", mode.label());
         }
@@ -2415,7 +2236,7 @@ mod tests {
             spec.seed = 5;
             spec.heap_words = 1 << 22;
             let mode = ExecMode::sim(SchedKind::Random, 100_000_000).with_epoch_rounds(4);
-            run_random_conflict_mode(&spec, AlgoKind::WflUnknown, &mode)
+            run_random_conflict(&spec, AlgoKind::WflUnknown, &mode)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.attempts, b.attempts);
@@ -2433,8 +2254,8 @@ mod tests {
             let mut spec = SimSpec::new(4, 40, 4, 2);
             spec.seed = 3;
             spec.heap_words = 1 << 22;
-            let mode = ExecMode::real(4).with_epoch_rounds(9); // 40 = 4 full epochs + partial
-            let r = run_random_conflict_mode(&spec, algo, &mode);
+            let mode = ExecMode::real().with_epoch_rounds(9); // 40 = 4 full epochs + partial
+            let r = run_random_conflict(&spec, algo, &mode);
             assert!(r.safety_ok, "{algo:?}: epoch-crossing safety failed");
             assert_eq!(r.attempts, 160, "{algo:?}: outcome lost or duplicated across resets");
             assert_eq!(r.epochs, 5, "{algo:?}");
@@ -2452,8 +2273,8 @@ mod tests {
         spec.think_max = 2;
         spec.heap_words = 1 << 22;
         let budget = Duration::from_millis(120);
-        let mode = ExecMode::real_timed(4, budget).with_epoch_rounds(30);
-        let r = run_random_conflict_mode(&spec, AlgoKind::Naive, &mode);
+        let mode = ExecMode::real_timed(budget).with_epoch_rounds(30);
+        let r = run_random_conflict(&spec, AlgoKind::Naive, &mode);
         assert!(r.safety_ok, "soak safety failed");
         assert!(r.epochs >= 3, "only {} epochs crossed in {budget:?}", r.epochs);
         assert!(
@@ -2482,9 +2303,9 @@ mod tests {
         // descriptors, cons cells) cannot — each epoch hits the lanes' end.
         spec.heap_words = 1 << 14;
         let budget = Duration::from_millis(60);
-        let mode = ExecMode::real_timed(3, budget).with_epoch_rounds(512);
+        let mode = ExecMode::real_timed(budget).with_epoch_rounds(512);
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok, "recorded outcomes diverged across pressure-driven resets");
         assert!(r.attempts > 0, "no attempt ever completed");
         assert!(
@@ -2509,7 +2330,7 @@ mod tests {
         spec.heap_words = 6_000;
         let mode = ExecMode::sim(SchedKind::Random, 400_000_000).with_epoch_rounds(100);
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok);
         assert_eq!(r.epochs, 4, "the fixed epoch plan still runs to its end");
         assert!(r.attempts > 0);
@@ -2538,7 +2359,7 @@ mod tests {
             let mode =
                 ExecMode::sim(SchedKind::Random, 100_000_000).with_deadline_steps(budget);
             let algo = AlgoKind::Wfl { kappa: 3, delays: true, helping: true };
-            let r = run_random_conflict_mode(&spec, algo, &mode);
+            let r = run_random_conflict(&spec, algo, &mode);
             assert!(r.safety_ok, "budget {budget}: aborted attempts corrupted the counters");
             assert_eq!(r.attempts, 36, "budget {budget}: every round still records an outcome");
             let classified = r.give_up[GiveUp::Deadline.index()] + r.give_up[GiveUp::Stop.index()];
@@ -2547,7 +2368,7 @@ mod tests {
             saw_abort |= r.aborts > 0;
             saw_win |= r.wins > 0;
             // Determinism: the sim fault-free deadline run must replay.
-            let r2 = run_random_conflict_mode(&spec, algo, &mode);
+            let r2 = run_random_conflict(&spec, algo, &mode);
             assert_eq!((r2.attempts, r2.wins, r2.aborts, r2.rescues), (r.attempts, r.wins, r.aborts, r.rescues));
         }
         assert!(saw_abort, "the tight budget never aborted an attempt");
@@ -2566,8 +2387,8 @@ mod tests {
             let mut spec = SimSpec::new(3, 40, 3, 2);
             spec.seed = 37;
             spec.heap_words = 1 << 22;
-            let mode = ExecMode::real(3).with_deadline_steps(300);
-            let r = run_random_conflict_mode(&spec, algo, &mode);
+            let mode = ExecMode::real().with_deadline_steps(300);
+            let r = run_random_conflict(&spec, algo, &mode);
             assert!(r.safety_ok, "{algo:?}: deadline aborts corrupted the counters");
             assert_eq!(r.attempts, 120, "{algo:?}");
             assert_eq!(
@@ -2589,11 +2410,11 @@ mod tests {
             let mut spec = SimSpec::new(3, 8, 3, 2);
             spec.seed = 43;
             let mode = ExecMode::sim(sched, 200_000_000);
-            let r = run_random_conflict_mode(&spec, algo, &mode);
+            let r = run_random_conflict(&spec, algo, &mode);
             assert!(r.safety_ok, "{algo:?}: faults corrupted the counters");
             assert_eq!(r.attempts, 24, "{algo:?}");
             assert!(r.wins > 0, "{algo:?}: nothing won under finite stalls");
-            let r2 = run_random_conflict_mode(&spec, algo, &mode);
+            let r2 = run_random_conflict(&spec, algo, &mode);
             assert_eq!((r2.wins, r2.aborts), (r.wins, r.aborts), "{algo:?}: fault run must replay");
         }
     }
@@ -2622,7 +2443,7 @@ mod tests {
         // fault-free tiny-heap regression above), while contested rounds
         // still overrun the 120-step budget and abort.
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok);
         assert_eq!(r.epochs, 4, "the fixed epoch plan still runs to its end");
         assert!(r.attempts > 0);
@@ -2650,9 +2471,9 @@ mod tests {
         let mut spec = SimSpec::new(3, 10, 4, 2);
         spec.seed = 7;
         spec.heap_words = 1 << 22;
-        let mode = ExecMode::real(3).with_epoch_rounds(4);
+        let mode = ExecMode::real().with_epoch_rounds(4);
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok);
         let lanes = &r.heap_high_water_lanes;
         assert!(!lanes.is_empty());
@@ -2670,26 +2491,6 @@ mod tests {
         }
     }
 
-    /// The `AllocMode::Global` arena (the E13 A/B baseline) must drive the
-    /// identical workload to identical safety results.
-    #[test]
-    fn global_alloc_mode_still_passes_the_harness_checks() {
-        for mode in [ExecMode::sim(SchedKind::Random, 100_000_000), ExecMode::real(3)] {
-            let mut spec = SimSpec::new(3, 20, 4, 2);
-            spec.seed = 13;
-            spec.heap_words = 1 << 22;
-            spec.alloc = AllocMode::Global;
-            let r = run_random_conflict_mode(
-                &spec,
-                AlgoKind::Wfl { kappa: 3, delays: false, helping: true },
-                &mode,
-            );
-            assert!(r.safety_ok, "{}: global-cursor arena failed safety", mode.label());
-            assert_eq!(r.attempts, 60, "{}", mode.label());
-            assert_eq!(r.heap_high_water_lanes.len(), 1, "global mode reports one lane");
-        }
-    }
-
     /// Every workload's safety check must aggregate correctly across epoch
     /// boundaries on both backends.
     #[test]
@@ -2697,19 +2498,19 @@ mod tests {
         let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
         for mode in [
             ExecMode::sim(SchedKind::Random, 100_000_000).with_epoch_rounds(3),
-            ExecMode::real(3).with_epoch_rounds(3),
+            ExecMode::real().with_epoch_rounds(3),
         ] {
             let label = mode.label();
-            let r = run_philosophers_mode(3, 8, 7, algo, 1 << 22, &mode);
+            let r = run_philosophers(3, 8, 7, algo, 1 << 22, &mode);
             assert!(r.safety_ok, "{label}/philosophers");
             assert_eq!((r.attempts, r.epochs), (24, 3), "{label}/philosophers");
-            let r = run_bank_mode(3, 4, 8, 100, 23, algo, 1 << 22, &mode);
+            let r = run_bank(3, 4, 8, 100, 23, algo, 1 << 22, &mode);
             assert!(r.safety_ok, "{label}/bank");
             assert_eq!((r.attempts, r.epochs), (24, 3), "{label}/bank");
-            let r = run_list_mode(3, 8, 41, algo, 1 << 22, &mode);
+            let r = run_list(3, 8, 41, algo, 1 << 22, &mode);
             assert!(r.safety_ok, "{label}/list");
             assert_eq!((r.attempts, r.epochs), (24, 3), "{label}/list");
-            let r = run_graph_mode(3, 6, 8, 13, algo, 1 << 22, &mode);
+            let r = run_graph(3, 6, 8, 13, algo, 1 << 22, &mode);
             assert!(r.safety_ok, "{label}/graph");
             assert_eq!((r.attempts, r.epochs), (24, 3), "{label}/graph");
         }
@@ -2720,9 +2521,9 @@ mod tests {
     /// silent.
     #[test]
     fn bank_recorded_history_matches_first_epoch_outcomes() {
-        let mode = ExecMode::real(3).with_epoch_rounds(5);
+        let mode = ExecMode::real().with_epoch_rounds(5);
         let (r, tokens) =
-            run_bank_mode_recorded(3, 4, 15, 100, 29, AlgoKind::Tsp, 1 << 22, &mode);
+            run_bank_recorded(3, 4, 15, 100, 29, AlgoKind::Tsp, 1 << 22, &mode);
         assert!(r.safety_ok);
         assert_eq!(r.epochs, 3);
         assert_eq!(r.attempts, 45);

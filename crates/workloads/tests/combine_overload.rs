@@ -6,14 +6,13 @@
 //! path bailing out post-reveal, and the deadline machinery classifying
 //! the result. Each cell runs a contended conflict workload and audits
 //! the recorded-outcome accounting identities that tie the four fates
-//! together, plus the replay-compat contract: under families that do not
-//! opt in to combining, `WflCombine` must be bit-identical to plain
-//! `Wfl`, and every sim cell must replay exactly.
+//! together, plus replay determinism: every sim cell must replay exactly
+//! for the same (algorithm, seed).
 
 use wfl_core::LockConfig;
 use wfl_idem::body_steps;
 use wfl_workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 /// One contended cell: single hot lock, long critical sections, zero
@@ -43,7 +42,7 @@ fn run_cell_cs(
     if let Some(d) = deadline {
         mode = mode.with_deadline_steps(d);
     }
-    run_random_conflict_mode(&spec, algo, &mode)
+    run_random_conflict(&spec, algo, &mode)
 }
 
 /// The accounting identities every cell must satisfy, whatever the
@@ -97,16 +96,12 @@ fn fingerprint(r: &HarnessReport) -> Fingerprint {
 
 #[test]
 fn combine_under_deadlines_is_audited_across_schedules() {
-    let faults = SchedKind::RandomFaults { period: 9_000, quantum: 6_000 };
-    let faults_combining = SchedKind::FaultsCombining { period: 9_000, quantum: 6_000 };
     let schedules = [
         SchedKind::RoundRobin,
         SchedKind::Random,
         SchedKind::Bursty(7),
         SchedKind::WeightedRamp,
-        faults,
-        SchedKind::RandomCombining,
-        faults_combining,
+        SchedKind::RandomFaults { period: 9_000, quantum: 6_000 },
     ];
     // wfl's per-attempt cost is tightly bounded (that is wait-freedom), so
     // a deadline is bimodal: above the helping-chain cost nothing aborts,
@@ -135,11 +130,8 @@ fn combine_under_deadlines_is_audited_across_schedules() {
                         fingerprint(&r),
                         "{label}: replay diverged"
                     );
-                    if !sched.allows_combining() {
-                        assert_eq!(
-                            r.combined_wins, 0,
-                            "{label}: combining fired under a non-combining family"
-                        );
+                    if matches!(algo, AlgoKind::Wfl { .. }) {
+                        assert_eq!(r.combined_wins, 0, "{label}: plain wfl recorded a combined win");
                     }
                     combined_total += r.combined_wins;
                     abort_total += r.aborts;
@@ -152,30 +144,20 @@ fn combine_under_deadlines_is_audited_across_schedules() {
     assert!(abort_total > 0, "no cell ever aborted — deadline arm is dead");
 }
 
-/// The replay-compat contract under deadline pressure: with combining
-/// masked (any non-opted-in family), `WflCombine` and plain `Wfl` with the
-/// same knobs must produce bit-identical reports even while attempts are
-/// aborting — the abort path must not observe the combine flag.
+/// The simulator honors `LockConfig::combine` exactly as real threads do:
+/// under the plain `Random` family `WflCombine` combines, passes the
+/// audit, and replays bit-identically for the same seed.
 #[test]
-fn masked_combine_is_bit_identical_to_wfl_under_aborts() {
-    for sched in [
-        SchedKind::Random,
-        SchedKind::RandomFaults { period: 9_000, quantum: 6_000 },
-    ] {
-        for deadline in [None, Some(500u64)] {
-            let plain =
-                run_cell(AlgoKind::Wfl { kappa: 4, delays: true, helping: true }, sched, deadline, 7);
-            let combine = run_cell(AlgoKind::WflCombine { kappa: 4 }, sched, deadline, 7);
-            assert_eq!(
-                fingerprint(&combine),
-                fingerprint(&plain),
-                "{sched:?}/deadline {deadline:?}: masked combining diverged from plain wfl"
-            );
-        }
-    }
+fn wfl_combine_combines_under_plain_random_and_replays() {
+    let combine = AlgoKind::WflCombine { kappa: 4 };
+    let r = run_cell(combine, SchedKind::Random, None, 7);
+    audit("wfl+combine/Random", &r, 80);
+    assert!(r.combined_wins > 0, "combining never fired under plain Random");
+    let replay = run_cell(combine, SchedKind::Random, None, 7);
+    assert_eq!(fingerprint(&replay), fingerprint(&r), "same-seed replay diverged");
 }
 
-/// Abort/combine race, opted in: under `FaultsCombining` with a tight
+/// Abort/combine race: under `RandomFaults` with a tight
 /// deadline, both mechanisms fire in the same run and the audit still
 /// holds — aborted attempts may be rescued by helpers, never granted by
 /// combiners (a claim lands only on an ACTIVE descriptor the owner has
@@ -183,7 +165,7 @@ fn masked_combine_is_bit_identical_to_wfl_under_aborts() {
 /// grant is a rescue, keeping the fates disjoint).
 #[test]
 fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
-    let sched = SchedKind::FaultsCombining { period: 9_000, quantum: 6_000 };
+    let sched = SchedKind::RandomFaults { period: 9_000, quantum: 6_000 };
     // Long critical sections make the helped-frame cost dominate. With
     // exact delays every attempt reaches its post-reveal abort poll at the
     // same own step, just after T0, unless its helping overran T0. So a
@@ -209,6 +191,6 @@ fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
         combined_total += r.combined_wins;
         abort_total += r.aborts;
     }
-    assert!(combined_total > 0, "combining never fired under FaultsCombining");
+    assert!(combined_total > 0, "combining never fired under RandomFaults");
     assert!(abort_total > 0, "no attempt ever blew its deadline");
 }

@@ -9,7 +9,7 @@
 //! anyone — so freezes cost it nothing it wasn't already paying.
 //!
 //! The sim arm is the load-bearing one: the schedule-level freeze
-//! (`RandomFaults`/`FaultsCombining`) is deterministic, so the goodput
+//! (`RandomFaults`) is deterministic, so the goodput
 //! ratios and abort tails below are exact, replayable numbers, not
 //! thresholds against noise. The real-threads arm drives the wall-clock
 //! injector (`FaultSpec`) end-to-end on the same roster; on an arbitrary
@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 use wfl_workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, Backend, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 use wfl_runtime::real::{FaultSpec, RealConfig};
 
@@ -38,15 +38,13 @@ fn run_cell(algo: AlgoKind, faulted: bool, rounds: usize) -> HarnessReport {
     spec.seed = SEED;
     spec.think_max = 0;
     spec.cs_work = 400;
-    let combining = matches!(algo, AlgoKind::WflCombine { .. });
-    let sched = match (combining, faulted) {
-        (true, false) => SchedKind::RandomCombining,
-        (true, true) => SchedKind::FaultsCombining { period: PERIOD, quantum: QUANTUM },
-        (false, false) => SchedKind::Random,
-        (false, true) => SchedKind::RandomFaults { period: PERIOD, quantum: QUANTUM },
+    let sched = if faulted {
+        SchedKind::RandomFaults { period: PERIOD, quantum: QUANTUM }
+    } else {
+        SchedKind::Random
     };
     let mode = ExecMode::sim(sched, 2_000_000_000).with_deadline_steps(SLO);
-    let r = run_random_conflict_mode(&spec, algo, &mode);
+    let r = run_random_conflict(&spec, algo, &mode);
     assert!(r.safety_ok, "{}/faults {faulted}: safety audit failed", algo.label());
     r
 }
@@ -138,15 +136,8 @@ fn real_fault_injector_keeps_roster_safe() {
             quantum: Duration::from_millis(2),
             seed: SEED,
         });
-        let mode = ExecMode::Real {
-            threads,
-            run_for: None,
-            cfg,
-            epoch_rounds: None,
-            deadline_steps: None,
-            recorder: false,
-        };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let mode = ExecMode::new(Backend::Real { run_for: None, cfg });
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok, "{}: safety audit failed under the injector", algo.label());
         assert_eq!(r.attempts, 80, "{}: untimed real runs complete every round", algo.label());
         assert!(r.combined_wins <= r.wins, "{}", algo.label());

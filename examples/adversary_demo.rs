@@ -123,7 +123,7 @@ fn real_part() {
     // maximal-contention strength (E15 sweeps all of them).
     spec.strength = AdvStrength::Flood;
     spec.victim_period = 400;
-    let mode = ExecMode::real_timed(nprocs, Duration::from_millis(100)).with_epoch_rounds(64);
+    let mode = ExecMode::real_timed(Duration::from_millis(100)).with_epoch_rounds(64);
     let algo = AlgoKind::Wfl { kappa: nprocs, delays: true, helping: true };
     let report = run_adversary(&spec, algo, &mode);
     assert!(report.safety_ok, "counter safety violated");

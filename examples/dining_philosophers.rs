@@ -8,20 +8,15 @@
 //!
 //! Run with: `cargo run --release --example dining_philosophers`
 
-use wait_free_locks::workloads::harness::{run_philosophers, AlgoKind, SchedKind};
+use wait_free_locks::workloads::harness::{run_philosophers, AlgoKind, ExecMode, SchedKind};
 
 fn main() {
     println!("n philosophers | attempts | success rate | mean steps | max steps | fair share");
     println!("---------------|----------|--------------|------------|-----------|-----------");
     for n in [3usize, 5, 8, 16] {
-        let report = run_philosophers(
-            n,
-            40,
-            7,
-            SchedKind::Random,
-            AlgoKind::Wfl { kappa: 2, delays: true, helping: true },
-            1 << 24,
-        );
+        let algo = AlgoKind::Wfl { kappa: 2, delays: true, helping: true };
+        let mode = ExecMode::sim(SchedKind::Random, 600_000_000);
+        let report = run_philosophers(n, 40, 7, algo, 1 << 24, &mode);
         assert!(report.safety_ok, "meal counters diverged");
         let min_wins = report.per_pid.iter().map(|&(w, _)| w).min().unwrap_or(0);
         println!(

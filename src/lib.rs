@@ -99,6 +99,6 @@ pub use wfl_runtime::schedule::{Bursty, RoundRobin, SeededRandom, StallWindow, S
 pub use wfl_runtime::sim::SimBuilder;
 pub use wfl_runtime::{
     available_parallelism, clamp_threads, run_threads, run_threads_epochs, run_threads_with, Addr,
-    AllocMode, CachePadded, ClockMode, Ctx, Heap, HeapExhausted, HeapMark, OrderTier, Placement,
+    CachePadded, ClockMode, Ctx, Heap, HeapExhausted, HeapMark, OrderTier, Placement,
     RealConfig, LINE_WORDS,
 };

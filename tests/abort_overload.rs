@@ -12,7 +12,7 @@
 
 use wait_free_locks::core::GiveUp;
 use wait_free_locks::workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 /// One lock of three per attempt with a padded critical section, zero
@@ -85,7 +85,7 @@ fn abort_help_race_survives_schedule_sweep() {
                 let spec = spec(7 + si as u64);
                 let mode =
                     ExecMode::sim(sched, 2_000_000_000).with_deadline_steps(deadline);
-                let r = run_random_conflict_mode(&spec, algo, &mode);
+                let r = run_random_conflict(&spec, algo, &mode);
                 audit(&r, deadline, &label);
                 if deadline == 500 && matches!(algo, AlgoKind::Wfl { .. }) {
                     // A budget below the mandatory stall can never be met:
@@ -103,7 +103,7 @@ fn faulted_deadline_cells_replay_identically() {
     let algo = AlgoKind::Wfl { kappa: 3, delays: true, helping: true };
     let run = || {
         let mode = ExecMode::sim(sched, 2_000_000_000).with_deadline_steps(1_500);
-        run_random_conflict_mode(&spec(11), algo, &mode)
+        run_random_conflict(&spec(11), algo, &mode)
     };
     let (a, b) = (run(), run());
     assert_eq!(

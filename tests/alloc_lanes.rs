@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 use wait_free_locks::runtime::epoch::run_epoch_worker;
 use wait_free_locks::{
-    run_threads_epochs, Addr, AllocMode, Ctx, EpochState, EpochSync, Heap, RealConfig,
+    run_threads_epochs, Addr, Ctx, EpochState, EpochSync, Heap, RealConfig,
 };
 
 /// SplitMix-style size stream so each (seed, lane) thread draws a
@@ -43,7 +43,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let slab_words = 1usize << slab_exp; // 8..=64: always a line multiple
-        let heap = Heap::with_mode(1 << 17, AllocMode::Laned { lanes: nprocs, slab_words });
+        let heap = Heap::with_lanes(1 << 17, nprocs, slab_words);
         prop_assert_eq!(heap.slab_words(), slab_words);
         let regions: Vec<Mutex<Vec<(usize, usize)>>> =
             (0..nprocs).map(|_| Mutex::new(Vec::new())).collect();
@@ -104,7 +104,7 @@ proptest! {
 fn quiescent_barrier_rewinds_every_lane_cursor_and_high_water() {
     const NPROCS: usize = 4;
     const EPOCHS: u64 = 5;
-    let heap = Heap::with_mode(1 << 14, AllocMode::Laned { lanes: NPROCS, slab_words: 32 });
+    let heap = Heap::with_lanes(1 << 14, NPROCS, 32);
     let persistent = heap.alloc_root(2);
     heap.poke(persistent, 0x5eed);
     let state = EpochState::new(&heap);
@@ -198,7 +198,7 @@ fn sim_epochs_reissue_identical_addresses_after_rewind() {
     use wait_free_locks::{SeededRandom, SimBuilder};
 
     let run = || {
-        let heap = Heap::with_mode(1 << 14, AllocMode::Laned { lanes: 8, slab_words: 32 });
+        let heap = Heap::with_lanes(1 << 14, 8, 32);
         let state = EpochState::new(&heap);
         let addrs: Vec<Mutex<Vec<u64>>> = (0..3).map(|_| Mutex::new(Vec::new())).collect();
         for epoch in 0..4u64 {

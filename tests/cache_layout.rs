@@ -21,7 +21,7 @@ use wait_free_locks::lincheck::holders::assert_holder_exclusive;
 use wait_free_locks::lincheck::regular::{assert_set_regular, MS_GETSET, MS_INSERT};
 use wait_free_locks::runtime::Event;
 use wait_free_locks::workloads::harness::{
-    run_bank_mode_recorded, run_random_conflict_mode, AlgoKind, ExecMode, SchedKind, SimSpec,
+    run_bank_recorded, run_random_conflict, AlgoKind, Backend, ExecMode, SchedKind, SimSpec,
     BANK_HIST_WIN,
 };
 use wait_free_locks::{Heap, Placement, RealConfig, SpaceLayout};
@@ -93,7 +93,7 @@ fn sim_replay_is_layout_invariant_across_epochs() {
         spec.layout = layout;
         let mode = ExecMode::sim(SchedKind::Bursty(13), 400_000_000).with_epoch_rounds(7);
         let algo = AlgoKind::Wfl { kappa: 4, delays: true, helping: true };
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok, "{}: counter invariant broken", layout.label());
         assert_eq!(r.epochs, 4, "24 rounds at 7/epoch");
         let fingerprint = (r.attempts, r.wins, r.aborts, r.per_pid.clone());
@@ -120,18 +120,12 @@ fn sharded_bank_real_history_is_set_regular() {
         "the audit must run against a genuinely sharded space"
     );
 
-    let mode = ExecMode::Real {
-        threads: 3,
-        run_for: None,
-        // Globally ordered event timestamps for the checker's real-time
-        // precedence.
-        cfg: RealConfig::precise(),
-        epoch_rounds: Some(6),
-        deadline_steps: None,
-        recorder: false,
-    };
+    // Globally ordered event timestamps for the checker's real-time
+    // precedence.
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
+        .with_epoch_rounds(6);
     let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
-    let (r, win_tokens) = run_bank_mode_recorded(3, ACCOUNTS, 18, 100, 23, algo, 1 << 22, &mode);
+    let (r, win_tokens) = run_bank_recorded(3, ACCOUNTS, 18, 100, 23, algo, 1 << 22, &mode);
     assert!(r.safety_ok, "bank conservation failed on the sharded layout");
     assert_eq!(r.epochs, 3, "the run must cross multiple epoch re-rootings");
     assert_eq!(r.attempts, 54);
@@ -174,14 +168,8 @@ fn sharded_adversary_holder_sequences_are_exclusive() {
     spec.victim_period = 30;
     spec.seed = 17;
     spec.record = true;
-    let mode = ExecMode::Real {
-        threads: 3,
-        run_for: None,
-        cfg: RealConfig::precise(),
-        epoch_rounds: Some(8),
-        deadline_steps: None,
-        recorder: false,
-    };
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
+        .with_epoch_rounds(8);
     let r = run_adversary(&spec, AlgoKind::Wfl { kappa: 3, delays: true, helping: true }, &mode);
     assert!(r.safety_ok, "per-epoch win counters diverged on the sharded layout");
     assert_eq!(r.epochs, 3, "24 rounds at 8/epoch");

@@ -21,8 +21,8 @@ use std::time::Duration;
 use wait_free_locks::lincheck::regular::{check_set_regularity, MS_GETSET, MS_INSERT};
 use wait_free_locks::runtime::Event;
 use wait_free_locks::workloads::harness::{
-    bank_history_token, run_bank_mode, run_bank_mode_recorded, run_graph_mode, run_list_mode,
-    run_philosophers_mode, run_random_conflict_mode, AlgoKind, ExecMode, SchedKind, SimSpec,
+    bank_history_token, run_bank, run_bank_recorded, run_graph, run_list,
+    run_philosophers, run_random_conflict, AlgoKind, Backend, ExecMode, SchedKind, SimSpec,
     BANK_HIST_LOSS, BANK_HIST_WIN,
 };
 use wait_free_locks::RealConfig;
@@ -58,24 +58,24 @@ proptest! {
         let mut spec = SimSpec::new(nprocs, total, 4, 2);
         spec.seed = seed;
         spec.heap_words = 1 << 22;
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         prop_assert!(r.safety_ok, "conflict: split {epoch_rounds} broke safety");
         prop_assert_eq!(r.attempts, (nprocs * total) as u64);
         prop_assert_eq!(r.epochs, expect_epochs);
 
-        let r = run_philosophers_mode(nprocs.max(2), total, seed, algo, 1 << 22, &mode);
+        let r = run_philosophers(nprocs.max(2), total, seed, algo, 1 << 22, &mode);
         prop_assert!(r.safety_ok, "philosophers: split {epoch_rounds} broke safety");
         prop_assert_eq!(r.attempts, (nprocs.max(2) * total) as u64);
 
-        let r = run_bank_mode(nprocs, 4, total, 100, seed, algo, 1 << 22, &mode);
+        let r = run_bank(nprocs, 4, total, 100, seed, algo, 1 << 22, &mode);
         prop_assert!(r.safety_ok, "bank: split {epoch_rounds} broke conservation");
         prop_assert_eq!(r.attempts, (nprocs * total) as u64);
 
-        let r = run_list_mode(nprocs, total, seed, algo, 1 << 22, &mode);
+        let r = run_list(nprocs, total, seed, algo, 1 << 22, &mode);
         prop_assert!(r.safety_ok, "list: split {epoch_rounds} broke the snapshot");
         prop_assert_eq!(r.attempts, (nprocs * total) as u64);
 
-        let r = run_graph_mode(nprocs, 5, total, seed, algo, 1 << 22, &mode);
+        let r = run_graph(nprocs, 5, total, seed, algo, 1 << 22, &mode);
         prop_assert!(r.safety_ok, "graph: split {epoch_rounds} broke update counters");
         prop_assert_eq!(r.attempts, (nprocs * total) as u64);
     }
@@ -93,9 +93,9 @@ fn real_threads_epoch_stress_under_contention() {
     spec.think_max = 0;
     spec.heap_words = 1 << 22;
     let budget = Duration::from_millis(150);
-    let mode = ExecMode::real_timed(4, budget).with_epoch_rounds(50);
+    let mode = ExecMode::real_timed(budget).with_epoch_rounds(50);
     for algo in [AlgoKind::WflUnknown, AlgoKind::Naive] {
-        let r = run_random_conflict_mode(&spec, algo, &mode);
+        let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok, "{algo:?}: safety violated across epoch resets");
         assert!(r.epochs >= 3, "{algo:?}: only {} epochs in {budget:?}", r.epochs);
         assert!(
@@ -114,8 +114,8 @@ fn real_threads_epoch_stress_under_contention() {
     }
 
     // Untimed leg: fixed total split into epochs — totals must be *exact*.
-    let mode = ExecMode::real(4).with_epoch_rounds(7); // 50 = 7x7 + 1 partial
-    let r = run_random_conflict_mode(&spec, AlgoKind::WflUnknown, &mode);
+    let mode = ExecMode::real().with_epoch_rounds(7); // 50 = 7x7 + 1 partial
+    let r = run_random_conflict(&spec, AlgoKind::WflUnknown, &mode);
     assert!(r.safety_ok);
     assert_eq!(r.attempts, 200, "outcome lost or double-counted across resets");
     assert_eq!(r.epochs, 8);
@@ -125,16 +125,11 @@ fn real_threads_epoch_stress_under_contention() {
 /// epoch) through the set-regularity checker.
 #[test]
 fn bank_real_history_first_epoch_is_set_regular() {
-    let mode = ExecMode::Real {
-        threads: 3,
-        run_for: None,
-        cfg: RealConfig::precise(), // globally ordered event timestamps
-        epoch_rounds: Some(8),
-        deadline_steps: None,
-        recorder: false,
-    };
+    // Globally ordered event timestamps.
+    let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
+        .with_epoch_rounds(8);
     let (r, win_tokens) =
-        run_bank_mode_recorded(3, 4, 16, 100, 61, AlgoKind::Wfl {
+        run_bank_recorded(3, 4, 16, 100, 61, AlgoKind::Wfl {
             kappa: 3,
             delays: false,
             helping: true,

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 use wait_free_locks::obs::{perfetto, rec, EventKind};
 use wait_free_locks::workloads::harness::{
-    run_random_conflict_mode, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
+    run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
 
 static RECORDER: Mutex<()> = Mutex::new(());
@@ -48,7 +48,7 @@ fn run_faulted(record: bool) -> HarnessReport {
     if record {
         mode = mode.with_recorder();
     }
-    let r = run_random_conflict_mode(&spec(3, 50), wfl(3), &mode);
+    let r = run_random_conflict(&spec(3, 50), wfl(3), &mode);
     assert!(r.safety_ok);
     r
 }
@@ -61,7 +61,7 @@ fn sim_trace_is_deterministic() {
             let mode = ExecMode::sim(sched, 2_000_000_000)
                 .with_deadline_steps(TIGHT)
                 .with_recorder();
-            let r = run_random_conflict_mode(&spec(3, 40), wfl(3), &mode);
+            let r = run_random_conflict(&spec(3, 40), wfl(3), &mode);
             assert!(r.safety_ok);
             r.trace.expect("recorded run carries a trace")
         };
