@@ -56,9 +56,6 @@ impl AttemptOutcome {
 /// active sets, the thunk registry, configuration); `attempt` must be safe
 /// to call from many processes concurrently.
 pub trait LockAlgo: Sync {
-    /// A short name for tables ("wfl", "tsp", "blocking", "naive").
-    fn name(&self) -> &'static str;
-
     /// Executes one tryLock attempt: acquire `req.locks`, run `req.thunk`,
     /// release. `won == false` means the critical section did not run (for
     /// algorithms that cannot fail, `won` is always true).
@@ -92,10 +89,6 @@ pub struct WflKnown<'a> {
 }
 
 impl LockAlgo for WflKnown<'_> {
-    fn name(&self) -> &'static str {
-        "wfl"
-    }
-
     fn attempt(
         &self,
         ctx: &Ctx<'_>,
@@ -128,10 +121,6 @@ pub struct WflUnknown<'a> {
 }
 
 impl LockAlgo for WflUnknown<'_> {
-    fn name(&self) -> &'static str {
-        "wfl-unknown"
-    }
-
     fn attempt(
         &self,
         ctx: &Ctx<'_>,

@@ -90,13 +90,6 @@ impl<'a> BlockingTpl<'a> {
 }
 
 impl LockAlgo for BlockingTpl<'_> {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            BlockingMode::Spin => "blocking",
-            BlockingMode::Cohort => "blocking-cohort",
-        }
-    }
-
     fn blocks_under_crash(&self) -> bool {
         true
     }
@@ -237,7 +230,6 @@ mod tests {
             let heap = Heap::new(1 << 20);
             let algo = BlockingTpl::create_root_placed(&heap, &registry, 2, Placement::Padded)
                 .with_mode(BlockingMode::Cohort);
-            assert_eq!(algo.name(), "blocking-cohort");
             let counter = heap.alloc_root(1);
             let algo_ref = &algo;
             let report = SimBuilder::new(&heap, 4)

@@ -56,10 +56,6 @@ impl<'a> NaiveTryLock<'a> {
 }
 
 impl LockAlgo for NaiveTryLock<'_> {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
     fn blocks_under_crash(&self) -> bool {
         // Attempts stay bounded, but locks become permanently unavailable:
         // progress (not steps) is what blocks.

@@ -123,10 +123,6 @@ impl<'a> TspLock<'a> {
 }
 
 impl LockAlgo for TspLock<'_> {
-    fn name(&self) -> &'static str {
-        "tsp"
-    }
-
     fn attempt(
         &self,
         ctx: &Ctx<'_>,

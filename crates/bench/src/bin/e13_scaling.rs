@@ -13,8 +13,11 @@
 //!   series also yields each algorithm's **scaling knee**: the first
 //!   swept thread count whose marginal goodput per added thread drops
 //!   below 50% of the base (lowest-thread-count) slope.
-//! * **flight recorder**: wfl wins/s with the recorder never enabled,
+//! * **flight recorder**: wfl-nodelay wins/s with the recorder never enabled,
 //!   disabled after a cycle, and enabled, at the top of the sweep.
+//!
+//! Its wfl is `wfl-nodelay`, the paper's lock without the `T0`/`T1`
+//! delays, and every row says so (see [`WFL`] for why).
 //!
 //! Since PR 2 this binary is a thin client of the **unified workload
 //! harness**, so every timed cell also runs its workload's safety check,
@@ -29,7 +32,7 @@
 //!               padded+sharded layout must keep >= 0.95x of
 //!               packed+unified at the low thread count and strictly beat
 //!               it at the top of the sweep, and the flight recorder must
-//!               cost <= 3% disabled / <= 10% enabled of wfl wins/s at the
+//!               cost <= 3% disabled / <= 10% enabled of wfl-nodelay wins/s at the
 //!               top of the sweep. The layout gate judges the 99%
 //!               confidence interval of per-repeat ratios: it fails when
 //!               the whole interval misses the threshold and prints
@@ -40,7 +43,7 @@
 //!               binaries measure ±10% apart, so 1-core floors only catch
 //!               catastrophic regressions.
 //!   --threads : comma-separated sweep list (default 2,4,8,16; smoke 2,4).
-//!   --trace   : export one recorded top-of-sweep wfl cell as
+//!   --trace   : export one recorded top-of-sweep wfl-nodelay cell as
 //!               Chrome/Perfetto `trace_event` JSON (plus a
 //!               `<path>.metrics.json` sidecar).
 
@@ -87,16 +90,14 @@ impl Sample {
     }
 }
 
-fn algo_kind(name: &str, threads: usize) -> AlgoKind {
-    match name {
-        // E13 wfl runs without delays (the delay padding is a simulator
-        // -model cost); every other label resolves through the shared
-        // extended roster, so `--algos` accepts wfl+combine/fc/ccsynch too.
-        "wfl" => AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true },
-        _ => AlgoKind::from_label(name, threads)
-            .unwrap_or_else(|| panic!("unknown algorithm {name:?}")),
-    }
-}
+/// The wfl configuration E13 sweeps and gates on: the paper's lock minus
+/// its `T0`/`T1` delays. The delays are the counted worst-case budget
+/// (`LockConfig::budget()`), spent as local steps on every attempt — 554
+/// of the 664 steps per win on wflbench's `disjoint` workload — so with
+/// them on, each cell would mostly time idle padding and bury the
+/// shared-memory effects E13 exists to measure (cache layout, flight
+/// recorder). The delayed lock's cost is E15–E17's and wflbench's subject.
+const WFL: &str = "wfl-nodelay";
 
 /// One timed cell: `threads` philosophers each make `attempts` eating
 /// attempts through the unified harness under `exec`. Returns the best of
@@ -111,7 +112,7 @@ fn run_config(
 ) -> Sample {
     let mut best: Option<Sample> = None;
     for _ in 0..repeats {
-        let algo = algo_kind(algo_name, 2);
+        let algo = AlgoKind::from_label(algo_name, 2).expect("validated label");
         let r = run_philosophers(threads, attempts, 42, algo, 1 << 23, &exec);
         assert!(r.safety_ok, "{algo_name}/{threads}t: philosopher meal counters diverged");
         best = Some(Sample::from_report(&r).better_of(best));
@@ -138,7 +139,8 @@ fn run_layout_cell(
         spec.think_max = 0;
         spec.heap_words = 1 << 23;
         spec.layout = layout;
-        let r = run_random_conflict(&spec, algo_kind(algo_name, threads), &ExecMode::real());
+        let algo = AlgoKind::from_label(algo_name, threads).expect("validated label");
+        let r = run_random_conflict(&spec, algo, &ExecMode::real());
         assert!(
             r.safety_ok,
             "random_conflict/{algo_name}/{}/{threads}t: safety check failed",
@@ -263,19 +265,11 @@ fn main() {
     let top_threads = *thread_counts.last().unwrap();
     let phil_attempts = if smoke { 300 } else { 2000 };
     let conflict_attempts = if smoke { 400 } else { 2000 };
-    // `--algos` narrows (or, with extended labels, replaces) both rosters;
-    // requested names are validated against the full extended label set.
+    // `--algos` narrows (or, with other labels, replaces) both rosters;
+    // requested names must be `AlgoKind` labels.
     let algo_filter = wfl_bench::parse_algos(&args);
-    let known: Vec<String> =
-        AlgoKind::all_extended(2).iter().map(|k| k.label().to_string()).collect();
-    if let Some(names) = &algo_filter {
-        for n in names {
-            assert!(
-                known.iter().any(|k| k == n),
-                "--algos: unknown algorithm {n:?} (known: {})",
-                known.join(", ")
-            );
-        }
+    for n in algo_filter.iter().flatten() {
+        assert!(AlgoKind::from_label(n, 2).is_some(), "--algos: unknown algorithm {n:?}");
     }
     let pick = |defaults: &[&'static str]| -> Vec<String> {
         match &algo_filter {
@@ -283,8 +277,8 @@ fn main() {
             None => defaults.iter().map(|s| s.to_string()).collect(),
         }
     };
-    let algos = pick(&["wfl", "tsp", "naive"]);
-    let layout_algos = pick(&["wfl", "tsp", "naive", "blocking", "blocking-cohort"]);
+    let algos = pick(&[WFL, "tsp", "naive"]);
+    let layout_algos = pick(&[WFL, "tsp", "naive", "blocking", "blocking-cohort"]);
     println!("# E13: real-threads scaling — philosophers sweep and layout A/B cells (smoke = {smoke})");
     println!(
         "(unified harness; philosophers {phil_attempts} attempts/thread, random-conflict \
@@ -377,7 +371,7 @@ fn main() {
             let (packed, padded) = (packed.unwrap(), padded.unwrap());
             let speedup = (padded_tot.0 as f64 / padded_tot.1) / (packed_tot.0 as f64 / packed_tot.1);
             padded_series.push((threads, padded.ops_per_sec));
-            if algo == "wfl" && threads == top_threads {
+            if algo == WFL && threads == top_threads {
                 layout_speedup_at_max = speedup;
             }
             wfl_bench::row(&[
@@ -389,7 +383,7 @@ fn main() {
             for (layout, s) in [(&packed_unified, &packed), (&padded_sharded, &padded)] {
                 json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, s);
             }
-            if algo == "wfl" {
+            if algo == WFL {
                 // The off-diagonal cells: which half of the layout change
                 // carries the win?
                 for layout in [
@@ -400,7 +394,7 @@ fn main() {
                     json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, &s);
                 }
             }
-            if smoke && algo == "wfl" {
+            if smoke && algo == WFL {
                 // The layout gate. Floor everywhere: padded+sharded must
                 // never cost more than 5% of packed+unified. On a single
                 // multiplexed core the measured gap between IDENTICAL
@@ -467,7 +461,7 @@ fn main() {
     }
 
     // --- flight-recorder overhead at the top of the sweep ---
-    println!("## flight recorder: overhead at {top_threads} threads (wfl philosophers)");
+    println!("## flight recorder: overhead at {top_threads} threads ({WFL} philosophers)");
     wfl_bench::header(&["config", "wins/s", "vs baseline"]);
     // Overhead ratios need longer cells than the scaling sweep (at ~1M
     // wins/s a 300-attempt smoke cell lasts ~1ms and timer noise alone
@@ -495,7 +489,7 @@ fn main() {
         // Config 2 records; the caller cycles the global recorder to
         // prepare the "steady disabled" state of config 1.
         let exec = if cfg == 2 { ExecMode::real().with_recorder() } else { ExecMode::real() };
-        let s = run_config("wfl", top_threads, gate_attempts, 1, exec);
+        let s = run_config(WFL, top_threads, gate_attempts, 1, exec);
         totals[cfg].0 += s.metrics.wins;
         totals[cfg].1 += s.metrics.wall_secs.expect("real runs report wall time");
         best[cfg] = Some(s.better_of(best[cfg].take()));
@@ -536,7 +530,7 @@ fn main() {
         json_row(
             &mut rows,
             "philosophers",
-            "wfl",
+            WFL,
             &format!("fast+{name}"),
             "padded+sharded",
             top_threads,
@@ -544,15 +538,16 @@ fn main() {
         );
     }
     println!();
-    // --trace: export one recorded top-of-sweep wfl philosophers cell.
+    // --trace: export one recorded top-of-sweep wfl-nodelay philosophers cell.
     if let Some(path) = wfl_bench::parse_trace(&args) {
         let exec = ExecMode::real().with_recorder();
-        let r = run_philosophers(top_threads, phil_attempts, 42, algo_kind("wfl", 2), 1 << 23, &exec);
+        let algo = AlgoKind::from_label(WFL, 2).expect("WFL is a label");
+        let r = run_philosophers(top_threads, phil_attempts, 42, algo, 1 << 23, &exec);
         assert!(r.safety_ok, "traced cell: philosopher meal counters diverged");
         let meta = [
             ("bench", "e13_scaling".to_string()),
             ("workload", "philosophers".to_string()),
-            ("algo", "wfl".to_string()),
+            ("algo", WFL.to_string()),
             ("mode", "fast".to_string()),
             ("threads", top_threads.to_string()),
         ];
@@ -574,12 +569,12 @@ fn main() {
         }
         assert!(
             rec_disabled_ratio >= disabled_floor,
-            "disabled flight recorder costs too much wfl wins/s at {top_threads} threads: \
+            "disabled flight recorder costs too much {WFL} wins/s at {top_threads} threads: \
              aggregate ratio {rec_disabled_ratio:.3} < {disabled_floor}"
         );
         assert!(
             rec_enabled_ratio >= enabled_floor,
-            "enabled flight recorder costs too much wfl wins/s at {top_threads} threads: \
+            "enabled flight recorder costs too much {WFL} wins/s at {top_threads} threads: \
              aggregate ratio {rec_enabled_ratio:.3} < {enabled_floor}"
         );
     }
@@ -604,6 +599,6 @@ fn main() {
     json.push_str("}\n");
 
     std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    println!("wfl padded+sharded/packed+unified at {top_threads} threads: {layout_speedup_at_max:.2}x");
+    println!("{WFL} padded+sharded/packed+unified at {top_threads} threads: {layout_speedup_at_max:.2}x");
     println!("wrote BENCH_scaling.json");
 }

@@ -19,9 +19,9 @@
 //!             standard kinds plus wfl+combine, blocking-cohort, fc and
 //!             ccsynch — so every algorithm the harness can instantiate is
 //!             safety-checked on every workload in CI.
-//!   --algos : narrow the roster to the named algorithms (any
-//!             [`AlgoKind::all_extended`] label).
-//!   --trace : export one recorded deterministic random-conflict wfl sim
+//!   --algos : narrow the roster to the named algorithms (any label of
+//!             the extended roster, `wfl-nodelay` included).
+//!   --trace : export one recorded deterministic random-conflict wfl-nodelay sim
 //!             cell as Chrome/Perfetto `trace_event` JSON (plus a
 //!             `<path>.metrics.json` sidecar; standard matrix only).
 //!   --soak  : the **multi-epoch soak** matrix instead of the standard one:
@@ -118,15 +118,18 @@ const SMOKE_SOAK: SoakParams = SoakParams {
 
 const WORKLOADS: [&str; 5] = ["random_conflict", "philosophers", "bank", "list", "graph"];
 
-/// The matrix's algorithm set. Wfl runs without delays: the delay padding
-/// is a simulator-model cost whose curves E1–E6/E11 validate; the matrix
-/// is about safety coverage and wall-clock throughput. The `extended`
-/// roster (the `--smoke` matrix, so CI exercises it on every workload)
-/// adds the combining fast path, the cohort spin discipline and both
-/// delegation baselines; `--algos` narrows either roster.
+/// The matrix's algorithm set. Its first wfl is `wfl-nodelay`, the
+/// paper's lock without the `T0`/`T1` delays: the delays are the counted
+/// worst-case budget, spent as local steps on every attempt (554 of the
+/// 664 steps per win on wflbench's `disjoint` workload), and the matrix is
+/// about safety coverage and the throughput of the locking machinery
+/// itself. The `extended` roster (the `--smoke` matrix, so CI exercises it
+/// on every workload) adds the delayed `wfl+combine` fast path, the cohort
+/// spin discipline and both delegation baselines; `--algos` narrows
+/// either roster.
 fn algos(threads: usize, extended: bool, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
     let mut roster = vec![
-        AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true },
+        AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true, combine: false },
         AlgoKind::WflUnknown,
         AlgoKind::Tsp,
         AlgoKind::Blocking,
@@ -134,7 +137,7 @@ fn algos(threads: usize, extended: bool, filter: Option<&Vec<String>>) -> Vec<Al
     ];
     if extended || filter.is_some() {
         roster.extend([
-            AlgoKind::WflCombine { kappa: threads.max(2) },
+            AlgoKind::Wfl { kappa: threads.max(2), delays: true, helping: true, combine: true },
             AlgoKind::BlockingCohort,
             AlgoKind::FlatCombining,
             AlgoKind::CcSynch,
@@ -288,7 +291,7 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
                         mode.label().to_string(),
                         r.attempts.to_string(),
                         r.wins.to_string(),
-                        format!("{:.3}", r.success.rate()),
+                        format!("{:.3}", r.success().rate()),
                         r.steps.percentile(0.99).to_string(),
                         format!("{wall:.4}"),
                         "ok".to_string(),
@@ -310,10 +313,10 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
     println!("wrote BENCH_workloads.json");
 
     // --trace: export one recorded deterministic cell (random-conflict,
-    // wfl, top of the thread sweep, sim backend).
+    // wfl-nodelay, top of the thread sweep, sim backend).
     if let Some(path) = wfl_bench::parse_trace(&std::env::args().collect::<Vec<_>>()) {
         let threads = *p.thread_counts.last().unwrap();
-        let algo = AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true };
+        let algo = AlgoKind::Wfl { kappa: threads.max(2), delays: false, helping: true, combine: false };
         let mode = ExecMode::sim(SchedKind::Random, p.sim_steps).with_recorder();
         let r = run_cell("random_conflict", algo, threads, &shape, &mode);
         assert!(r.safety_ok, "traced cell failed its safety check");

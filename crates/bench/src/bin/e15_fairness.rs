@@ -47,7 +47,7 @@ const PERIOD: u64 = 400;
 
 fn algo_of(name: &str, threads: usize) -> AlgoKind {
     match name {
-        "wfl" => AlgoKind::Wfl { kappa: threads, delays: true, helping: true },
+        "wfl" => AlgoKind::wfl(threads),
         "wfl-unknown" => AlgoKind::WflUnknown,
         "tsp" => AlgoKind::Tsp,
         _ => AlgoKind::Naive,

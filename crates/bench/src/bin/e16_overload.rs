@@ -105,7 +105,7 @@ fn fault_window(threads: usize) -> (u64, u64) {
 /// while keeping the simulated-step bill CI-sized.
 fn rounds_for(algo: AlgoKind, smoke: bool) -> usize {
     let r = match algo {
-        AlgoKind::Wfl { .. } | AlgoKind::WflCombine { .. } => 300,
+        AlgoKind::Wfl { .. } => 300,
         AlgoKind::WflUnknown => 330,
         AlgoKind::Tsp => 600,
         AlgoKind::Blocking | AlgoKind::BlockingCohort | AlgoKind::Naive => 600,
@@ -127,7 +127,7 @@ fn algos(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
         AlgoKind::all_extended(threads).to_vec()
     } else {
         vec![
-            AlgoKind::Wfl { kappa: threads.max(2), delays: true, helping: true },
+            AlgoKind::wfl(threads.max(2)),
             AlgoKind::WflUnknown,
             AlgoKind::Tsp,
             AlgoKind::Blocking,
@@ -347,7 +347,7 @@ fn main() {
             let ratio = if slo_pair[0] > 0.0 { slo_pair[1] / slo_pair[0] } else { 0.0 };
             println!();
             match algo {
-                AlgoKind::Wfl { .. } => {
+                AlgoKind::Wfl { combine: false, .. } => {
                     wfl_ratio = ratio;
                     println!(
                         "wfl faulted/fault-free goodput at SLO {slo_d}: {ratio:.3} {}",
@@ -387,7 +387,7 @@ fn main() {
     // flight recorder on, so the gate also covers the full event
     // sequence: same seed, bit-identical trace.
     let t0 = thread_counts[0];
-    let replay_algo = AlgoKind::Wfl { kappa: t0.max(2), delays: true, helping: true };
+    let replay_algo = AlgoKind::wfl(t0.max(2));
     let a = run_sim_cell(replay_algo, t0, 60, Some(tight(t0)), true, true);
     let b = run_sim_cell(replay_algo, t0, 60, Some(tight(t0)), true, true);
     let replay_ok = a.report.wins == b.report.wins

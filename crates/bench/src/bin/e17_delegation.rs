@@ -91,7 +91,7 @@ fn fault_window(threads: usize) -> (u64, u64) {
 /// by ~100x across the roster (see e16), so spans are per-algorithm.
 fn overload_rounds(algo: AlgoKind, smoke: bool) -> usize {
     let r = match algo {
-        AlgoKind::Wfl { .. } | AlgoKind::WflCombine { .. } => 300,
+        AlgoKind::Wfl { .. } => 300,
         _ => 600,
     };
     if smoke { r } else { (2 * r).min(4_000) }
@@ -102,8 +102,8 @@ fn overload_rounds(algo: AlgoKind, smoke: bool) -> usize {
 /// exactly one bit: [`LockConfig::combine`].
 fn roster(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
     let all = vec![
-        AlgoKind::Wfl { kappa: threads.max(2), delays: true, helping: true },
-        AlgoKind::WflCombine { kappa: threads.max(2) },
+        AlgoKind::wfl(threads.max(2)),
+        AlgoKind::Wfl { kappa: threads.max(2), delays: true, helping: true, combine: true },
         AlgoKind::FlatCombining,
         AlgoKind::CcSynch,
         AlgoKind::BlockingCohort,
@@ -332,7 +332,8 @@ fn main() {
         let mut spec = closed_loop_spec(4, if smoke { 120 } else { 240 });
         spec.nlocks = 1;
         let mode = ExecMode::sim(SchedKind::Random, 2_000_000_000);
-        let r = run_random_conflict(&spec, AlgoKind::WflCombine { kappa: 4 }, &mode);
+        let combine = AlgoKind::Wfl { kappa: 4, delays: true, helping: true, combine: true };
+        let r = run_random_conflict(&spec, combine, &mode);
         assert!(r.safety_ok, "sim contention cell: safety audit failed");
         let c = Cell::from_report(r);
         println!(
@@ -386,7 +387,7 @@ fn main() {
                 format!("{:.3}", c.jain),
             ]);
             // Gate (d): combining keeps the abort SLO honest.
-            if matches!(algo, AlgoKind::WflCombine { .. }) && c.report.aborts >= 20 {
+            if matches!(algo, AlgoKind::Wfl { combine: true, .. }) && c.report.aborts >= 20 {
                 let ok = c.abort_p99 <= 2 * slo(fault_threads);
                 if !ok {
                     println!(
@@ -399,7 +400,7 @@ fn main() {
             json_cell(&mut rows, "overload", "sim", algo.label(), fault_threads, faulted, &c);
         }
         let ratio = if pair[0] > 0.0 { pair[1] / pair[0] } else { 0.0 };
-        if matches!(algo, AlgoKind::WflCombine { .. }) {
+        if matches!(algo, AlgoKind::Wfl { combine: true, .. }) {
             combine_ratio = ratio;
         }
         ratios.push((algo, ratio, faulted_aborts, faulted_p99));
@@ -416,7 +417,7 @@ fn main() {
     let budget = slo(fault_threads);
     for (algo, ratio, faulted_aborts, faulted_p99) in &ratios {
         match algo {
-            AlgoKind::WflCombine { .. } => {
+            AlgoKind::Wfl { combine: true, .. } => {
                 let ok = *ratio >= 0.8 && *faulted_aborts == 0;
                 println!(
                     "wfl+combine under freezes: goodput ratio {ratio:.3}, \
@@ -454,7 +455,8 @@ fn main() {
     // including its full flight-recorder event sequence (both replays run
     // with the recorder on).
     {
-        let combine = AlgoKind::WflCombine { kappa: fault_threads.max(2) };
+        let kappa = fault_threads.max(2);
+        let combine = AlgoKind::Wfl { kappa, delays: true, helping: true, combine: true };
         let a = run_sim_overload(combine, fault_threads, 60, true, true);
         let b = run_sim_overload(combine, fault_threads, 60, true, true);
         let replay_ok = a.report.wins == b.report.wins
@@ -496,8 +498,8 @@ fn main() {
             let c = run_closed_loop(algo, threads, cl_attempts);
             if threads == top_threads {
                 match algo {
-                    AlgoKind::Wfl { .. } => wfl_top = c.wins_per_sec,
-                    AlgoKind::WflCombine { .. } => combine_top = c.wins_per_sec,
+                    AlgoKind::Wfl { combine: false, .. } => wfl_top = c.wins_per_sec,
+                    AlgoKind::Wfl { combine: true, .. } => combine_top = c.wins_per_sec,
                     _ => {}
                 }
             }

@@ -24,7 +24,7 @@ fn main() {
         spec.seed = 17;
         spec.think_max = 8;
         spec.heap_words = 1 << 25;
-        let algo = AlgoKind::Wfl { kappa, delays: false, helping: true };
+        let algo = AlgoKind::Wfl { kappa, delays: false, helping: true, combine: false };
         let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 400_000_000));
         assert!(r.safety_ok, "safety violated at kappa={kappa}");
         points.push((kappa as f64, r.steps.mean()));

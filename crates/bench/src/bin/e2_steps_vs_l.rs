@@ -19,7 +19,7 @@ fn main() {
         let mut spec = SimSpec::new(4, 50, 2 * l, l);
         spec.seed = 23;
         spec.heap_words = 1 << 25;
-        let algo = AlgoKind::Wfl { kappa: 4, delays: false, helping: true };
+        let algo = AlgoKind::Wfl { kappa: 4, delays: false, helping: true, combine: false };
         let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 400_000_000));
         assert!(r.safety_ok, "safety violated at L={l}");
         let t = (2 * l) as f64;

@@ -18,17 +18,17 @@ fn main() {
         spec.seed = 31;
         spec.think_max = 32;
         spec.heap_words = 1 << 25;
-        let algo = AlgoKind::Wfl { kappa, delays: true, helping: true };
+        let algo = AlgoKind::wfl(kappa);
         let r = run_random_conflict(&spec, algo, &ExecMode::sim(SchedKind::Random, 2_000_000_000));
         assert!(r.safety_ok, "safety violated at kappa={kappa} L={l}");
         let bound = 1.0 / (kappa * l) as f64;
-        let ok = r.success.wilson_lower(2.58) >= bound;
+        let ok = r.success().wilson_lower(2.58) >= bound;
         all_ok &= ok;
         row(&[
             kappa.to_string(),
             l.to_string(),
             r.attempts.to_string(),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{bound:.3}"),
             verdict(ok).to_string(),
         ]);

@@ -15,17 +15,17 @@ fn main() {
     let mut all_ok = true;
     let mut step_means = Vec::new();
     for &n in &[3usize, 8, 32, 64] {
-        let algo = AlgoKind::Wfl { kappa: 2, delays: true, helping: true };
+        let algo = AlgoKind::wfl(2);
         let r = run_philosophers(n, 60, 41, algo, 1 << 25, &ExecMode::sim(SchedKind::Random, 600_000_000));
         assert!(r.safety_ok, "meal counters diverged at n={n}");
-        let ok = r.success.wilson_lower(2.58) >= 0.25;
+        let ok = r.success().wilson_lower(2.58) >= 0.25;
         all_ok &= ok;
         step_means.push(r.steps.mean());
         let min_meals = r.per_pid.iter().map(|&(w, _)| w).min().unwrap_or(0);
         row(&[
             n.to_string(),
             r.attempts.to_string(),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{:.1}", r.steps.mean()),
             r.steps.max().to_string(),
             min_meals.to_string(),

@@ -29,21 +29,21 @@ fn main() {
             spec.think_max = 32;
             spec.heap_words = 1 << 25;
             let mode = ExecMode::sim(sched, 2_000_000_000);
-            let algo = AlgoKind::Wfl { kappa, delays: true, helping: true };
+            let algo = AlgoKind::wfl(kappa);
             let known = run_random_conflict(&spec, algo, &mode);
             let unknown = run_random_conflict(&spec, AlgoKind::WflUnknown, &mode);
             assert!(known.safety_ok && unknown.safety_ok, "safety violated");
             let t = 2 * l;
             let log_factor = ((kappa * l * t) as f64).ln().max(1.0);
             let bound = 1.0 / ((kappa * l) as f64 * log_factor);
-            let ok = unknown.success.wilson_lower(2.58) >= bound;
+            let ok = unknown.success().wilson_lower(2.58) >= bound;
             all_ok &= ok;
             row(&[
                 kappa.to_string(),
                 l.to_string(),
                 format!("{sched:?}"),
-                fmt_success(&known.success),
-                fmt_success(&unknown.success),
+                fmt_success(&known.success()),
+                fmt_success(&unknown.success()),
                 format!("{bound:.3}"),
                 verdict(ok).to_string(),
             ]);

@@ -26,7 +26,7 @@ fn throughput_table() {
     println!("## E8a: contended random-conflict workload (4 procs, 3 locks, L=2)");
     header(&["algo", "wins/attempts", "success (99% lb)", "mean steps", "p99 steps", "max steps"]);
     for (name, algo) in [
-        ("wfl", AlgoKind::Wfl { kappa: 4, delays: true, helping: true }),
+        ("wfl", AlgoKind::wfl(4)),
         ("wfl-unknown", AlgoKind::WflUnknown),
         ("tsp", AlgoKind::Tsp),
         ("blocking", AlgoKind::Blocking),
@@ -40,7 +40,7 @@ fn throughput_table() {
         row(&[
             name.to_string(),
             format!("{}/{}", r.wins, r.attempts),
-            fmt_success(&r.success),
+            fmt_success(&r.success()),
             format!("{:.0}", r.steps.mean()),
             r.steps.percentile(0.99).to_string(),
             r.steps.max().to_string(),

@@ -155,10 +155,6 @@ impl<'a> CcSynch<'a> {
 }
 
 impl LockAlgo for CcSynch<'_> {
-    fn name(&self) -> &'static str {
-        "ccsynch"
-    }
-
     fn blocks_under_crash(&self) -> bool {
         true
     }

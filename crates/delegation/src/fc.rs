@@ -126,10 +126,6 @@ impl<'a> FcLock<'a> {
 }
 
 impl LockAlgo for FcLock<'_> {
-    fn name(&self) -> &'static str {
-        "fc"
-    }
-
     fn blocks_under_crash(&self) -> bool {
         true
     }

@@ -13,16 +13,12 @@ use wfl_runtime::{Addr, Ctx, Heap};
 use wfl_workloads::harness::{AlgoHandle, AlgoKind, Backend, ExecMode, SchedKind};
 use wfl_workloads::player::{run_player_loop_stats, TargetedStarter};
 
-fn wfl(kappa: usize) -> AlgoKind {
-    AlgoKind::Wfl { kappa, delays: true, helping: true }
-}
-
 /// Every strength must drive a clean, safety-checked real-threads run in
 /// which the victim completes exactly its planned attempts.
 #[test]
 fn real_adversary_all_strengths_safe_and_complete() {
     for strength in AdvStrength::all() {
-        for algo in [wfl(3), AlgoKind::WflUnknown, AlgoKind::Naive, AlgoKind::Tsp] {
+        for algo in [AlgoKind::wfl(3), AlgoKind::WflUnknown, AlgoKind::Naive, AlgoKind::Tsp] {
             let mut spec = AdversarySpec::new(3, 40);
             spec.strength = strength;
             spec.victim_period = 50;
@@ -56,7 +52,7 @@ fn timed_adversarial_soak_crosses_epochs_for_full_budget() {
     spec.seed = 5;
     let budget = Duration::from_millis(80);
     let mode = ExecMode::real_timed(budget).with_epoch_rounds(32);
-    let r = run_adversary(&spec, wfl(3), &mode);
+    let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
     assert!(r.safety_ok, "soak safety failed");
     assert!(r.epochs >= 3, "only {} epochs crossed in {budget:?}", r.epochs);
     assert!(
@@ -77,7 +73,7 @@ fn sim_victim_holds_theorem_bound_deterministically() {
         let mut spec = AdversarySpec::new(3, 60);
         spec.strength = AdvStrength::Targeted;
         spec.heap_words = 1 << 25;
-        run_adversary(&spec, wfl(3), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
+        run_adversary(&spec, AlgoKind::wfl(3), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
     };
     let r = run();
     assert!(r.safety_ok);
@@ -129,14 +125,14 @@ fn ported_sim_arm_reproduces_e7_numbers() {
     spec.victim_period = period;
     spec.seed = seed;
     spec.heap_words = 1 << 25;
-    let ported = run_adversary(&spec, wfl(nprocs), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000));
+    let ported = run_adversary(&spec, AlgoKind::wfl(nprocs), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000));
     assert!(ported.safety_ok);
 
     // --- the E7 construction, by hand ---
     let mut registry = Registry::new();
     let touch = registry.register(HolderTouchClone);
     let heap = Heap::new(1 << 25);
-    let handle = AlgoHandle::create(&heap, &registry, wfl(nprocs), 1, nprocs, 1, 3);
+    let handle = AlgoHandle::create(&heap, &registry, AlgoKind::wfl(nprocs), 1, nprocs, 1, 3);
     let counter = heap.alloc_root(1);
     let results = heap.alloc_root(nprocs * rounds);
     let steps_log = heap.alloc_root(nprocs * rounds);
@@ -217,7 +213,7 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
     // ordered event timestamps.
     let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
         .with_epoch_rounds(8);
-    let r = run_adversary(&spec, wfl(3), &mode);
+    let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
     assert!(r.safety_ok);
     assert_eq!(r.epochs, 2, "16 rounds at 8/epoch");
     assert_eq!(r.holder_logs.len(), 2, "one holder log per recorded epoch");
@@ -251,7 +247,7 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
 fn recorded_runs_reject_the_leased_clock() {
     let mut spec = AdversarySpec::new(2, 4);
     spec.record = true;
-    run_adversary(&spec, wfl(2), &ExecMode::real()); // real() = fast() = leased
+    run_adversary(&spec, AlgoKind::wfl(2), &ExecMode::real()); // real() = fast() = leased
 }
 
 /// The probe machinery must not perturb the paper algorithm's fixed
@@ -264,7 +260,7 @@ fn probing_keeps_wfl_attempt_length_fixed() {
         // Calm never reads the probe; this isolates the probe's cost.
         spec.strength = if probed { AdvStrength::Targeted } else { AdvStrength::Calm };
         spec.heap_words = 1 << 24;
-        run_adversary(&spec, wfl(2), &ExecMode::sim(SchedKind::RoundRobin, 100_000_000))
+        run_adversary(&spec, AlgoKind::wfl(2), &ExecMode::sim(SchedKind::RoundRobin, 100_000_000))
     };
     // Latency histograms record per-acquisition step totals, retries
     // included. With delays every attempt takes the same fixed number of

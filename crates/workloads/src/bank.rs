@@ -6,9 +6,14 @@
 //! sum of all balances must be conserved and no balance may go negative —
 //! any mutual-exclusion or idempotence failure shows up as a violation.
 
-use wfl_baselines::LockAlgo;
+use crate::algo::{AlgoKind, AlgoSpec};
+use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
+use crate::outcomes::{HarnessReport, Outcomes};
+use std::sync::Mutex;
+use wfl_baselines::{AttemptOutcome, LockAlgo};
 use wfl_core::{LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
+use wfl_runtime::rng::Pcg;
 use wfl_runtime::{Addr, Ctx, Heap};
 
 /// The transfer critical section: `if bal[from] >= amt { bal[from] -= amt;
@@ -97,6 +102,173 @@ impl Bank {
     pub fn balance(&self, heap: &Heap, i: usize) -> u32 {
         cell::value(heap.peek(self.balances.off(i as u32)))
     }
+}
+
+/// History op code recorded by [`run_bank_recorded`] for a winning
+/// transfer. Numerically equal to `wfl_lincheck::regular::MS_INSERT`: a won
+/// transfer "inserts" its unique token, so a set-regularity pass against a
+/// final getSet synthesized from the *heap-recorded* outcomes cross-checks
+/// the real-mode history pipeline against the outcome recording.
+pub const BANK_HIST_WIN: u32 = 20;
+/// History op code for a losing transfer attempt (ignored by the
+/// set-regularity checker; recorded so the event stream covers every
+/// attempt).
+pub const BANK_HIST_LOSS: u32 = 99;
+
+/// The unique history token for the bank attempt `(pid, global round)`.
+pub fn bank_history_token(pid: usize, round: usize) -> u64 {
+    ((pid as u64 + 1) << 32) | (round as u64 + 1)
+}
+
+/// The bank workload behind the epoch hooks.
+struct BankWl {
+    accounts: usize,
+    initial: u32,
+    seed: u64,
+    transfer: ThunkId,
+    /// Record invoke/respond history events for global rounds below this
+    /// bound (0 = off; [`run_bank_recorded`] sets it to the first
+    /// epoch's length).
+    record_rounds: usize,
+    /// Tokens of heap-recorded wins among the recorded rounds, collected at
+    /// the epoch boundary (the cross-check oracle).
+    win_tokens: Mutex<Vec<u64>>,
+}
+
+impl EpochWorkload for BankWl {
+    type Roots = Bank;
+    type Local = ();
+
+    fn re_root(&self, heap: &Heap) -> Bank {
+        Bank::re_root(heap, self.accounts, self.initial, self.transfer)
+    }
+
+    fn local(&self, _ctx: &Ctx<'_>, _roots: &Bank) {}
+
+    fn round(
+        &self,
+        ctx: &Ctx<'_>,
+        bank: &Bank,
+        _local: &mut (),
+        algo: &dyn LockAlgo,
+        tags: &mut TagSource,
+        scratch: &mut Scratch,
+        pid: usize,
+        round: usize,
+        _slot: usize,
+    ) -> AttemptOutcome {
+        let mut rng = Pcg::new(self.seed ^ 0xBA2C, ((pid as u64) << 32) | round as u64);
+        let a = rng.below(self.accounts as u64) as usize;
+        let mut b = rng.below(self.accounts as u64 - 1) as usize;
+        if b >= a {
+            b += 1;
+        }
+        let amt = 1 + rng.below(30) as u32;
+        let out = bank.attempt_transfer(ctx, algo, tags, scratch, a, b, amt);
+        if round < self.record_rounds {
+            // Bracket the *known outcome* right after the attempt (a
+            // linearization-point-style recording: the transfer has taken
+            // effect by now, and the token interval precedes any later
+            // audit event). Won attempts are set-regularity inserts;
+            // losses use an opcode the checker ignores.
+            let op = if out.won { BANK_HIST_WIN } else { BANK_HIST_LOSS };
+            ctx.invoke(op, bank_history_token(pid, round), 0);
+            ctx.respond(out.won as u64, vec![]);
+        }
+        let think = ctx.rand_below(16);
+        for _ in 0..think {
+            ctx.local_step();
+        }
+        out
+    }
+
+    fn check(&self, heap: &Heap, bank: &Bank, rec: &Outcomes) -> (HarnessReport, bool) {
+        let mut tokens = Vec::new();
+        let report = rec.aggregate(heap, |pid, round| {
+            if round < self.record_rounds {
+                tokens.push(bank_history_token(pid, round));
+            }
+        });
+        if !tokens.is_empty() {
+            self.win_tokens.lock().unwrap().extend(tokens);
+        }
+        // Conservation: any mutual-exclusion or idempotence failure moves
+        // money (schedule-independent, so no win reconstruction needed).
+        let safe = bank.total(heap) == (self.accounts as u64) * (self.initial as u64);
+        (report, safe)
+    }
+}
+
+/// Runs the bank-transfer workload on either backend: `nprocs` processes
+/// each make up to `rounds` two-account transfers per epoch with
+/// deterministic `(seed, pid, round)` account/amount choices. Safety check
+/// (every epoch): the sum of all balances equals the initial total
+/// (conservation — any mutual-exclusion or idempotence failure moves
+/// money).
+#[allow(clippy::too_many_arguments)]
+pub fn run_bank(
+    nprocs: usize,
+    accounts: usize,
+    rounds: usize,
+    initial: u32,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+) -> HarnessReport {
+    run_bank_inner(nprocs, accounts, rounds, initial, seed, algo, heap_words, mode, false).0
+}
+
+/// Like [`run_bank`], but records a history of the **first epoch**'s
+/// transfer attempts (invoke/respond events with [`BANK_HIST_WIN`] /
+/// [`BANK_HIST_LOSS`] opcodes) and returns the [`bank_history_token`]s of
+/// the first epoch's heap-recorded wins alongside the report. Feed the
+/// history plus a synthetic final getSet built from the tokens to
+/// `wfl_lincheck::regular` to cross-check the real-mode history pipeline
+/// (use [`wfl_runtime::real::RealConfig::precise`] so event timestamps
+/// are globally ordered).
+#[allow(clippy::too_many_arguments)]
+pub fn run_bank_recorded(
+    nprocs: usize,
+    accounts: usize,
+    rounds: usize,
+    initial: u32,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+) -> (HarnessReport, Vec<u64>) {
+    run_bank_inner(nprocs, accounts, rounds, initial, seed, algo, heap_words, mode, true)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_bank_inner(
+    nprocs: usize,
+    accounts: usize,
+    rounds: usize,
+    initial: u32,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+    record_first_epoch: bool,
+) -> (HarnessReport, Vec<u64>) {
+    assert!(accounts >= 2);
+    let mut registry = Registry::new();
+    let transfer = registry.register(TransferThunk);
+    let heap = Heap::new(heap_words);
+    let aspec = AlgoSpec::new(algo, accounts, nprocs, 2, 4, &registry);
+    let wl = BankWl {
+        accounts,
+        initial,
+        seed,
+        transfer,
+        record_rounds: if record_first_epoch { mode.epoch_len(rounds) } else { 0 },
+        win_tokens: Mutex::new(Vec::new()),
+    };
+    let report = drive_epochs(&heap, &registry, aspec, nprocs, seed, rounds, mode, &wl);
+    let tokens = wl.win_tokens.into_inner().unwrap();
+    (report, tokens)
 }
 
 #[cfg(test)]

@@ -7,9 +7,13 @@
 //! bounded by the size of its 2-hop neighborhood among concurrent
 //! updaters.
 
-use wfl_baselines::LockAlgo;
+use crate::algo::{AlgoKind, AlgoSpec};
+use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
+use crate::outcomes::{HarnessReport, Outcomes};
+use wfl_baselines::{AttemptOutcome, LockAlgo};
 use wfl_core::{LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
+use wfl_runtime::rng::Pcg;
 use wfl_runtime::{Addr, Ctx, Heap};
 
 /// The update critical section: `val[v] = min(val[u] for u in N(v)) + 1`
@@ -171,6 +175,92 @@ impl Graph {
     pub fn updates(&self, heap: &Heap, v: usize) -> u32 {
         cell::value(heap.peek(self.counts.off(v as u32)))
     }
+}
+
+/// The graph workload behind the epoch hooks.
+struct GraphWl {
+    vertices: usize,
+    seed: u64,
+    relax: ThunkId,
+    init: Vec<u32>,
+}
+
+impl GraphWl {
+    fn vertex_of(&self, pid: usize, round: usize) -> usize {
+        Pcg::new(self.seed ^ 0x62AF, ((pid as u64) << 32) | round as u64)
+            .below(self.vertices as u64) as usize
+    }
+}
+
+impl EpochWorkload for GraphWl {
+    type Roots = Graph;
+    /// Pre-built per-vertex request buffers (the ring is small; attempts
+    /// stay allocation-free inside the epoch).
+    type Local = Vec<(Vec<LockId>, Vec<u64>)>;
+
+    fn re_root(&self, heap: &Heap) -> Graph {
+        Graph::ring_rooted(heap, self.vertices, &self.init, self.relax)
+    }
+
+    fn local(&self, _ctx: &Ctx<'_>, graph: &Graph) -> Self::Local {
+        (0..self.vertices)
+            .map(|v| {
+                let mut args = Vec::new();
+                graph.relax_args(v, &mut args);
+                (graph.lock_set(v), args)
+            })
+            .collect()
+    }
+
+    fn round(
+        &self,
+        ctx: &Ctx<'_>,
+        graph: &Graph,
+        reqs: &mut Self::Local,
+        algo: &dyn LockAlgo,
+        tags: &mut TagSource,
+        scratch: &mut Scratch,
+        pid: usize,
+        round: usize,
+        _slot: usize,
+    ) -> AttemptOutcome {
+        let (locks, args) = &reqs[self.vertex_of(pid, round)];
+        let req = TryLockRequest { locks, thunk: graph.relax, args };
+        algo.attempt(ctx, tags, scratch, &req)
+    }
+
+    fn check(&self, heap: &Heap, graph: &Graph, rec: &Outcomes) -> (HarnessReport, bool) {
+        let mut expected = vec![0u64; self.vertices];
+        let report = rec.aggregate(heap, |pid, round| {
+            expected[self.vertex_of(pid, round)] += 1;
+        });
+        let safe = (0..self.vertices).all(|v| graph.updates(heap, v) as u64 == expected[v]);
+        (report, safe)
+    }
+}
+
+/// Runs the graph workload on either backend: a ring of `vertices`, each
+/// process making up to `rounds` relax attempts per epoch on deterministic
+/// `(seed, pid, round)` vertices (`L = 3`: the vertex and both neighbors).
+/// Safety check (every epoch): every vertex's lock-protected update counter
+/// equals the number of recorded wins targeting it.
+#[allow(clippy::too_many_arguments)]
+pub fn run_graph(
+    nprocs: usize,
+    vertices: usize,
+    rounds: usize,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+) -> HarnessReport {
+    assert!(vertices >= 3);
+    let mut registry = Registry::new();
+    let relax = registry.register(RelaxThunk { max_degree: 2 });
+    let heap = Heap::new(heap_words);
+    let aspec = AlgoSpec::new(algo, vertices, nprocs, 3, 5, &registry);
+    let wl = GraphWl { vertices, seed, relax, init: vec![1u32; vertices] };
+    drive_epochs(&heap, &registry, aspec, nprocs, seed, rounds, mode, &wl)
 }
 
 #[cfg(test)]

@@ -15,12 +15,18 @@
 //! * [`player`] — player-adversary strategies (adaptive start times) for
 //!   the fairness experiments E7/E11/E15, shared by both backends via the
 //!   probe-cell protocol and `flood_decision`.
-//! * [`harness`] — a small algorithm-agnostic runner collecting success
-//!   rates and step statistics over any [`wfl_baselines::LockAlgo`].
+//! * [`harness`] — the algorithm-agnostic, backend-agnostic runner every
+//!   experiment drives these workloads through; it re-exports the
+//!   algorithm registry, the outcome book, the epoch driver and each
+//!   workload's `run_*` entry point.
 
+mod algo;
 pub mod bank;
+mod conflict;
+mod driver;
 pub mod graph;
 pub mod harness;
 pub mod list;
+mod outcomes;
 pub mod philosophers;
 pub mod player;

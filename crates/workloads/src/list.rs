@@ -15,7 +15,10 @@
 //! tail/nil) and `key` (immutable after allocation). Node 0 is the head
 //! sentinel with key −∞.
 
-use wfl_baselines::LockAlgo;
+use crate::algo::{AlgoKind, AlgoSpec};
+use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
+use crate::outcomes::{HarnessReport, Outcomes};
+use wfl_baselines::{AttemptOutcome, LockAlgo};
 use wfl_core::{LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -230,6 +233,117 @@ impl SortedList {
         }
         out
     }
+}
+
+/// Per-operation tryLock attempt budget for the list workload (each retry
+/// draws one tag, so `keys_per_epoch * LIST_ATTEMPT_BUDGET` must stay
+/// inside the per-process tag space of one epoch).
+const LIST_ATTEMPT_BUDGET: u64 = 64;
+
+/// The sorted-list workload behind the epoch hooks. Each epoch builds a
+/// fresh list; pool slots and keys are keyed off the *in-epoch* slot, so
+/// every epoch inserts the same key set into its own lifetime.
+struct ListWl {
+    nprocs: usize,
+    keys_per_epoch: usize,
+    insert_thunk: ThunkId,
+    delete_thunk: ThunkId,
+}
+
+impl ListWl {
+    /// Interleave keys across processes so splice points genuinely contend.
+    fn key_of(&self, pid: usize, slot: usize) -> u32 {
+        (1 + slot * self.nprocs + pid) as u32 * 10 + 3
+    }
+
+    fn node_of(&self, pid: usize, slot: usize) -> u32 {
+        (1 + pid * self.keys_per_epoch + slot) as u32
+    }
+}
+
+impl EpochWorkload for ListWl {
+    type Roots = SortedList;
+    type Local = Addr; // per-worker result cell
+
+    fn re_root(&self, heap: &Heap) -> SortedList {
+        let pool = 1 + self.nprocs * self.keys_per_epoch;
+        // Thunks are registered by the runner; only the heap pool is
+        // re-created per epoch.
+        SortedList::re_root(heap, pool, self.insert_thunk, self.delete_thunk)
+    }
+
+    fn local(&self, ctx: &Ctx<'_>, _roots: &SortedList) -> Addr {
+        ctx.alloc(1)
+    }
+
+    fn round(
+        &self,
+        ctx: &Ctx<'_>,
+        list: &SortedList,
+        result_cell: &mut Addr,
+        algo: &dyn LockAlgo,
+        tags: &mut TagSource,
+        scratch: &mut Scratch,
+        pid: usize,
+        _round: usize,
+        slot: usize,
+    ) -> AttemptOutcome {
+        let start = ctx.steps();
+        let r = list.insert(
+            ctx,
+            algo,
+            tags,
+            scratch,
+            *result_cell,
+            self.node_of(pid, slot),
+            self.key_of(pid, slot),
+            LIST_ATTEMPT_BUDGET,
+        );
+        AttemptOutcome::decided(r == Some(true), ctx.steps() - start)
+    }
+
+    fn check(&self, heap: &Heap, list: &SortedList, rec: &Outcomes) -> (HarnessReport, bool) {
+        let mut expected: Vec<u32> = Vec::new();
+        let epoch_len = rec.cap;
+        let report = rec.aggregate(heap, |pid, round| {
+            expected.push(self.key_of(pid, round % epoch_len.max(1)));
+        });
+        expected.sort_unstable();
+        let safe = list.snapshot(heap) == expected;
+        (report, safe)
+    }
+}
+
+/// Runs the sorted-list workload on either backend: each process inserts
+/// `keys_per_proc` globally-unique keys per epoch (dedicated pool slots, so
+/// the only contention is on adjacent splice points). Safety check (every
+/// epoch): the final list snapshot is exactly the sorted set of keys whose
+/// inserts were recorded as wins.
+pub fn run_list(
+    nprocs: usize,
+    keys_per_proc: usize,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+) -> HarnessReport {
+    let keys_per_epoch = mode.epoch_len(keys_per_proc);
+    // Unlike the one-tag-per-round workloads, each list round may draw up
+    // to LIST_ATTEMPT_BUDGET tags (one per tryLock retry) — bound each
+    // epoch against the per-process tag space up front.
+    assert!(
+        (keys_per_epoch as u64) * LIST_ATTEMPT_BUDGET
+            <= wfl_idem::tag::MIN_PROCESS_CAPACITY as u64,
+        "keys/epoch {keys_per_epoch} x retry budget {LIST_ATTEMPT_BUDGET} exceeds the tag space"
+    );
+    let mut registry = Registry::new();
+    let insert = registry.register(InsertThunk);
+    let delete = registry.register(DeleteThunk);
+    let pool = 1 + nprocs * keys_per_epoch;
+    let heap = Heap::new(heap_words);
+    let aspec = AlgoSpec::new(algo, pool, nprocs, 2, 4, &registry);
+    let wl = ListWl { nprocs, keys_per_epoch, insert_thunk: insert, delete_thunk: delete };
+    drive_epochs(&heap, &registry, aspec, nprocs, seed, keys_per_proc, mode, &wl)
 }
 
 #[cfg(test)]

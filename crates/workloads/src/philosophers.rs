@@ -8,7 +8,10 @@
 //! least 1/4 (`κ = L = 2`) and takes O(1) steps, independent of `n` —
 //! experiment E4.
 
-use wfl_baselines::LockAlgo;
+use crate::algo::{AlgoKind, AlgoSpec};
+use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
+use crate::outcomes::{HarnessReport, Outcomes};
+use wfl_baselines::{AttemptOutcome, LockAlgo};
 use wfl_core::{LockId, Scratch, TryLockRequest};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -78,6 +81,69 @@ impl Table {
     pub fn meals_eaten(&self, heap: &Heap, i: usize) -> u32 {
         wfl_idem::cell::value(heap.peek(self.meals.off(i as u32)))
     }
+}
+
+/// The philosophers workload behind the epoch hooks.
+struct PhilWl {
+    n: usize,
+    eat: ThunkId,
+}
+
+impl EpochWorkload for PhilWl {
+    type Roots = Table;
+    type Local = ();
+
+    fn re_root(&self, heap: &Heap) -> Table {
+        Table::re_root(heap, self.n, self.eat)
+    }
+
+    fn local(&self, _ctx: &Ctx<'_>, _roots: &Table) {}
+
+    fn round(
+        &self,
+        ctx: &Ctx<'_>,
+        table: &Table,
+        _local: &mut (),
+        algo: &dyn LockAlgo,
+        tags: &mut TagSource,
+        scratch: &mut Scratch,
+        pid: usize,
+        _round: usize,
+        _slot: usize,
+    ) -> AttemptOutcome {
+        let out = table.attempt_eat(ctx, algo, tags, scratch, pid);
+        let think = ctx.rand_below(24);
+        for _ in 0..think {
+            ctx.local_step();
+        }
+        out
+    }
+
+    fn check(&self, heap: &Heap, table: &Table, rec: &Outcomes) -> (HarnessReport, bool) {
+        let report = rec.aggregate(heap, |_pid, _round| {});
+        let safe = (0..self.n).all(|i| table.meals_eaten(heap, i) as u64 == report.per_pid[i].0);
+        (report, safe)
+    }
+}
+
+/// Runs the dining-philosophers workload on either backend: `n`
+/// philosophers, each making up to `attempts` eating attempts per epoch
+/// with random think time. Safety check (every epoch): each philosopher's
+/// meal counter must equal their recorded wins.
+pub fn run_philosophers(
+    n: usize,
+    attempts: usize,
+    seed: u64,
+    algo: AlgoKind,
+    heap_words: usize,
+    mode: &ExecMode,
+) -> HarnessReport {
+    let mut registry = Registry::new();
+    let eat = registry.register(EatThunk);
+    let heap = Heap::new(heap_words);
+    let aspec = AlgoSpec { aset: 3, ..AlgoSpec::new(algo, n, n, 2, 2, &registry) };
+    let wl = PhilWl { n, eat };
+    drive_epochs(&heap, &registry, aspec, n, seed, attempts, mode, &wl)
 }
 
 #[cfg(test)]

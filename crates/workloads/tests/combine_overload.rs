@@ -110,8 +110,8 @@ fn combine_under_deadlines_is_audited_across_schedules() {
     // abandon path while competitors' settle passes race the eliminations.
     let deadlines = [None, Some(1_000u64)];
     let algos = [
-        AlgoKind::Wfl { kappa: 4, delays: true, helping: true },
-        AlgoKind::WflCombine { kappa: 4 },
+        AlgoKind::wfl(4),
+        AlgoKind::Wfl { kappa: 4, delays: true, helping: true, combine: true },
     ];
 
     let mut combined_total = 0u64;
@@ -130,7 +130,7 @@ fn combine_under_deadlines_is_audited_across_schedules() {
                         fingerprint(&r),
                         "{label}: replay diverged"
                     );
-                    if matches!(algo, AlgoKind::Wfl { .. }) {
+                    if matches!(algo, AlgoKind::Wfl { combine: false, .. }) {
                         assert_eq!(r.combined_wins, 0, "{label}: plain wfl recorded a combined win");
                     }
                     combined_total += r.combined_wins;
@@ -149,7 +149,7 @@ fn combine_under_deadlines_is_audited_across_schedules() {
 /// audit, and replays bit-identically for the same seed.
 #[test]
 fn wfl_combine_combines_under_plain_random_and_replays() {
-    let combine = AlgoKind::WflCombine { kappa: 4 };
+    let combine = AlgoKind::Wfl { kappa: 4, delays: true, helping: true, combine: true };
     let r = run_cell(combine, SchedKind::Random, None, 7);
     audit("wfl+combine/Random", &r, 80);
     assert!(r.combined_wins > 0, "combining never fired under plain Random");
@@ -186,7 +186,8 @@ fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
     let mut combined_total = 0u64;
     let mut abort_total = 0u64;
     for seed in 1u64..=4 {
-        let r = run_cell_cs(AlgoKind::WflCombine { kappa }, sched, Some(t0 + 10), seed, cs_work);
+        let combine = AlgoKind::Wfl { kappa, delays: true, helping: true, combine: true };
+        let r = run_cell_cs(combine, sched, Some(t0 + 10), seed, cs_work);
         audit(&format!("faulted-combining seed {seed}"), &r, 80);
         combined_total += r.combined_wins;
         abort_total += r.aborts;

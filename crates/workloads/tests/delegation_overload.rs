@@ -66,7 +66,7 @@ fn goodput(r: &HarnessReport) -> f64 {
 #[test]
 fn combiner_freeze_collapses_delegation_but_not_wfl_combine() {
     let rounds = 150;
-    let combine = AlgoKind::WflCombine { kappa: 3 };
+    let combine = AlgoKind::Wfl { kappa: 3, delays: true, helping: true, combine: true };
     let fault_free = run_cell(combine, false, rounds);
     let faulted = run_cell(combine, true, rounds);
     assert_eq!(faulted.aborts, 0, "wfl+combine blew a deadline under freezes");
@@ -108,7 +108,7 @@ fn combiner_freeze_collapses_delegation_but_not_wfl_combine() {
 /// audit clean and no deadline blows even without the combine bit.
 #[test]
 fn plain_wfl_survives_freezes_without_aborts() {
-    let algo = AlgoKind::Wfl { kappa: 3, delays: true, helping: true };
+    let algo = AlgoKind::wfl(3);
     let r = run_cell(algo, true, 150);
     assert_eq!(r.aborts, 0, "wfl blew a deadline under freezes");
     assert_eq!(r.combined_wins, 0, "plain wfl cannot combine");
@@ -122,7 +122,7 @@ fn plain_wfl_survives_freezes_without_aborts() {
 fn real_fault_injector_keeps_roster_safe() {
     let threads = 2usize;
     for algo in [
-        AlgoKind::WflCombine { kappa: 2 },
+        AlgoKind::Wfl { kappa: 2, delays: true, helping: true, combine: true },
         AlgoKind::FlatCombining,
         AlgoKind::CcSynch,
     ] {

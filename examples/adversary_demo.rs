@@ -124,7 +124,7 @@ fn real_part() {
     spec.strength = AdvStrength::Flood;
     spec.victim_period = 400;
     let mode = ExecMode::real_timed(Duration::from_millis(100)).with_epoch_rounds(64);
-    let algo = AlgoKind::Wfl { kappa: nprocs, delays: true, helping: true };
+    let algo = AlgoKind::wfl(nprocs);
     let report = run_adversary(&spec, algo, &mode);
     assert!(report.safety_ok, "counter safety violated");
 

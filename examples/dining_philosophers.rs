@@ -14,7 +14,7 @@ fn main() {
     println!("n philosophers | attempts | success rate | mean steps | max steps | fair share");
     println!("---------------|----------|--------------|------------|-----------|-----------");
     for n in [3usize, 5, 8, 16] {
-        let algo = AlgoKind::Wfl { kappa: 2, delays: true, helping: true };
+        let algo = AlgoKind::wfl(2);
         let mode = ExecMode::sim(SchedKind::Random, 600_000_000);
         let report = run_philosophers(n, 40, 7, algo, 1 << 24, &mode);
         assert!(report.safety_ok, "meal counters diverged");
@@ -23,7 +23,7 @@ fn main() {
             "{:>14} | {:>8} | {:>11.3} | {:>10.1} | {:>9} | every philosopher ate >= {} times",
             n,
             report.attempts,
-            report.success.rate(),
+            report.success().rate(),
             report.steps.mean(),
             report.steps.max(),
             min_wins,

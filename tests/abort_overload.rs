@@ -75,7 +75,7 @@ fn abort_help_race_survives_schedule_sweep() {
     // and a comfortable attempt, and loose enough that only freezes bite.
     let deadlines = [500u64, 1_500, 6_000];
     let algos = [
-        AlgoKind::Wfl { kappa: 3, delays: true, helping: true },
+        AlgoKind::wfl(3),
         AlgoKind::WflUnknown,
     ];
     for (si, sched) in scheds.into_iter().enumerate() {
@@ -100,7 +100,7 @@ fn abort_help_race_survives_schedule_sweep() {
 #[test]
 fn faulted_deadline_cells_replay_identically() {
     let sched = SchedKind::RandomFaults { period: 40_000, quantum: 30_000 };
-    let algo = AlgoKind::Wfl { kappa: 3, delays: true, helping: true };
+    let algo = AlgoKind::wfl(3);
     let run = || {
         let mode = ExecMode::sim(sched, 2_000_000_000).with_deadline_steps(1_500);
         run_random_conflict(&spec(11), algo, &mode)

@@ -92,7 +92,7 @@ fn sim_replay_is_layout_invariant_across_epochs() {
         spec.seed = 99;
         spec.layout = layout;
         let mode = ExecMode::sim(SchedKind::Bursty(13), 400_000_000).with_epoch_rounds(7);
-        let algo = AlgoKind::Wfl { kappa: 4, delays: true, helping: true };
+        let algo = AlgoKind::wfl(4);
         let r = run_random_conflict(&spec, algo, &mode);
         assert!(r.safety_ok, "{}: counter invariant broken", layout.label());
         assert_eq!(r.epochs, 4, "24 rounds at 7/epoch");
@@ -124,7 +124,7 @@ fn sharded_bank_real_history_is_set_regular() {
     // precedence.
     let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
         .with_epoch_rounds(6);
-    let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true };
+    let algo = AlgoKind::Wfl { kappa: 3, delays: false, helping: true, combine: false };
     let (r, win_tokens) = run_bank_recorded(3, ACCOUNTS, 18, 100, 23, algo, 1 << 22, &mode);
     assert!(r.safety_ok, "bank conservation failed on the sharded layout");
     assert_eq!(r.epochs, 3, "the run must cross multiple epoch re-rootings");
@@ -170,7 +170,7 @@ fn sharded_adversary_holder_sequences_are_exclusive() {
     spec.record = true;
     let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
         .with_epoch_rounds(8);
-    let r = run_adversary(&spec, AlgoKind::Wfl { kappa: 3, delays: true, helping: true }, &mode);
+    let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
     assert!(r.safety_ok, "per-epoch win counters diverged on the sharded layout");
     assert_eq!(r.epochs, 3, "24 rounds at 8/epoch");
     assert_eq!(r.holder_logs.len(), 3, "one holder log per recorded epoch");

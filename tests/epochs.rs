@@ -50,7 +50,7 @@ proptest! {
         nprocs in 2usize..4,
     ) {
         let total = 8usize;
-        let algo = AlgoKind::Wfl { kappa: nprocs, delays: false, helping: true };
+        let algo = AlgoKind::Wfl { kappa: nprocs, delays: false, helping: true, combine: false };
         let mode = ExecMode::sim(sched_for(sched_kind), 200_000_000)
             .with_epoch_rounds(epoch_rounds);
         let expect_epochs = total.div_ceil(epoch_rounds.min(total)) as u64;
@@ -133,6 +133,7 @@ fn bank_real_history_first_epoch_is_set_regular() {
             kappa: 3,
             delays: false,
             helping: true,
+            combine: false,
         }, 1 << 22, &mode);
     assert!(r.safety_ok, "bank conservation failed");
     assert_eq!(r.epochs, 2, "two epochs: history must cover only the first");

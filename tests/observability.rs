@@ -37,10 +37,6 @@ fn spec(nprocs: usize, rounds: usize) -> SimSpec {
     spec
 }
 
-fn wfl(nprocs: usize) -> AlgoKind {
-    AlgoKind::Wfl { kappa: nprocs.max(2), delays: true, helping: true }
-}
-
 /// A faulted, deadline-armed sim cell — the densest event mix we have
 /// (attempt phases, aborts, give-ups, rescues, fault windows).
 fn run_faulted(record: bool) -> HarnessReport {
@@ -48,7 +44,7 @@ fn run_faulted(record: bool) -> HarnessReport {
     if record {
         mode = mode.with_recorder();
     }
-    let r = run_random_conflict(&spec(3, 50), wfl(3), &mode);
+    let r = run_random_conflict(&spec(3, 50), AlgoKind::wfl(3), &mode);
     assert!(r.safety_ok);
     r
 }
@@ -61,7 +57,7 @@ fn sim_trace_is_deterministic() {
             let mode = ExecMode::sim(sched, 2_000_000_000)
                 .with_deadline_steps(TIGHT)
                 .with_recorder();
-            let r = run_random_conflict(&spec(3, 40), wfl(3), &mode);
+            let r = run_random_conflict(&spec(3, 40), AlgoKind::wfl(3), &mode);
             assert!(r.safety_ok);
             r.trace.expect("recorded run carries a trace")
         };
