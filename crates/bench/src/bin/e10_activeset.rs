@@ -6,9 +6,10 @@
 
 use wfl_bench::{header, row, verdict};
 use wfl_activeset::ActiveSet;
+use wfl_obs::FixedHistogram;
 use wfl_runtime::schedule::SeededRandom;
 use wfl_runtime::sim::SimBuilder;
-use wfl_runtime::stats::{loglog_slope, Summary};
+use wfl_runtime::stats::loglog_slope;
 use wfl_runtime::{Ctx, Heap};
 
 fn main() {
@@ -44,13 +45,13 @@ fn main() {
             })
             .run();
         report.assert_clean();
-        let mut ins = Summary::new();
-        let mut get = Summary::new();
-        let mut rem = Summary::new();
+        let mut ins = FixedHistogram::new();
+        let mut get = FixedHistogram::new();
+        let mut rem = FixedHistogram::new();
         for i in 0..(kappa * rounds) as u32 {
-            ins.push(heap.peek(out.off(i * 3)));
-            get.push(heap.peek(out.off(i * 3 + 1)));
-            rem.push(heap.peek(out.off(i * 3 + 2)));
+            ins.record(heap.peek(out.off(i * 3)));
+            get.record(heap.peek(out.off(i * 3 + 1)));
+            rem.record(heap.peek(out.off(i * 3 + 2)));
         }
         points.push((kappa as f64, ins.mean()));
         row(&[

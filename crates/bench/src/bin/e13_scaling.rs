@@ -49,7 +49,6 @@
 
 use std::fmt::Write as _;
 use wfl_core::SpaceLayout;
-use wfl_runtime::stats::Summary;
 use wfl_runtime::{available_parallelism, Placement};
 use wfl_workloads::harness::{
     run_philosophers, run_random_conflict, AlgoKind, ExecMode, HarnessReport, SimSpec,
@@ -151,11 +150,16 @@ fn run_layout_cell(
     best.expect("at least one repeat")
 }
 
-/// The 99% confidence interval, mean ± 2.58·sd/√n, for the mean of
-/// per-repeat ratios held in parts per million.
-fn ci_99(ratios_ppm: &Summary) -> (f64, f64) {
-    let half = 2.58 * ratios_ppm.stddev() / (ratios_ppm.len() as f64).sqrt();
-    ((ratios_ppm.mean() - half) / 1e6, (ratios_ppm.mean() + half) / 1e6)
+/// The 99% confidence interval, mean ± 2.58·sd/√n (sample standard
+/// deviation, 0 for one repeat), for the mean of per-repeat ratios held
+/// in parts per million.
+fn ci_99(ratios_ppm: &[u64]) -> (f64, f64) {
+    let n = ratios_ppm.len() as f64;
+    let mean = ratios_ppm.iter().map(|&x| x as f64).sum::<f64>() / n;
+    let sq_dev: f64 = ratios_ppm.iter().map(|&x| (x as f64 - mean).powi(2)).sum();
+    let var = sq_dev / (n - 1.0).max(1.0);
+    let half = 2.58 * var.sqrt() / n.sqrt();
+    ((mean - half) / 1e6, (mean + half) / 1e6)
 }
 
 /// A smoke gate's verdict on "the ratio reaches `threshold`", given the
@@ -349,7 +353,7 @@ fn main() {
             let mut padded: Option<Sample> = None;
             let mut packed_tot = (0u64, 0f64);
             let mut padded_tot = (0u64, 0f64);
-            let mut ratios_ppm = Summary::new();
+            let mut ratios_ppm = Vec::with_capacity(layout_repeats);
             for i in 0..layout_repeats {
                 let one = |layout, tot: &mut (u64, f64), best: &mut Option<Sample>| {
                     let s = run_layout_cell(algo, layout, threads, layout_attempts, 1);

@@ -60,6 +60,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_bench::{header, row, verdict};
 use wfl_fairness::jain_index;
+use wfl_obs::MetricsSnapshot;
 use wfl_runtime::real::{FaultSpec, RealConfig};
 use wfl_runtime::{available_parallelism, clamp_threads};
 use wfl_workloads::harness::{
@@ -132,12 +133,11 @@ struct Cell {
     jain: f64,
     /// `combined_wins / wins` (0 when nothing won).
     combined_share: f64,
-    abort_p99: u64,
 }
 
 impl Cell {
     fn from_report(report: HarnessReport) -> Cell {
-        let steps_total = report.steps.mean() * report.steps.len() as f64;
+        let steps_total = report.steps.sum() as f64;
         let goodput =
             if steps_total > 0.0 { 1000.0 * report.wins as f64 / steps_total } else { 0.0 };
         let wins_per_sec = report.wins_per_sec().unwrap_or(0.0);
@@ -148,8 +148,7 @@ impl Cell {
         } else {
             0.0
         };
-        let abort_p99 = report.abort_steps.percentile(0.99);
-        Cell { report, goodput, wins_per_sec, jain, combined_share, abort_p99 }
+        Cell { report, goodput, wins_per_sec, jain, combined_share }
     }
 }
 
@@ -234,30 +233,8 @@ fn run_real_fault(algo: AlgoKind, threads: usize, attempts: usize, faulted: bool
     Cell::from_report(r)
 }
 
-/// The combine batch-size histogram as a JSON object: batch size (peers
-/// per combining winner) -> number of batches.
-fn batch_hist_json(r: &HarnessReport) -> String {
-    let mut counts: Vec<u64> = Vec::new();
-    for &s in r.combine_batch.samples() {
-        let i = s as usize;
-        if counts.len() <= i {
-            counts.resize(i + 1, 0);
-        }
-        counts[i] += 1;
-    }
-    let body: Vec<String> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(size, &c)| format!("\"{size}\": {c}"))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// One JSON row: experiment-specific fields (the exact-percentile abort
-/// latency keeps its own `abort_p99` key — the uniform block's
-/// `abort_p99_steps` is the fixed-bucket fold), then the uniform
-/// metrics block.
+/// One JSON row: experiment-specific fields (the abort p99 is the uniform
+/// block's `abort_p99_steps`), then the uniform metrics block.
 #[allow(clippy::too_many_arguments)]
 fn json_cell(
     rows: &mut wfl_bench::Rows,
@@ -279,13 +256,14 @@ fn json_cell(
             ("threads", threads.to_string()),
             ("faulted", faulted.to_string()),
             ("combined_share", format!("{:.4}", c.combined_share)),
-            ("combine_batches", r.combine_batch.len().to_string()),
+            ("combine_batches", r.combine_batch.count().to_string()),
             ("combine_batch_mean", format!("{:.3}", r.combine_batch.mean())),
             ("combine_batch_max", r.combine_batch.max().to_string()),
-            ("combine_batch_hist", batch_hist_json(r)),
+            // Batch size (peers per combining winner) -> batches; sizes
+            // stay below 64, where the histogram is exact.
+            ("combine_batch_hist", MetricsSnapshot::hist_json(&r.combine_batch)),
             ("goodput_wins_per_kstep", format!("{:.4}", c.goodput)),
             ("jain", format!("{:.4}", c.jain)),
-            ("abort_p99", c.abort_p99.to_string()),
         ],
         &r.metrics(),
     );
@@ -341,7 +319,7 @@ fn main() {
              {} batches (mean {:.2}, max {}) {}",
             c.report.combined_wins,
             c.report.wins,
-            c.report.combine_batch.len(),
+            c.report.combine_batch.count(),
             c.report.combine_batch.mean(),
             c.report.combine_batch.max(),
             verdict(!c.report.combine_batch.is_empty())
@@ -372,9 +350,10 @@ fn main() {
             let c =
                 run_sim_overload(algo, fault_threads, overload_rounds(algo, smoke), faulted, false);
             pair[faulted as usize] = c.goodput;
+            let p99 = c.report.abort_steps.percentile(0.99);
             if faulted {
                 faulted_aborts = c.report.aborts;
-                faulted_p99 = c.abort_p99;
+                faulted_p99 = p99;
             }
             row(&[
                 algo.label().to_string(),
@@ -383,16 +362,15 @@ fn main() {
                 format!("{}/{}", c.report.wins, c.report.attempts),
                 format!("{}", c.report.aborts),
                 format!("{}", c.report.combined_wins),
-                format!("{}", c.abort_p99),
+                format!("{p99}"),
                 format!("{:.3}", c.jain),
             ]);
             // Gate (d): combining keeps the abort SLO honest.
             if matches!(algo, AlgoKind::Wfl { combine: true, .. }) && c.report.aborts >= 20 {
-                let ok = c.abort_p99 <= 2 * slo(fault_threads);
+                let ok = p99 <= 2 * slo(fault_threads);
                 if !ok {
                     println!(
-                        "GATE abort-latency: wfl+combine faults={faulted}: p99 {} > 2x SLO",
-                        c.abort_p99
+                        "GATE abort-latency: wfl+combine faults={faulted}: p99 {p99} > 2x SLO"
                     );
                 }
                 gates_ok &= ok;
@@ -508,7 +486,7 @@ fn main() {
                 threads.to_string(),
                 format!("{:.0}", c.wins_per_sec),
                 format!("{:.3}", c.combined_share),
-                format!("{}", c.report.combine_batch.len()),
+                format!("{}", c.report.combine_batch.count()),
                 format!("{:.3}", c.jain),
             ]);
             json_cell(&mut rows, "closed_loop", "real", algo.label(), threads, false, &c);

@@ -5,9 +5,9 @@
 use wfl_bench::{header, row};
 use wfl_core::{lock_and_run, LockConfig, LockId, LockSpace, Scratch, TryLockRequest};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
+use wfl_obs::FixedHistogram;
 use wfl_runtime::schedule::SeededRandom;
 use wfl_runtime::sim::SimBuilder;
-use wfl_runtime::stats::Summary;
 use wfl_runtime::{Addr, Ctx, Heap};
 
 struct Touch;
@@ -73,11 +73,11 @@ fn main() {
             })
             .run();
         report.assert_clean();
-        let mut attempts = Summary::new();
-        let mut steps = Summary::new();
+        let mut attempts = FixedHistogram::new();
+        let mut steps = FixedHistogram::new();
         for i in 0..(kappa * rounds) as u32 {
-            attempts.push(heap.peek(attempts_out.off(i)));
-            steps.push(heap.peek(steps_out.off(i)));
+            attempts.record(heap.peek(attempts_out.off(i)));
+            steps.record(heap.peek(steps_out.off(i)));
         }
         // Wait-freedom means every lock_and_run returned; the counter must
         // equal the total number of acquisitions.
@@ -90,7 +90,7 @@ fn main() {
         let ok = attempts.mean() <= bound;
         row(&[
             kappa.to_string(),
-            attempts.len().to_string(),
+            attempts.count().to_string(),
             format!("{:.2}", attempts.mean()),
             attempts.percentile(0.99).to_string(),
             format!("{bound:.0}"),

@@ -41,8 +41,8 @@ pub fn verdict(ok: bool) -> &'static str {
 /// (workload/algo/backend labels), its pre-rendered `raw` JSON fields
 /// (experiment-specific numbers, arrays, nested objects), and then the
 /// **uniform metrics block** rendered from a [`MetricsSnapshot`] —
-/// counters, per-reason `give_up` tallies, fixed-bucket step
-/// percentiles, and the calibrated `steps_per_sec` / `wins_per_sec`
+/// counters, per-reason `give_up` tallies, step percentiles (within
+/// 1/32 of exact), and the calibrated `steps_per_sec` / `wins_per_sec`
 /// rates (JSON `null` on sim rows, which have no wall clock). The
 /// uniform block is what makes every row comparable across experiments.
 #[derive(Default)]

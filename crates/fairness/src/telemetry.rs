@@ -1,14 +1,9 @@
 //! Allocation-free, fixed-bucket fairness telemetry.
 //!
 //! The fairness experiments need per-attempt statistics from inside
-//! free-running attempt loops, where a `Vec`-backed
-//! [`wfl_runtime::stats::Summary`] would put an allocation on the hot path
-//! and unbounded memory on a soak. Everything here is fixed-size:
+//! free-running attempt loops, so everything here is fixed-size: no
+//! allocation on the hot path and no growth on a soak.
 //!
-//! * [`FixedHistogram`] — power-of-two buckets over `u64` samples,
-//!   re-exported from `wfl_obs` (one implementation shared with the
-//!   flight recorder's metric snapshots). Recording is O(1) with no
-//!   allocation and merging conserves counts exactly.
 //! * [`ProcTelemetry`] — one process's fairness view: attempts, wins, a
 //!   try-count histogram (attempts needed per successful acquisition), an
 //!   acquisition-latency histogram (own steps from the first try of an
@@ -18,12 +13,8 @@
 //!   standard scalar for "how evenly is success distributed"; it is `1`
 //!   for perfect equality and `1/n` when one process takes everything.
 
+use wfl_obs::FixedHistogram;
 use wfl_runtime::stats::Bernoulli;
-
-/// The shared fixed-bucket histogram, now owned by `wfl_obs` so the
-/// flight recorder's metric snapshots and the fairness telemetry use one
-/// implementation. Re-exported here unchanged for existing callers.
-pub use wfl_obs::{FixedHistogram, BUCKETS};
 
 /// One process's fairness telemetry (see module docs). Recording is
 /// allocation-free; fold per-epoch instances into a cumulative one with

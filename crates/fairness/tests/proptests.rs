@@ -1,9 +1,11 @@
 //! Property tests over the telemetry math: histogram bucket edges, count
-//! conservation under the epoch-boundary merge, Jain-index bounds, and
-//! per-process telemetry bookkeeping.
+//! conservation under the epoch-boundary merge, the percentile error bound
+//! against exact sorted samples, Jain-index bounds, and per-process
+//! telemetry bookkeeping.
 
 use proptest::prelude::*;
-use wfl_fairness::{jain_index, FixedHistogram, ProcTelemetry, BUCKETS};
+use wfl_fairness::{jain_index, ProcTelemetry};
+use wfl_obs::{FixedHistogram, BUCKETS};
 
 /// A deterministic pseudo-random sample stream from a seed (the shim's
 /// strategies only draw scalars; streams are derived here).
@@ -31,6 +33,8 @@ proptest! {
 
     /// Bucket edges are strictly monotone and partition `u64`: every value
     /// lands in exactly the bucket whose `[lo, hi]` range contains it.
+    /// Buckets below 64 are one value wide; every other bucket is at most
+    /// 1/32 of its lower edge wide.
     #[test]
     fn bucket_edges_monotone_and_containing(seed in 0u64..1_000_000) {
         for (i, v) in stream(seed, 64).into_iter().enumerate() {
@@ -40,8 +44,14 @@ proptest! {
             prop_assert!(v <= FixedHistogram::bucket_hi(b), "v {v} above bucket {b}");
             if i == 0 {
                 for j in 1..BUCKETS {
-                    prop_assert!(FixedHistogram::bucket_hi(j - 1) < FixedHistogram::bucket_lo(j));
-                    prop_assert!(FixedHistogram::bucket_lo(j) <= FixedHistogram::bucket_hi(j));
+                    let (lo, hi) = (FixedHistogram::bucket_lo(j), FixedHistogram::bucket_hi(j));
+                    prop_assert!(FixedHistogram::bucket_hi(j - 1) < lo);
+                    prop_assert!(lo <= hi);
+                    if lo < 64 {
+                        prop_assert_eq!(lo, hi, "bucket {} below 64 is not unit-width", j);
+                    } else {
+                        prop_assert!(hi - lo <= lo / 32, "bucket {} [{}, {}] too wide", j, lo, hi);
+                    }
                 }
             }
         }
@@ -49,7 +59,9 @@ proptest! {
 
     /// Merging conserves counts exactly: every bucket, the total, the sum
     /// and the max of a merge equal what recording both streams into one
-    /// histogram would have produced.
+    /// histogram would have produced. Every percentile of the merge reads
+    /// the exact nearest-rank value `v` of the sorted samples, or at most
+    /// `v/32` above it, and exactly `v` below 64.
     #[test]
     fn merge_conserves_counts(
         seed_a in 0u64..1_000_000,
@@ -70,13 +82,22 @@ proptest! {
         for i in 0..BUCKETS {
             prop_assert_eq!(a.bucket_count(i), both.bucket_count(i), "bucket {}", i);
         }
-        // Percentiles stay monotone and inside the recorded range.
+        let mut sorted: Vec<u64> = xs.iter().chain(&ys).copied().collect();
+        sorted.sort_unstable();
         let mut prev = 0u64;
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             let p = a.percentile(q);
             prop_assert!(p >= prev, "percentile not monotone at q={}", q);
             prop_assert!(p <= a.max());
             prev = p;
+            if let Some(last) = sorted.len().checked_sub(1) {
+                let v = sorted[(last as f64 * q).round() as usize];
+                let within = v <= p && p <= v.saturating_add(v / 32);
+                prop_assert!(within, "q={}: exact {} read as {}", q, v, p);
+                if v < 64 {
+                    prop_assert_eq!(p, v, "q={} below 64 must be exact", q);
+                }
+            }
         }
     }
 

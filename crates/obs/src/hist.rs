@@ -1,21 +1,27 @@
-//! The fixed-bucket power-of-two histogram.
+//! The fixed-size log-linear histogram: the workspace's one percentile
+//! engine.
 //!
-//! Moved here from `wfl_fairness::telemetry` (which re-exports it
-//! unchanged) so the recorder's metric snapshots, the fairness
-//! subsystem, and the benchmark serializers share one implementation.
-//! Everything is fixed-size: recording is O(1) with no allocation, and
-//! two histograms [`FixedHistogram::merge`] by adding counts — the
+//! Values below 64 get a unit-width bucket each, so they are recorded
+//! exactly; above that, every power of two `[2^e, 2^(e+1))` is split into
+//! 32 equal sub-buckets, over the whole `u64` range. A bucket is thus at
+//! most 1/32 of its lower edge wide, and [`FixedHistogram::percentile`]
+//! (the upper edge of the rank's bucket, clamped to the exact maximum)
+//! never reads below the true nearest-rank value nor more than 1/32 above
+//! it. Everything is fixed-size: recording is O(1) with no allocation,
+//! and two histograms [`FixedHistogram::merge`] by adding counts — the
 //! fold-at-the-epoch-boundary pattern — which conserves both the sample
 //! count and the bucket totals exactly.
 
-/// Number of histogram buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
-/// holds values in `[2^(i-1), 2^i)`; the last bucket absorbs everything
-/// above `2^(BUCKETS-2)`.
-pub const BUCKETS: usize = 33;
+/// Sub-buckets per power of two, as a bit count: 32 sub-buckets bound a
+/// bucket's width by 1/32 of its lower edge.
+const SUB_BITS: u32 = 5;
 
-/// A fixed-bucket power-of-two histogram over `u64` samples (see module
-/// docs). `Copy`-free but fixed-size: safe to keep per-process and merge
-/// at epoch boundaries.
+/// Number of histogram buckets: 64 unit-width buckets for 0–63, then 32
+/// per power of two `2^6 ..= 2^63` (1,920 buckets, 15 KiB of counts).
+pub const BUCKETS: usize = 64 + 58 * 32;
+
+/// A fixed-size log-linear histogram over `u64` samples (see module
+/// docs): safe to keep per-process and merge at epoch boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedHistogram {
     counts: [u64; BUCKETS],
@@ -36,34 +42,31 @@ impl FixedHistogram {
         FixedHistogram::default()
     }
 
-    /// The bucket index a value lands in.
+    /// The bucket index a value lands in: a value of bit length `n > 6`
+    /// drops its low `n - 6` bits, keeping a 6-bit mantissa in `[32, 64)`.
     #[inline]
     pub fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            ((64 - v.leading_zeros()) as usize).min(BUCKETS - 1)
-        }
+        let shift = (64 - v.leading_zeros()).saturating_sub(SUB_BITS + 1);
+        ((shift as usize) << SUB_BITS) + (v >> shift) as usize
+    }
+
+    /// `(inclusive lower edge, width)` of bucket `i`: the inverse of
+    /// [`FixedHistogram::bucket_of`].
+    fn edges(i: usize) -> (u64, u64) {
+        let shift = ((i >> SUB_BITS) as u32).saturating_sub(1);
+        let mantissa = (i - ((shift as usize) << SUB_BITS)) as u64;
+        (mantissa << shift, 1 << shift)
     }
 
     /// Inclusive lower edge of bucket `i`.
     pub fn bucket_lo(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
+        Self::edges(i).0
     }
 
-    /// Inclusive upper edge of bucket `i` (saturating for the last bucket).
+    /// Inclusive upper edge of bucket `i` (`u64::MAX` for the last one).
     pub fn bucket_hi(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= BUCKETS - 1 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
+        let (lo, width) = Self::edges(i);
+        lo + (width - 1)
     }
 
     /// Records one sample (O(1), allocation-free).
@@ -122,9 +125,9 @@ impl FixedHistogram {
     }
 
     /// Nearest-rank `q`-quantile **upper bound**: the upper edge of the
-    /// bucket holding the rank, clamped to the recorded maximum (so `q =
-    /// 1` returns a value `>=` the true max's bucket resolution, never
-    /// `u64::MAX` noise). 0 if empty.
+    /// bucket holding the rank, clamped to the recorded maximum. Exact
+    /// below 64 and for `q = 1`; otherwise at most 1/32 above the true
+    /// value. 0 if empty.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -147,11 +150,14 @@ mod tests {
 
     #[test]
     fn bucket_edges_are_monotone_and_cover() {
+        assert_eq!(BUCKETS, 1920);
+        assert_eq!(FixedHistogram::bucket_lo(0), 0);
         for i in 1..BUCKETS {
-            assert!(FixedHistogram::bucket_lo(i) > FixedHistogram::bucket_hi(i - 1));
+            assert_eq!(FixedHistogram::bucket_lo(i), FixedHistogram::bucket_hi(i - 1) + 1, "{i}");
             assert!(FixedHistogram::bucket_lo(i) <= FixedHistogram::bucket_hi(i));
         }
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
+        assert_eq!(FixedHistogram::bucket_hi(BUCKETS - 1), u64::MAX);
+        for v in [0u64, 1, 63, 64, 65, 66, 127, 128, 1023, 1024, 12_602, u64::MAX] {
             let b = FixedHistogram::bucket_of(v);
             assert!(FixedHistogram::bucket_lo(b) <= v && v <= FixedHistogram::bucket_hi(b), "{v}");
         }

@@ -56,8 +56,9 @@ impl MetricsSnapshot {
         format!("{{{}}}", body.join(", "))
     }
 
-    /// A histogram as a sparse JSON object keyed by bucket lower edge.
-    fn hist_json(h: &FixedHistogram) -> String {
+    /// A histogram as a sparse JSON object keyed by bucket lower edge
+    /// (below 64 the key is the value itself).
+    pub fn hist_json(h: &FixedHistogram) -> String {
         let mut body = Vec::new();
         for i in 0..BUCKETS {
             let c = h.bucket_count(i);
@@ -148,7 +149,7 @@ mod tests {
         assert_eq!(v.get("delay_overruns").unwrap().as_num(), Some(0.0));
         assert_eq!(v.get("give_up").unwrap().get("deadline").unwrap().as_num(), Some(2.0));
         assert_eq!(v.get("steps").unwrap().get("count").unwrap().as_num(), Some(4.0));
-        assert!(v.get("steps").unwrap().get("buckets").unwrap().get("8").is_some());
+        assert!(v.get("steps").unwrap().get("buckets").unwrap().get("10").is_some());
         assert_eq!(v.get("steps_per_sec").unwrap().as_num(), Some(1.25e6));
         // A sim-style snapshot serializes rates as nulls.
         let sim = MetricsSnapshot::default();

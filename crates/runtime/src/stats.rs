@@ -1,103 +1,7 @@
-//! Small statistics helpers for the experiment harness: summaries,
-//! percentiles, confidence bounds, and log-log exponent fitting (used to
-//! check that measured step curves grow no faster than the theorem
-//! exponents).
-
-use std::sync::OnceLock;
-
-/// Streaming summary of a sequence of `u64` samples.
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    samples: Vec<u64>,
-    /// Sorted copy of `samples`, built lazily on the first percentile query
-    /// and reused by subsequent ones (the bench binaries ask for several
-    /// percentiles per configuration). Invalidated by `push`.
-    sorted: OnceLock<Vec<u64>>,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Summary {
-        Summary::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: u64) {
-        self.samples.push(x);
-        if self.sorted.get().is_some() {
-            self.sorted = OnceLock::new();
-        }
-    }
-
-    /// Appends every sample of `other` (used by the epoch harness to fold
-    /// per-epoch summaries into a whole-run summary). Invalidates the
-    /// cached sorted copy like [`Summary::push`].
-    pub fn merge(&mut self, other: &Summary) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = OnceLock::new();
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The raw samples, in insertion order (the bench binaries re-bucket
-    /// them into histograms with workload-specific bucket edges).
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|&x| x as f64).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Maximum sample (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Minimum sample (0 if empty).
-    pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank. The samples are sorted
-    /// once on the first query and the sorted copy is cached, so repeated
-    /// percentile calls cost O(1) sorts total rather than one sort each.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let v = self.sorted.get_or_init(|| {
-            let mut v = self.samples.clone();
-            v.sort_unstable();
-            v
-        });
-        let rank = ((v.len() as f64 - 1.0) * q).round() as usize;
-        v[rank.min(v.len() - 1)]
-    }
-
-    /// Sample standard deviation (0 if fewer than 2 samples).
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-}
+//! Small statistics helpers for the experiment harness: confidence bounds
+//! and log-log exponent fitting (used to check that measured step curves
+//! grow no faster than the theorem exponents). Percentiles live in
+//! `wfl_obs::FixedHistogram`.
 
 /// A Bernoulli success-rate estimate with a Wilson score lower bound,
 /// used to compare empirical success probabilities against the paper's
@@ -173,71 +77,6 @@ pub fn table_row(cells: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let mut s = Summary::new();
-        for x in [4u64, 1, 9, 16, 25] {
-            s.push(x);
-        }
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.max(), 25);
-        assert_eq!(s.min(), 1);
-        assert!((s.mean() - 11.0).abs() < 1e-9);
-        assert_eq!(s.percentile(0.5), 9);
-        assert_eq!(s.percentile(1.0), 25);
-        assert!(s.stddev() > 0.0);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroes() {
-        let s = Summary::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.max(), 0);
-        assert_eq!(s.percentile(0.9), 0);
-    }
-
-    #[test]
-    fn repeated_percentile_calls_agree_and_survive_pushes() {
-        let mut s = Summary::new();
-        for x in [9u64, 1, 7, 3, 5] {
-            s.push(x);
-        }
-        // Repeated queries hit the cached sorted copy and must agree with
-        // each other (and with the nearest-rank definition).
-        for _ in 0..3 {
-            assert_eq!(s.percentile(0.0), 1);
-            assert_eq!(s.percentile(0.5), 5);
-            assert_eq!(s.percentile(1.0), 9);
-        }
-        // A push after a query must invalidate the cache.
-        s.push(100);
-        assert_eq!(s.percentile(1.0), 100);
-        assert_eq!(s.percentile(0.0), 1);
-        // Cloned summaries answer identically.
-        let c = s.clone();
-        assert_eq!(c.percentile(0.5), s.percentile(0.5));
-    }
-
-    #[test]
-    fn merge_concatenates_samples_and_invalidates_cache() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for x in [1u64, 3, 5] {
-            a.push(x);
-        }
-        for x in [2u64, 100] {
-            b.push(x);
-        }
-        assert_eq!(a.percentile(1.0), 5, "prime the sorted cache");
-        a.merge(&b);
-        assert_eq!(a.len(), 5);
-        assert_eq!(a.percentile(1.0), 100, "merge must invalidate the cache");
-        assert_eq!(a.min(), 1);
-        a.merge(&Summary::new());
-        assert_eq!(a.len(), 5, "merging an empty summary is a no-op");
-    }
 
     #[test]
     fn bernoulli_wilson_bound_is_below_rate() {

@@ -214,7 +214,7 @@ mod tests {
         assert!(r.combined_wins <= r.wins);
         // Each combined win was granted by exactly one batch sample peer.
         assert!(
-            r.combine_batch.len() as u64 <= r.combined_wins.max(r.wins),
+            r.combine_batch.count() <= r.combined_wins.max(r.wins),
             "more batches than winners"
         );
     }
@@ -412,7 +412,7 @@ mod tests {
             );
             assert_eq!(r.per_pid.iter().map(|p| p.1).sum::<u64>(), 30);
             assert_eq!(r.per_pid.iter().map(|p| p.0).sum::<u64>(), r.wins);
-            assert_eq!(r.steps.len() as u64, r.attempts, "one step sample per attempt");
+            assert_eq!(r.steps.count(), r.attempts, "one step sample per attempt");
         }
     }
 

@@ -5,7 +5,8 @@
 use std::time::Duration;
 use wfl_baselines::AttemptOutcome;
 use wfl_core::GiveUp;
-use wfl_runtime::stats::{Bernoulli, Summary};
+use wfl_obs::FixedHistogram;
+use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, Ctx, Heap, History};
 
 /// Results of a harness run, aggregated across every epoch.
@@ -17,7 +18,7 @@ pub struct HarnessReport {
     /// Total successful attempts.
     pub wins: u64,
     /// Per-attempt own-step counts.
-    pub steps: Summary,
+    pub steps: FixedHistogram,
     /// Per-process (wins, attempts).
     pub per_pid: Vec<(u64, u64)>,
     /// Whether **every epoch's** workload invariant matched its recorded
@@ -33,7 +34,7 @@ pub struct HarnessReport {
     /// Per-attempt own-step counts of the aborted attempts alone — the
     /// abort *latency* distribution (steps from round start to bailing
     /// out). Its tail against the armed budget is E16's abort-p99 gate.
-    pub abort_steps: Summary,
+    pub abort_steps: FixedHistogram,
     /// Wins granted by a combining holder (wfl's [`wfl_core::LockConfig::combine`]
     /// fast path, or a delegation baseline's combiner applying the request)
     /// rather than by the attempt's own competition. A subset of `wins`,
@@ -42,7 +43,7 @@ pub struct HarnessReport {
     /// Batch sizes observed by combining winners: one sample per winner
     /// that applied at least one peer request (the sample is the peer
     /// count). Empty when combining never fired — E17's histogram gate.
-    pub combine_batch: Summary,
+    pub combine_batch: FixedHistogram,
     /// wfl attempts whose real work overran a delay target (`T0` or
     /// `T0 + T1`). Nonzero means the delay budget did not cover the run
     /// (contention above `κ`, or a thunk above its declared step bound)
@@ -130,21 +131,12 @@ impl HarnessReport {
 
     /// Folds the report into the uniform [`wfl_obs::MetricsSnapshot`] the
     /// shared `wfl_bench` row writer serializes: counters, per-reason
-    /// give-up tallies under their stable labels, the step summaries
-    /// rebucketed into fixed power-of-two histograms, and the calibrated
-    /// wall-clock rates (real runs only; `steps_per_sec` is total own
-    /// steps over the wall, the number that converts step-denominated
-    /// deadlines into time).
+    /// give-up tallies under their stable labels, the step histograms, and
+    /// the calibrated wall-clock rates (real runs only; `steps_per_sec` is
+    /// total own steps over the wall, the number that converts
+    /// step-denominated deadlines into time).
     pub fn metrics(&self) -> wfl_obs::MetricsSnapshot {
-        let fold = |s: &Summary| {
-            let mut h = wfl_obs::FixedHistogram::default();
-            for &v in s.samples() {
-                h.record(v);
-            }
-            h
-        };
         let wall_secs = self.wall.map(|w| w.as_secs_f64().max(1e-12));
-        let total_steps: u64 = self.steps.samples().iter().sum();
         wfl_obs::MetricsSnapshot {
             attempts: self.attempts,
             wins: self.wins,
@@ -153,14 +145,14 @@ impl HarnessReport {
             combined_wins: self.combined_wins,
             delay_overruns: self.delay_overruns,
             epochs: self.epochs,
-            steps: fold(&self.steps),
-            abort_steps: fold(&self.abort_steps),
+            steps: self.steps.clone(),
+            abort_steps: self.abort_steps.clone(),
             give_up: GiveUp::all()
                 .iter()
                 .map(|g| (g.label(), self.give_up[g.index()]))
                 .collect(),
             wall_secs,
-            steps_per_sec: wall_secs.map(|w| total_steps as f64 / w),
+            steps_per_sec: wall_secs.map(|w| self.steps.sum() as f64 / w),
             wins_per_sec: self.wins_per_sec(),
         }
     }
@@ -303,10 +295,10 @@ impl Outcomes {
                 r.attempts += 1;
                 r.per_pid[pid].1 += 1;
                 let own_steps = heap.peek(self.steps.off(idx));
-                r.steps.push(own_steps);
+                r.steps.record(own_steps);
                 if bits & OUT_ABORTED != 0 {
                     r.aborts += 1;
-                    r.abort_steps.push(own_steps);
+                    r.abort_steps.record(own_steps);
                     let reason = if bits & OUT_STOPPING != 0 { GiveUp::Stop } else { GiveUp::Deadline };
                     r.give_up[reason.index()] += 1;
                 }
@@ -315,7 +307,7 @@ impl Outcomes {
                 r.delay_overruns += u64::from(bits & OUT_OVERRUN != 0);
                 let peers = bits >> OUT_PEERS_SHIFT;
                 if peers > 0 {
-                    r.combine_batch.push(peers);
+                    r.combine_batch.record(peers);
                 }
                 if bits & OUT_WON != 0 {
                     r.wins += 1;
@@ -356,9 +348,9 @@ mod tests {
             *pp = (k + pid as u64, 2 * k + pid as u64);
         }
         for s in 0..k {
-            r.steps.push(100 + s);
-            r.abort_steps.push(50 + s);
-            r.combine_batch.push(1 + s);
+            r.steps.record(100 + s);
+            r.abort_steps.record(50 + s);
+            r.combine_batch.record(1 + s);
         }
         r
     }
@@ -382,9 +374,9 @@ mod tests {
             let (pa, pb) = (a.per_pid[pid], b.per_pid[pid]);
             assert_eq!(run.per_pid[pid], (pa.0 + pb.0, pa.1 + pb.1), "per_pid[{pid}]");
         }
-        assert_eq!(run.steps.len(), a.steps.len() + b.steps.len());
-        assert_eq!(run.abort_steps.len(), a.abort_steps.len() + b.abort_steps.len());
-        assert_eq!(run.combine_batch.len(), a.combine_batch.len() + b.combine_batch.len());
+        assert_eq!(run.steps.count(), a.steps.count() + b.steps.count());
+        assert_eq!(run.abort_steps.count(), a.abort_steps.count() + b.abort_steps.count());
+        assert_eq!(run.combine_batch.count(), a.combine_batch.count() + b.combine_batch.count());
         assert_eq!(run.epochs, 2);
         assert!(run.safety_ok, "true AND true");
         assert_eq!(run.success().successes, run.wins);

@@ -51,7 +51,7 @@ fn run_cell(algo: AlgoKind, faulted: bool, rounds: usize) -> HarnessReport {
 
 /// Wins per own-step across all attempts — the sim goodput metric.
 fn goodput(r: &HarnessReport) -> f64 {
-    let steps_total = r.steps.mean() * r.steps.len() as f64;
+    let steps_total = r.steps.sum() as f64;
     assert!(steps_total > 0.0);
     r.wins as f64 / steps_total
 }

@@ -108,7 +108,7 @@ fn real_threads_epoch_stress_under_contention() {
             r.attempts,
             "{algo:?}: per-pid attempt totals disagree with the aggregate"
         );
-        assert_eq!(r.steps.len() as u64, r.attempts, "{algo:?}: one steps sample per attempt");
+        assert_eq!(r.steps.count(), r.attempts, "{algo:?}: one steps sample per attempt");
         let wall = r.wall.expect("real runs report wall");
         assert!(wall >= budget, "{algo:?}: stopped early at {wall:?}");
     }

@@ -84,7 +84,13 @@ fn recording_does_not_perturb_the_run() {
     assert_eq!(plain.rescues, recorded.rescues);
     assert_eq!(plain.give_up, recorded.give_up);
     assert_eq!(plain.per_pid, recorded.per_pid);
-    assert_eq!(plain.steps.samples(), recorded.steps.samples());
+    assert_eq!(plain.combined_wins, recorded.combined_wins);
+    assert_eq!(plain.delay_overruns, recorded.delay_overruns);
+    assert_eq!(plain.heap_high_water_lanes, recorded.heap_high_water_lanes);
+    // Whole-histogram equality: every bucket, the count, the exact sum
+    // and the exact max.
+    assert_eq!(plain.steps, recorded.steps);
+    assert_eq!(plain.abort_steps, recorded.abort_steps);
 }
 
 #[test]
