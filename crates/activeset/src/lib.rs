@@ -37,6 +37,8 @@
 //! report.assert_clean();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod active_set;
 pub mod multi;
 pub mod shard;

@@ -19,6 +19,8 @@
 //! All three implement [`api::LockAlgo`], as does the paper's algorithm via
 //! [`api::WflKnown`], so harnesses and benches can swap algorithms freely.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod blocking;
 pub mod naive;

@@ -3,6 +3,8 @@
 //! Each binary regenerates one theorem-validation table; see `DESIGN.md`
 //! §3 for the experiment index.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use wfl_obs::{escape, MetricsSnapshot};
 use wfl_runtime::stats::Bernoulli;

@@ -59,6 +59,8 @@
 //! assert_eq!(cell::value(heap.peek(counter)), 2); // both critical sections ran exactly once
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod abort;
 pub mod config;
 pub mod descriptor;

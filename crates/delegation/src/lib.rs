@@ -30,6 +30,8 @@
 //!
 //! [`LockAlgo::blocks_under_crash`]: wfl_baselines::LockAlgo::blocks_under_crash
 
+#![forbid(unsafe_code)]
+
 mod ccsynch;
 mod fc;
 

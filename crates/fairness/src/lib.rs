@@ -30,6 +30,8 @@
 //! cells across algorithms × threads × adversary strength and gates CI on
 //! the paper bound.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod telemetry;
 

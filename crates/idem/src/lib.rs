@@ -79,6 +79,8 @@
 //! assert_eq!(cell::value(heap.peek(target)), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod frame;
 pub mod registry;

@@ -23,6 +23,8 @@
 //! `wfl_runtime::real::RealConfig::precise` carry globally ordered
 //! timestamps too, which is what the holder audit consumes.)
 
+#![forbid(unsafe_code)]
+
 pub mod holders;
 pub mod regular;
 pub mod specs;

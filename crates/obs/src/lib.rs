@@ -29,6 +29,8 @@
 //! seed, and enabling the recorder never perturbs the schedule or the
 //! step accounting of the run it observes.
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod hist;
 mod json;

@@ -26,6 +26,14 @@
 //! falls back to the reserve and latches the context's `heap_low` flag so
 //! the caller can end its batch at the next epoch boundary instead of
 //! aborting mid-attempt (see [`HeapExhausted`] and `retry.rs`).
+//!
+//! # Storage
+//!
+//! The words live in one zero-allocated slice, which the system allocator
+//! serves with `calloc`: building a heap writes no word, so it costs the
+//! same at any capacity, and a page is first touched when a run allocates
+//! into it. Word indices are offset by a `skew` of 0–7 words so that every
+//! [`LINE_WORDS`] multiple is a real 64-byte line boundary in memory.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -77,18 +85,6 @@ impl Addr {
 
 /// Words per hardware cache line (64 bytes of `u64`s).
 pub const LINE_WORDS: usize = 8;
-
-/// One cache line of arena words; the explicit alignment is what makes
-/// slab boundaries (multiples of [`LINE_WORDS`]) genuine cache-line
-/// boundaries, so lanes never false-share.
-#[repr(C, align(64))]
-struct Line([AtomicU64; LINE_WORDS]);
-
-impl Line {
-    fn zeroed() -> Line {
-        Line([const { AtomicU64::new(0) }; LINE_WORDS])
-    }
-}
 
 /// Per-lane allocation state, padded to its own cache line so one lane's
 /// bump never invalidates another's.
@@ -209,7 +205,13 @@ pub struct HeapMark {
 /// harness reclaims transient allocations at quiescent points via
 /// [`Heap::mark`] / [`Heap::reset_to`].
 pub struct Heap {
-    lines: Box<[Line]>,
+    /// Zero-allocated storage: `capacity` rounded up to a line, plus
+    /// `LINE_WORDS - 1` words of slack for `skew`.
+    words: Box<[AtomicU64]>,
+    /// Storage words before word index 0, chosen so that `skew + 8k` starts
+    /// a 64-byte line: every [`LINE_WORDS`] multiple of an [`Addr`] is a
+    /// real cache-line boundary, so slabs and lanes never false-share.
+    skew: usize,
     /// Usable words (word indices `0..capacity`; `capacity` may be below
     /// the line-rounded storage).
     capacity: usize,
@@ -240,7 +242,8 @@ impl std::fmt::Debug for Heap {
 impl Heap {
     /// Creates a heap with `capacity` words (all zero), [`DEFAULT_LANES`]
     /// process lanes and an auto-sized slab. Word 0 is reserved as the
-    /// null address.
+    /// null address. Construction cost does not grow with `capacity` (see
+    /// [`Heap::with_lanes`]).
     ///
     /// # Panics
     /// Panics if `capacity` is 0 or exceeds `u32::MAX` words.
@@ -254,6 +257,12 @@ impl Heap {
     /// `slab_words` scales the slab to the arena (at most
     /// [`MAX_SLAB_WORDS`], at least one cache line).
     ///
+    /// The storage comes from `calloc` as untouched, kernel-zeroed pages,
+    /// so construction writes no word. It is a slice of plain 8-byte
+    /// words, not of 64-byte-aligned lines: the system allocator serves a
+    /// zeroed request aligned above 16 bytes as an aligned allocation plus
+    /// a `memset` of every word. Line alignment comes from `skew` instead.
+    ///
     /// # Panics
     /// Panics if `capacity` is 0 or exceeds `u32::MAX` words.
     pub fn with_lanes(capacity: usize, lanes: usize, slab_words: usize) -> Heap {
@@ -262,17 +271,18 @@ impl Heap {
             capacity <= u32::MAX as usize,
             "heap capacity must fit 32-bit addressing"
         );
-        let nlines = capacity.div_ceil(LINE_WORDS);
-        let mut v = Vec::with_capacity(nlines);
-        v.resize_with(nlines, Line::zeroed);
-        let lines = v.into_boxed_slice();
+        let words = zeroed_words(capacity.next_multiple_of(LINE_WORDS) + LINE_WORDS - 1);
+        // Words to skip so that word index 0 starts a 64-byte line (the
+        // slice is 8-byte aligned, so the gap is a whole number of words).
+        let skew = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
 
         let slab = Self::effective_slab(capacity, slab_words);
         let reserve_base = Self::reserve_base_for(capacity, slab);
         let mut lane_vec = Vec::with_capacity(lanes + 1);
         lane_vec.resize_with(lanes + 1, Lane::empty);
         let heap = Heap {
-            lines,
+            words,
+            skew,
             capacity,
             slab_words: slab,
             reserve_base,
@@ -314,7 +324,7 @@ impl Heap {
 
     #[inline]
     fn word(&self, i: usize) -> &AtomicU64 {
-        &self.lines[i / LINE_WORDS].0[i % LINE_WORDS]
+        &self.words[self.skew + i]
     }
 
     /// Number of words in the heap.
@@ -460,7 +470,8 @@ impl Heap {
 
     /// Like [`Heap::alloc_root`], but the returned base is rounded up to a
     /// [`LINE_WORDS`] multiple, i.e. the record starts on a 64B cache-line
-    /// boundary (the backing array is itself line-aligned). Over-allocates
+    /// boundary (word indices are skewed so that [`LINE_WORDS`] multiples
+    /// are line-aligned in memory, see [`Heap::with_lanes`]). Over-allocates
     /// at most `LINE_WORDS - 1` words of setup-time slack; fully
     /// deterministic, so sim replays are unaffected by which placement
     /// requested it.
@@ -639,6 +650,14 @@ impl Heap {
     }
 }
 
+/// `n` zeroed words from `calloc` (see [`Heap::with_lanes`]).
+#[allow(unsafe_code)]
+fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: `AtomicU64` has the same size and bit validity as `u64`, so
+    // all-zero bytes are a valid zero.
+    unsafe { Box::<[AtomicU64]>::new_zeroed_slice(n).assume_init() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +684,48 @@ mod tests {
         for off in 0..10 {
             assert_eq!(heap.peek(b.off(off)), 0);
         }
+    }
+
+    #[test]
+    fn line_multiples_map_to_cache_line_boundaries() {
+        // Large arenas come from `mmap` at a page plus the allocator's
+        // header, so without the skew word 0 would sit mid-line.
+        for capacity in [16, 1 << 10, 1 << 20, 1 << 22] {
+            let heap = Heap::new(capacity);
+            for i in (0..capacity).step_by(LINE_WORDS) {
+                let at = std::ptr::from_ref(heap.word(i)) as usize;
+                assert_eq!(at % 64, 0, "capacity {capacity}: word {i} is not line-aligned");
+            }
+        }
+    }
+
+    #[test]
+    fn lazily_zeroed_large_heap_reads_and_rewinds_to_zero() {
+        let capacity = 1 << 22;
+        let mut heap = Heap::new(capacity);
+        let all_zero = |heap: &Heap| (0..capacity).all(|i| heap.peek(Addr(i as u32)) == 0);
+        assert!(heap.reserve_base < capacity, "a reserve must exist here");
+        assert!(all_zero(&heap), "a fresh heap reads zero everywhere");
+
+        let mark = heap.mark();
+        let slab = heap.slab_words();
+        let reserve = capacity - heap.reserve_base;
+        let regions = [
+            (heap.alloc(0, 3 * slab + 5).unwrap(), 3 * slab + 5),
+            (heap.alloc(1, 7).unwrap(), 7),
+            (heap.alloc_root(5), 5),
+            (heap.alloc_root(2 * slab), 2 * slab),
+            (heap.alloc_reserve(0, reserve), reserve),
+        ];
+        for &(base, n) in &regions {
+            for off in 0..n as u32 {
+                heap.poke(base.off(off), u64::from(off) + 1);
+            }
+        }
+        assert_eq!(heap.peek(Addr(capacity as u32 - 1)), reserve as u64, "the reserve reaches the last word");
+
+        heap.reset_to(&mark);
+        assert!(all_zero(&heap), "every word reads zero after the rewind");
     }
 
     #[test]

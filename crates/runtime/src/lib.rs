@@ -54,6 +54,8 @@
 //! assert_eq!(heap.peek(counter), 400);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod ctx;
 pub mod epoch;
 pub mod gate;

@@ -20,6 +20,8 @@
 //!   algorithm registry, the outcome book, the epoch driver and each
 //!   workload's `run_*` entry point.
 
+#![forbid(unsafe_code)]
+
 mod algo;
 pub mod bank;
 mod conflict;

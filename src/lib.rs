@@ -77,6 +77,8 @@
 //! assert_eq!(cell::value(heap.peek(counter)), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use wfl_activeset as activeset;
 pub use wfl_baselines as baselines;
 pub use wfl_core as core;
