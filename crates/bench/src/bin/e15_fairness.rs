@@ -4,12 +4,12 @@
 //! history and times competitor starts adaptively — can push a victim's
 //! per-attempt success probability below `1/C_p` (here `1/(κL)` with
 //! κ = threads, L = 1: everyone fights over one lock). This binary sweeps
-//! the `wfl_fairness` adversary across algorithms × threads × adversary
-//! strength on the **real-threads backend** (victim success rate, Jain
-//! fairness index over per-process success rates, max stretch (tries
-//! spent on the worst acquisition),
-//! latency tails), plus a **deterministic simulator block** where the
-//! targeted adversary creates exact, reproducible contention.
+//! the player adversary (`wfl_workloads::adversary`) across algorithms ×
+//! threads × adversary strength on the **real-threads backend** (victim
+//! success rate, Jain fairness index over per-process success rates, max
+//! stretch (tries spent on the worst acquisition), latency tails), plus a
+//! **deterministic simulator block** where the targeted adversary creates
+//! exact, reproducible contention.
 //!
 //! What the cells show: wfl's victim rate respects the bound everywhere;
 //! the naive baseline has no such floor — under fine-grained (sim)
@@ -30,13 +30,20 @@
 //!         Jain index sits measurably below wfl's;
 //!     (c) real backend: the naive victim shows the degradation marker
 //!         (a whole-epoch starvation burst or a measurable rate dip)
-//!         that wfl provably cannot show.
+//!         that wfl provably cannot show;
+//!     (d) no wfl cell, real or sim, has a delay overrun: an attempt that
+//!         overran `T0` or `T0 + T1` voids the theorem's precondition, and
+//!         with it the cell's fairness claim.
+//!
+//! Every row's uniform block (`attempts` … `steps_*`, `delay_overruns`,
+//! `give_up`) comes from the run's outcome book; `steps_*` are per-attempt
+//! own steps, as in every other BENCH file.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_bench::{header, row, verdict};
-use wfl_fairness::{run_adversary, AdvStrength, AdversarySpec, FairnessReport};
 use wfl_runtime::clamp_threads;
+use wfl_workloads::adversary::{run_adversary, AdvStrength, AdversarySpec, FairnessReport};
 use wfl_workloads::harness::{AlgoKind, ExecMode, SchedKind};
 
 /// Victim attempts per epoch (also the whole-epoch burst size a preempted
@@ -78,7 +85,7 @@ fn run_real_cell(algo: AlgoKind, threads: usize, strength: AdvStrength, budget: 
     let mode = ExecMode::real_timed(budget).with_epoch_rounds(ROUNDS);
     let report = run_adversary(&spec, algo, &mode);
     assert!(
-        report.safety_ok,
+        report.run.safety_ok,
         "{}/{}t/{}: acquisition counter diverged from recorded wins",
         algo.label(),
         threads,
@@ -87,36 +94,13 @@ fn run_real_cell(algo: AlgoKind, threads: usize, strength: AdvStrength, budget: 
     Cell { report, threads, bound: 1.0 / threads as f64 }
 }
 
-fn run_sim_cell(algo: AlgoKind, nprocs: usize) -> Cell {
+fn run_sim_cell(algo: AlgoKind, nprocs: usize, mode: &ExecMode) -> Cell {
     let mut spec = AdversarySpec::new(nprocs, 80);
     spec.strength = AdvStrength::Targeted;
     spec.heap_words = 1 << 25;
-    let report = run_adversary(&spec, algo, &ExecMode::sim(SchedKind::RoundRobin, 300_000_000));
-    assert!(report.safety_ok, "{}/sim: safety failed", algo.label());
+    let report = run_adversary(&spec, algo, mode);
+    assert!(report.run.safety_ok, "{}/sim: safety failed", algo.label());
     Cell { report, threads: nprocs, bound: 1.0 / nprocs as f64 }
-}
-
-/// The uniform metrics fold of a fairness cell. [`FairnessReport`] has no
-/// retry give-up tallies or per-attempt step summary, so the uniform
-/// block carries the per-process acquisition-latency histogram (steps to
-/// win, all processes merged) as its step distribution, and the give-up
-/// object stays empty.
-fn metrics_of(r: &FairnessReport) -> wfl_obs::MetricsSnapshot {
-    let mut steps = wfl_obs::FixedHistogram::default();
-    for t in &r.per_proc {
-        steps.merge(&t.latency);
-    }
-    let wall_secs = r.wall.map(|w| w.as_secs_f64().max(1e-12));
-    wfl_obs::MetricsSnapshot {
-        attempts: r.attempts(),
-        wins: r.wins(),
-        aborts: r.per_proc.iter().map(|t| t.aborts).sum(),
-        epochs: r.epochs,
-        steps,
-        wall_secs,
-        wins_per_sec: wall_secs.map(|w| r.wins() as f64 / w),
-        ..Default::default()
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -147,17 +131,17 @@ fn json_cell(
             ("victim_max_stretch", vt.max_stretch.to_string()),
             ("victim_latency_p50", vt.latency.percentile(0.5).to_string()),
             ("victim_latency_p99", vt.latency.percentile(0.99).to_string()),
-            ("competitor_attempts", (r.attempts() - v.trials).to_string()),
-            ("contested", (r.attempts() > v.trials).to_string()),
+            ("competitor_attempts", (r.run.attempts - v.trials).to_string()),
+            ("contested", (r.run.attempts > v.trials).to_string()),
         ],
-        &metrics_of(r),
+        &r.run.metrics(),
     );
 }
 
 fn print_cell(algo: &str, strength: &str, cell: &Cell) {
     let r = &cell.report;
     let v = r.victim_success();
-    let comp = r.attempts() - v.trials;
+    let comp = r.run.attempts - v.trials;
     row(&[
         format!("{algo} x{}", cell.threads),
         strength.to_string(),
@@ -174,7 +158,7 @@ fn print_cell(algo: &str, strength: &str, cell: &Cell) {
         format!("{:.3}", r.jain_rates()),
         r.victim().max_stretch.to_string(),
         comp.to_string(),
-        r.epochs.to_string(),
+        r.run.epochs.to_string(),
     ]);
 }
 
@@ -223,6 +207,8 @@ fn main() {
         "comp attempts", "epochs",
     ]);
     let mut wfl_bound_ok = true;
+    // Gate (d): total delay overruns over every wfl cell, real and sim.
+    let mut wfl_overruns = 0u64;
     for &threads in &thread_counts {
         for &algo_name in algos {
             for &strength in strengths {
@@ -232,6 +218,7 @@ fn main() {
                 // hardware noise (the guarantee is a floor, not a target).
                 if algo_name == "wfl" {
                     wfl_bound_ok &= cell.victim_lb() >= cell.bound * 0.6;
+                    wfl_overruns += cell.report.run.delay_overruns;
                 }
                 json_cell(&mut rows, "real", algo_name, strength.label(), &cell);
             }
@@ -245,8 +232,10 @@ fn main() {
         "cell", "adversary", "victim rate", "bound 1/(kL)", "jain", "max stretch",
         "comp attempts", "epochs",
     ]);
-    let sim_wfl = run_sim_cell(algo_of("wfl", 4), 4);
-    let sim_naive = run_sim_cell(algo_of("naive", 4), 4);
+    let sim_mode = ExecMode::sim(SchedKind::RoundRobin, 300_000_000);
+    let sim_wfl = run_sim_cell(algo_of("wfl", 4), 4, &sim_mode);
+    let sim_naive = run_sim_cell(algo_of("naive", 4), 4, &sim_mode);
+    wfl_overruns += sim_wfl.report.run.delay_overruns;
     print_cell("wfl", "targeted", &sim_wfl);
     print_cell("naive", "targeted", &sim_naive);
     json_cell(&mut rows, "sim", "wfl", "targeted", &sim_wfl);
@@ -302,15 +291,16 @@ fn main() {
         naive_worst_rate,
         naive_worst_stretch
     );
+    let wfl_no_overrun = wfl_overruns == 0;
+    println!(
+        "wfl delay overruns (real + sim):        {} ({wfl_overruns})",
+        verdict(wfl_no_overrun)
+    );
 
-    // --trace: the adversary driver bypasses the harness's epoch loop, so
-    // the binary cycles the global recorder around one deterministic sim
-    // cell itself (the sim arm is quiescent when `run_adversary` returns).
     if let Some(path) = wfl_bench::parse_trace(&std::env::args().collect::<Vec<_>>()) {
-        wfl_obs::rec::enable();
-        let cell = run_sim_cell(algo_of("wfl", 4), 4);
-        wfl_obs::rec::disable();
-        let snap = wfl_obs::rec::snapshot();
+        let cell = run_sim_cell(algo_of("wfl", 4), 4, &sim_mode.with_recorder());
+        let r = &cell.report.run;
+        let snap = r.trace.as_ref().expect("recorded runs return a trace");
         let meta = [
             ("bench", "e15_fairness".to_string()),
             ("backend", "sim".to_string()),
@@ -318,7 +308,7 @@ fn main() {
             ("strength", "targeted".to_string()),
             ("threads", "4".to_string()),
         ];
-        wfl_bench::write_trace(&path, &snap, &metrics_of(&cell.report), &meta);
+        wfl_bench::write_trace(&path, snap, &r.metrics(), &meta);
     }
 
     json.push_str("  \"results\": ");
@@ -328,7 +318,8 @@ fn main() {
     let _ = writeln!(json, "    \"wfl_bound_real\": {wfl_bound_ok},");
     let _ = writeln!(json, "    \"wfl_bound_sim\": {sim_wfl_holds},");
     let _ = writeln!(json, "    \"naive_jain_collapse_sim\": {sim_naive_collapses},");
-    let _ = writeln!(json, "    \"naive_degrades_real\": {naive_degrades}");
+    let _ = writeln!(json, "    \"naive_degrades_real\": {naive_degrades},");
+    let _ = writeln!(json, "    \"wfl_no_delay_overrun\": {wfl_no_overrun}");
     json.push_str("  }\n}\n");
     std::fs::write("BENCH_fairness.json", &json).expect("write BENCH_fairness.json");
     println!();
@@ -345,6 +336,10 @@ fn main() {
             naive_degrades,
             "naive victim showed no degradation marker on the real backend \
              (worst rate {naive_worst_rate:.3}, max stretch {naive_worst_stretch})"
+        );
+        assert!(
+            wfl_no_overrun,
+            "{wfl_overruns} wfl attempts overran their delay budget: the fairness claim is void"
         );
         println!("smoke gates passed");
     }

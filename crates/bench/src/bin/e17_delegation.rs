@@ -7,7 +7,7 @@
 //! hot path — and gives up exactly what the paper refuses to give up:
 //! **wait-freedom** (a frozen combiner wedges every pending request) and
 //! per-attempt **fairness guarantees**. wfl's combining fast path
-//! ([`LockConfig::combine`]) takes the batching idea without the
+//! ([`wfl_core::LockConfig::combine`]) takes the batching idea without the
 //! structural cost: an ordinary tryLock *winner* claims compatible pending
 //! descriptors and runs them before releasing, so batching is
 //! opportunistic, losers are never parked behind a combiner, and a frozen
@@ -59,13 +59,13 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_bench::{header, row, verdict};
-use wfl_fairness::jain_index;
 use wfl_obs::MetricsSnapshot;
 use wfl_runtime::real::{FaultSpec, RealConfig};
 use wfl_runtime::{available_parallelism, clamp_threads};
 use wfl_workloads::harness::{
     run_random_conflict, AlgoKind, Backend, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
+use wfl_workloads::telemetry::jain_index;
 
 const SEED: u64 = 1312;
 /// Best-of repeats for the timed closed-loop cells (least-noise estimate
@@ -100,7 +100,7 @@ fn overload_rounds(algo: AlgoKind, smoke: bool) -> usize {
 
 /// The five contenders of the showdown, optionally narrowed by `--algos`.
 /// Plain wfl runs **with** delays so it differs from wfl+combine in
-/// exactly one bit: [`LockConfig::combine`].
+/// exactly one bit: [`wfl_core::LockConfig::combine`].
 fn roster(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
     let all = vec![
         AlgoKind::wfl(threads.max(2)),

@@ -16,8 +16,9 @@
 //! is itself serialized (the real-mode injector thread, the simulator's
 //! gate, an epoch leader at a barrier).
 //!
-//! Drain ([`snapshot`], [`postmortem`]) is specified at quiescence only:
-//! after the run's threads joined, or at an epoch barrier.
+//! Drain ([`snapshot`], [`TraceSnapshot::postmortem`]) is specified at
+//! quiescence only: after the run's threads joined, or at an epoch
+//! barrier.
 
 use crate::event::{Event, EventKind};
 use crate::ring::EventRing;
@@ -59,7 +60,8 @@ pub fn enable() {
 }
 
 /// Stops recording. Rings keep their contents for [`snapshot`] /
-/// [`postmortem`]. Call at quiescence (after the run's threads joined).
+/// [`TraceSnapshot::postmortem`]. Call at quiescence (after the run's
+/// threads joined).
 pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }

@@ -10,9 +10,9 @@
 //!
 //! * [`real::run_threads`] — one free-running OS thread per process, native
 //!   atomics. Used for throughput benchmarks.
-//! * [`sim::Sim`] — a deterministic simulator. Each process is an OS thread
-//!   gated so that shared-memory steps occur one at a time, in exactly the
-//!   order dictated by a [`Schedule`] fixed before the execution begins
+//! * [`sim::SimBuilder`] — a deterministic simulator. Each process is an OS
+//!   thread gated so that shared-memory steps occur one at a time, in exactly
+//!   the order dictated by a [`Schedule`] fixed before the execution begins
 //!   (the oblivious adversary). Given the same seeds, executions are
 //!   bit-for-bit reproducible. An optional [`sim::Controller`] models the
 //!   *adaptive player adversary*: it observes the quiesced heap between steps

@@ -1,7 +1,7 @@
 //! The deterministic asynchronous-shared-memory simulator.
 //!
-//! [`Sim`] executes a set of process bodies under an oblivious
-//! [`Schedule`](crate::Schedule), granting shared-memory steps one at a time.
+//! [`SimBuilder`] executes a set of process bodies under an oblivious
+//! [`Schedule`], granting shared-memory steps one at a time.
 //! Executions are bit-for-bit reproducible given the same (schedule,
 //! workload) seeds, which makes adversarial executions replayable and lets
 //! property tests shrink failing interleavings.

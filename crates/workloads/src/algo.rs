@@ -257,13 +257,12 @@ impl<'reg> AlgoInstance<'reg> {
     }
 }
 
-/// A harness hook for **external drivers**: (re-)creates any [`AlgoKind`]
-/// on a heap and lends it as a `&dyn LockAlgo`, exactly like the epoch
-/// driver does for its own workloads. The `wfl_fairness` adversary
-/// subsystem uses this so its victim/competitor loops instantiate
-/// algorithms identically to every other experiment (same κ defaulting,
-/// same active-set sizing), and so an epoch boundary can drop and re-create
-/// the whole thing by building a fresh handle.
+/// A harness hook for drivers that do not run on the epoch driver:
+/// (re-)creates any [`AlgoKind`] on a heap and lends it as a
+/// `&dyn LockAlgo`, with the same κ defaulting and active-set sizing as
+/// the epoch driver's own instances. The adversary's sim arm (the E7
+/// construction, see [`crate::adversary`]) and the parity test that
+/// rebuilds it by hand use it.
 pub struct AlgoHandle<'reg> {
     registry: &'reg Registry,
     instance: AlgoInstance<'reg>,

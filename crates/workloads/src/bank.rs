@@ -139,7 +139,7 @@ impl EpochWorkload for BankWl {
     type Roots = Bank;
     type Local = ();
 
-    fn re_root(&self, heap: &Heap) -> Bank {
+    fn re_root(&self, heap: &Heap, _epoch: usize) -> Bank {
         Bank::re_root(heap, self.accounts, self.initial, self.transfer)
     }
 

@@ -152,7 +152,7 @@ impl EpochWorkload for ConflictWl {
     type Roots = Addr; // counters base
     type Local = (LockPicker, Vec<LockId>, Vec<u64>);
 
-    fn re_root(&self, heap: &Heap) -> Addr {
+    fn re_root(&self, heap: &Heap, _epoch: usize) -> Addr {
         heap.alloc_root(self.spec.nlocks)
     }
 

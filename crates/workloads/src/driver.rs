@@ -145,7 +145,7 @@ impl ExecMode {
     /// the attempt's [`Scratch::deadline`] to `steps` own steps from the
     /// round's start, so any single acquisition bails out (releasing
     /// partial acquisitions, descriptor left helpable) instead of
-    /// overstaying its SLO. Applies to **all five workloads** — the budget
+    /// overstaying its SLO. Applies to **all six workloads** — the budget
     /// rides [`Scratch`], untouched by workload-specific round logic.
     pub fn with_deadline_steps(mut self, steps: u64) -> ExecMode {
         self.deadline_steps = Some(steps.max(1));
@@ -193,8 +193,14 @@ pub(crate) trait EpochWorkload: Sync {
     type Local;
 
     /// (Re-)creates the workload's heap roots on a fresh (or freshly
-    /// reset) arena.
-    fn re_root(&self, heap: &Heap) -> Self::Roots;
+    /// reset) arena for epoch `epoch`.
+    fn re_root(&self, heap: &Heap, epoch: usize) -> Self::Roots;
+
+    /// Rounds `pid` may run in an epoch whose batch is `rounds` long: its
+    /// batch length and its outcome-book capacity. Default `rounds`.
+    fn slots(&self, _pid: usize, rounds: usize) -> usize {
+        rounds
+    }
 
     /// Builds a worker's per-epoch scratch (may allocate from the heap via
     /// `ctx`; such allocations are reclaimed by the next reset).
@@ -217,10 +223,33 @@ pub(crate) trait EpochWorkload: Sync {
         slot: usize,
     ) -> AttemptOutcome;
 
+    /// Asked before each of `pid`'s rounds, after the stop-flag and
+    /// heap-pressure checks. Default [`Turn::Go`]. A [`Turn::Wait`] takes
+    /// no counted step, so only real-threads workloads may wait.
+    fn turn(&self, _ctx: &Ctx<'_>, _roots: &Self::Roots, _pid: usize) -> Turn {
+        Turn::Go
+    }
+
+    /// Runs once at the end of each of `pid`'s batches, however the batch
+    /// ended: all rounds run, [`Turn::Done`], the stop flag or heap
+    /// pressure. Default: nothing.
+    fn end_batch(&self, _ctx: &Ctx<'_>, _roots: &Self::Roots, _pid: usize) {}
+
     /// Epoch-boundary check at quiescence: aggregate this epoch's recorded
     /// outcomes (via [`Outcomes::aggregate`]) and compare the heap state
     /// against them. Returns the epoch report and whether it was safe.
     fn check(&self, heap: &Heap, roots: &Self::Roots, rec: &Outcomes) -> (HarnessReport, bool);
+}
+
+/// Whether a process runs its next round now ([`EpochWorkload::turn`]).
+pub(crate) enum Turn {
+    /// Run the round.
+    Go,
+    /// Not yet: the driver re-checks the stop flag and heap pressure, then
+    /// asks again.
+    Wait,
+    /// End the process's batch for this epoch (not a give-up).
+    Done,
 }
 
 /// A world: everything re-created at each epoch boundary.
@@ -230,10 +259,12 @@ struct World<'reg, R> {
     rec: Outcomes,
 }
 
-/// One worker's batch for one epoch: build the per-epoch scratch, run up to
-/// `rounds` rounds (bailing at the cooperative stop flag), record each
-/// outcome. Shared verbatim by the simulator and real-threads arms of
-/// [`drive_epochs`] — the bodies must stay identical across backends.
+/// One worker's batch for one epoch: build the per-epoch scratch, run up
+/// to `pid`'s [`EpochWorkload::slots`] of the epoch's `rounds` (bailing at
+/// the cooperative stop flag, or when [`EpochWorkload::turn`] ends the
+/// batch), record each outcome. Shared verbatim by the simulator and
+/// real-threads arms of [`drive_epochs`] — the bodies must stay identical
+/// across backends.
 #[allow(clippy::too_many_arguments)]
 fn run_batch<WL: EpochWorkload>(
     ctx: &Ctx<'_>,
@@ -251,9 +282,11 @@ fn run_batch<WL: EpochWorkload>(
     // rewound the lanes, so any latched allocation pressure is stale.
     ctx.reset_heap_low();
     let mut local = wl.local(ctx, &world.roots);
+    let rounds = wl.slots(pid, rounds);
     world.algo.with(registry, |algo| {
         let mut cut_short = None;
-        for slot in 0..rounds {
+        let mut slot = 0;
+        while slot < rounds {
             // Heap pressure ends the batch exactly like the stop flag: the
             // attempt that tapped the reserve has completed and been
             // recorded; nothing new starts until the boundary rewinds the
@@ -266,6 +299,14 @@ fn run_batch<WL: EpochWorkload>(
                 cut_short = Some(GiveUp::HeapLow);
                 break;
             }
+            match wl.turn(ctx, &world.roots, pid) {
+                Turn::Go => {}
+                Turn::Wait => {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                Turn::Done => break,
+            }
             // Arm the per-round SLO: the attempt (any algorithm) bails out
             // once the budget is spent instead of retrying/spinning on.
             if let Some(budget) = deadline_steps {
@@ -274,12 +315,14 @@ fn run_batch<WL: EpochWorkload>(
             let out =
                 wl.round(ctx, &world.roots, &mut local, algo, tags, scratch, pid, base + slot, slot);
             world.rec.record(ctx, pid, slot, &out);
+            slot += 1;
         }
         if deadline_steps.is_some() {
             scratch.deadline = Deadline::NEVER;
         }
         world.rec.record_break(ctx, pid, cut_short);
     });
+    wl.end_batch(ctx, &world.roots, pid);
 }
 
 /// Runs `wl` for `total_rounds` rounds per process (timed epoch runs:
@@ -310,10 +353,11 @@ pub(crate) fn drive_epochs<WL: EpochWorkload>(
     if recording {
         wfl_obs::rec::enable();
     }
+    let cap = (0..nprocs).map(|pid| wl.slots(pid, epoch_len)).max().unwrap_or(epoch_len);
     let make_world = |epoch: usize| World {
         algo: AlgoInstance::create(heap, registry, &spec),
-        roots: wl.re_root(heap),
-        rec: Outcomes::create_root(heap, nprocs, epoch_len, epoch * epoch_len),
+        roots: wl.re_root(heap, epoch),
+        rec: Outcomes::create_root(heap, nprocs, cap, epoch * epoch_len),
     };
 
     let mut run = match mode.backend {

@@ -198,7 +198,7 @@ impl EpochWorkload for GraphWl {
     /// stay allocation-free inside the epoch).
     type Local = Vec<(Vec<LockId>, Vec<u64>)>;
 
-    fn re_root(&self, heap: &Heap) -> Graph {
+    fn re_root(&self, heap: &Heap, _epoch: usize) -> Graph {
         Graph::ring_rooted(heap, self.vertices, &self.init, self.relax)
     }
 

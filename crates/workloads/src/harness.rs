@@ -51,7 +51,9 @@
 //! This module is the one import path. Underneath, the registry
 //! ([`AlgoKind`], [`AlgoHandle`]), the outcome book ([`HarnessReport`])
 //! and the epoch driver ([`ExecMode`]) each have a file, and each
-//! workload's `run_*` sits next to its data structure.
+//! workload's `run_*` sits next to its data structure. The sixth
+//! workload, the fairness adversary's real arm, is reached through
+//! [`crate::adversary::run_adversary`] with its sim arm.
 
 pub use crate::algo::{AlgoHandle, AlgoKind};
 pub use crate::bank::{bank_history_token, run_bank, run_bank_recorded, BANK_HIST_LOSS, BANK_HIST_WIN};

@@ -15,6 +15,13 @@
 //! * [`player`] — player-adversary strategies (adaptive start times) for
 //!   the fairness experiments E7/E11/E15, shared by both backends via the
 //!   probe-cell protocol and `flood_decision`.
+//! * [`adversary`] — the player adversary aimed at one victim
+//!   ([`adversary::run_adversary`], E15): the E7 construction on the
+//!   simulator, and on real threads the sixth workload of the harness's
+//!   epoch driver. Recorded real runs double as a holder-exclusivity
+//!   audit.
+//! * [`telemetry`] — allocation-free per-process fairness views (try
+//!   counts, acquisition latency, max stretch) and Jain's fairness index.
 //! * [`harness`] — the algorithm-agnostic, backend-agnostic runner every
 //!   experiment drives these workloads through; it re-exports the
 //!   algorithm registry, the outcome book, the epoch driver and each
@@ -22,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod adversary;
 mod algo;
 pub mod bank;
 mod conflict;
@@ -32,3 +40,4 @@ pub mod list;
 mod outcomes;
 pub mod philosophers;
 pub mod player;
+pub mod telemetry;

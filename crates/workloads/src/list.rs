@@ -265,7 +265,7 @@ impl EpochWorkload for ListWl {
     type Roots = SortedList;
     type Local = Addr; // per-worker result cell
 
-    fn re_root(&self, heap: &Heap) -> SortedList {
+    fn re_root(&self, heap: &Heap, _epoch: usize) -> SortedList {
         let pool = 1 + self.nprocs * self.keys_per_epoch;
         // Thunks are registered by the runner; only the heap pool is
         // re-created per epoch.

@@ -276,6 +276,30 @@ impl Outcomes {
         ctx.write_rel(self.breaks.off(self.break_idx(pid)), word);
     }
 
+    /// The attempts `pid` recorded this epoch, in slot order, decoded
+    /// back from their outcome and step words (uncounted reads, for the
+    /// quiescent boundary).
+    pub(crate) fn attempts<'h>(&self, heap: &'h Heap, pid: usize) -> impl Iterator<Item = Recorded> + 'h {
+        let (outcomes, steps) = (self.outcomes, self.steps);
+        let base = self.idx(pid, 0);
+        (0..self.cap).map_while(move |slot| {
+            let idx = base + slot as u32;
+            // A batch fills its slots in order, so the first 0 (round not
+            // run) ends the process's rounds.
+            let bits = heap.peek(outcomes.off(idx)).checked_sub(1)?;
+            let out = AttemptOutcome {
+                won: bits & OUT_WON != 0,
+                steps: heap.peek(steps.off(idx)),
+                aborted: bits & OUT_ABORTED != 0,
+                rescued: bits & OUT_RESCUED != 0,
+                combined: bits & OUT_COMBINED != 0,
+                combined_peers: bits >> OUT_PEERS_SHIFT,
+                delay_overrun: bits & OUT_OVERRUN != 0,
+            };
+            Some(Recorded { slot, out, stopping: bits & OUT_STOPPING != 0 })
+        })
+    }
+
     /// Folds this epoch's recorded outcomes into a one-epoch
     /// [`HarnessReport`] (with `safety_ok` left `true` for the caller to
     /// refine), invoking `on_win(pid, global_round)` for every recorded
@@ -285,31 +309,23 @@ impl Outcomes {
         let mut r = HarnessReport::empty(self.nprocs);
         r.epochs = 1;
         for pid in 0..self.nprocs {
-            for slot in 0..self.cap {
-                let idx = self.idx(pid, slot);
-                let o = heap.peek(self.outcomes.off(idx));
-                if o == 0 {
-                    continue; // round not run (timed run stopped first)
-                }
-                let bits = o - 1;
+            for Recorded { slot, out, stopping } in self.attempts(heap, pid) {
                 r.attempts += 1;
                 r.per_pid[pid].1 += 1;
-                let own_steps = heap.peek(self.steps.off(idx));
-                r.steps.record(own_steps);
-                if bits & OUT_ABORTED != 0 {
+                r.steps.record(out.steps);
+                if out.aborted {
                     r.aborts += 1;
-                    r.abort_steps.record(own_steps);
-                    let reason = if bits & OUT_STOPPING != 0 { GiveUp::Stop } else { GiveUp::Deadline };
+                    r.abort_steps.record(out.steps);
+                    let reason = if stopping { GiveUp::Stop } else { GiveUp::Deadline };
                     r.give_up[reason.index()] += 1;
                 }
-                r.rescues += u64::from(bits & OUT_RESCUED != 0);
-                r.combined_wins += u64::from(bits & OUT_COMBINED != 0);
-                r.delay_overruns += u64::from(bits & OUT_OVERRUN != 0);
-                let peers = bits >> OUT_PEERS_SHIFT;
-                if peers > 0 {
-                    r.combine_batch.record(peers);
+                r.rescues += u64::from(out.rescued);
+                r.combined_wins += u64::from(out.combined);
+                r.delay_overruns += u64::from(out.delay_overrun);
+                if out.combined_peers > 0 {
+                    r.combine_batch.record(out.combined_peers);
                 }
-                if bits & OUT_WON != 0 {
+                if out.won {
                     r.wins += 1;
                     r.per_pid[pid].0 += 1;
                     on_win(pid, self.base_round + slot);
@@ -324,6 +340,16 @@ impl Outcomes {
         }
         r
     }
+}
+
+/// One attempt read back from the outcome book ([`Outcomes::attempts`]).
+pub(crate) struct Recorded {
+    /// The round index within the epoch.
+    pub(crate) slot: usize,
+    /// The outcome as recorded.
+    pub(crate) out: AttemptOutcome,
+    /// The stop flag was up when an abort was recorded.
+    pub(crate) stopping: bool,
 }
 
 #[cfg(test)]

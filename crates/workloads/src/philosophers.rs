@@ -93,7 +93,7 @@ impl EpochWorkload for PhilWl {
     type Roots = Table;
     type Local = ();
 
-    fn re_root(&self, heap: &Heap) -> Table {
+    fn re_root(&self, heap: &Heap, _epoch: usize) -> Table {
         Table::re_root(heap, self.n, self.eat)
     }
 

@@ -11,8 +11,9 @@
 //!   ([`run_player_loop`]) polls its mailbox and executes the commanded
 //!   attempts. Experiments E7/E11 use this to try to bias a victim's
 //!   success probability; the delay mechanism is what defeats it.
-//! * **Real threads**: `wfl_fairness` runs competitor threads that watch
-//!   the victim's probe cell directly and start attempts themselves.
+//! * **Real threads**: the [`crate::adversary`] workload runs competitor
+//!   threads that watch the victim's probe cell directly and start
+//!   attempts themselves, on the harness's epoch driver.
 //!
 //! Both backends take the *same* adaptive decision through
 //! [`flood_decision`]: the victim publishes its in-flight attempt through a
@@ -74,8 +75,8 @@ impl AdvStrength {
 /// The **shared adaptive decision** of the player adversary: should
 /// competitors be started right now, given the victim's probe cell? Used
 /// verbatim by the simulator controller ([`TargetedStarter`]) and the
-/// real-threads observer loop in `wfl_fairness`, so the two backends run
-/// the same strategy.
+/// real-threads competitors of [`crate::adversary`], so the two backends
+/// run the same strategy.
 ///
 /// [`AdvStrength::Calm`] always answers `false` here — its cadence-based
 /// starts are driver-owned (the controller's clock in sim, think-loops on
@@ -148,7 +149,8 @@ pub fn run_player_loop<A: LockAlgo + ?Sized>(
 
 /// Like [`run_player_loop`], but also records each attempt's own-step cost
 /// into `steps_out[attempt_counter]` (a region of at least `max_attempts`
-/// words). Used by the fairness subsystem to build latency histograms.
+/// words), and adds 2 to the `results` word of an attempt that overran a
+/// delay target. Used by the adversary's sim arm to build its report.
 #[allow(clippy::too_many_arguments)]
 pub fn run_player_loop_stats<A: LockAlgo + ?Sized>(
     ctx: &Ctx<'_>,
@@ -189,7 +191,8 @@ fn player_loop_inner<A: LockAlgo + ?Sized>(
         if let Some(cell) = scratch.probe {
             ctx.write_rel(cell, 0);
         }
-        ctx.write(results.off(done as u32), 1 + out.won as u64);
+        let overrun = steps_out.is_some() && out.delay_overrun;
+        ctx.write(results.off(done as u32), 1 + out.won as u64 + 2 * overrun as u64);
         if let Some(steps) = steps_out {
             ctx.write(steps.off(done as u32), out.steps);
         }
@@ -202,7 +205,7 @@ fn player_loop_inner<A: LockAlgo + ?Sized>(
 /// competitor attempts timed so that strong competitors are revealed
 /// around the victim's attempts. The flood trigger is the shared
 /// [`flood_decision`], so the same strategy runs on real threads in
-/// `wfl_fairness`.
+/// [`crate::adversary`].
 pub struct TargetedStarter {
     /// The victim process id (receives attempts periodically).
     pub victim: usize,

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 use wfl_core::{LockId, Scratch};
-use wfl_fairness::{run_adversary, AdvStrength, AdversarySpec, FairnessReport};
+use wfl_workloads::adversary::{run_adversary, AdvStrength, AdversarySpec, FairnessReport};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
 use wfl_lincheck::holders::{assert_holder_exclusive, check_holder_exclusivity};
 use wfl_runtime::real::RealConfig;
@@ -24,18 +24,23 @@ fn real_adversary_all_strengths_safe_and_complete() {
             spec.victim_period = 50;
             spec.seed = 11;
             let r = run_adversary(&spec, algo, &ExecMode::real());
-            assert!(r.safety_ok, "{strength:?}/{algo:?}: counter != recorded wins");
+            assert!(r.run.safety_ok, "{strength:?}/{algo:?}: counter != recorded wins");
             let v = r.victim_success();
             assert_eq!(v.trials, 40, "{strength:?}/{algo:?}: victim must complete its rounds");
-            assert_eq!(r.epochs, 1);
-            assert!(r.wall.is_some());
+            assert_eq!(r.run.epochs, 1);
+            assert!(r.run.wall.is_some());
             assert_eq!(r.per_proc.len(), 3);
             // Telemetry self-consistency: tries histogram counts one entry
-            // per successful acquisition, for every process.
+            // per successful acquisition, for every process, and the
+            // telemetry is folded from the same outcome book as the run.
             for (pid, t) in r.per_proc.iter().enumerate() {
                 assert_eq!(t.tries.count(), t.wins, "{strength:?}/{algo:?}/pid{pid}");
                 assert_eq!(t.latency.count(), t.wins, "{strength:?}/{algo:?}/pid{pid}");
                 assert!(t.wins <= t.attempts, "{strength:?}/{algo:?}/pid{pid}");
+                assert_eq!((t.wins, t.attempts), r.run.per_pid[pid], "{strength:?}/{algo:?}/pid{pid}");
+            }
+            if matches!(algo, AlgoKind::Wfl { .. }) {
+                assert_eq!(r.run.delay_overruns, 0, "{strength:?}: wfl overran its delay budget");
             }
         }
     }
@@ -53,14 +58,14 @@ fn timed_adversarial_soak_crosses_epochs_for_full_budget() {
     let budget = Duration::from_millis(80);
     let mode = ExecMode::real_timed(budget).with_epoch_rounds(32);
     let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
-    assert!(r.safety_ok, "soak safety failed");
-    assert!(r.epochs >= 3, "only {} epochs crossed in {budget:?}", r.epochs);
+    assert!(r.run.safety_ok, "soak safety failed");
+    assert!(r.run.epochs >= 3, "only {} epochs crossed in {budget:?}", r.run.epochs);
     assert!(
         r.victim_success().trials > 32,
         "victim attempts {} never exceeded one epoch — epochs not batching",
         r.victim_success().trials
     );
-    assert!(r.wall.expect("real runs report wall") >= budget, "soak stopped early");
+    assert!(r.run.wall.expect("real runs report wall") >= budget, "soak stopped early");
 }
 
 /// The paper bound, deterministically: in the simulator the targeted
@@ -76,7 +81,7 @@ fn sim_victim_holds_theorem_bound_deterministically() {
         run_adversary(&spec, AlgoKind::wfl(3), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
     };
     let r = run();
-    assert!(r.safety_ok);
+    assert!(r.run.safety_ok);
     let v = r.victim_success();
     assert_eq!(v.trials, 60);
     assert!(
@@ -86,7 +91,7 @@ fn sim_victim_holds_theorem_bound_deterministically() {
     );
     let r2 = run();
     assert_eq!(v.successes, r2.victim_success().successes, "sim runs must be deterministic");
-    assert_eq!(r.attempts(), r2.attempts());
+    assert_eq!(r.run.attempts, r2.run.attempts);
 }
 
 /// The exact critical section `run_adversary` registers, duplicated so the
@@ -126,7 +131,7 @@ fn ported_sim_arm_reproduces_e7_numbers() {
     spec.seed = seed;
     spec.heap_words = 1 << 25;
     let ported = run_adversary(&spec, AlgoKind::wfl(nprocs), &ExecMode::sim(SchedKind::RoundRobin, 300_000_000));
-    assert!(ported.safety_ok);
+    assert!(ported.run.safety_ok);
 
     // --- the E7 construction, by hand ---
     let mut registry = Registry::new();
@@ -214,8 +219,8 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
     let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
         .with_epoch_rounds(8);
     let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
-    assert!(r.safety_ok);
-    assert_eq!(r.epochs, 2, "16 rounds at 8/epoch");
+    assert!(r.run.safety_ok);
+    assert_eq!(r.run.epochs, 2, "16 rounds at 8/epoch");
     assert_eq!(r.holder_logs.len(), 2, "one holder log per recorded epoch");
     let locks: Vec<u64> = {
         let mut l: Vec<u64> = r.holder_logs.iter().map(|(l, _)| *l).collect();
@@ -223,10 +228,10 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
         l
     };
     assert_eq!(locks, vec![0, 1], "the contested lock rotates across epochs");
-    assert!(!r.history.is_empty(), "recorded epochs must produce attempt events");
+    assert!(!r.run.history.is_empty(), "recorded epochs must produce attempt events");
     let total_log: usize = r.holder_logs.iter().map(|(_, t)| t.len()).sum();
-    assert_eq!(total_log as u64, r.wins(), "every win appends exactly one holder");
-    assert_holder_exclusive(&r.history, &r.holder_logs);
+    assert_eq!(total_log as u64, r.run.wins, "every win appends exactly one holder");
+    assert_holder_exclusive(&r.run.history, &r.holder_logs);
 
     // Teeth: reverse one busy log — real-time precedence must now
     // contradict the sequence.
@@ -235,7 +240,7 @@ fn real_mode_holder_sequences_pass_the_lincheck_audit() {
     assert!(busy.1.len() >= 2, "need at least two holders to corrupt");
     busy.1.reverse();
     assert!(
-        !check_holder_exclusivity(&r.history, &corrupted).is_empty(),
+        !check_holder_exclusivity(&r.run.history, &corrupted).is_empty(),
         "a reversed holder sequence must violate the audit"
     );
 }
@@ -278,4 +283,23 @@ fn probing_keeps_wfl_attempt_length_fixed() {
     };
     let (a, b) = (run(true), run(false));
     assert_eq!(attempt_len(&a), attempt_len(&b), "probe writes leaked outside the delay windows");
+}
+
+/// The sim arm reads each attempt's delay-overrun flag back from its
+/// result word: a κ below the real contention overruns, the paper's
+/// κ = nprocs does not, and the report's step histogram holds one
+/// per-attempt sample per attempt.
+#[test]
+fn sim_arm_counts_delay_overruns() {
+    let run = |kappa: usize| {
+        let mut spec = AdversarySpec::new(4, 40);
+        spec.heap_words = 1 << 25;
+        let algo = AlgoKind::Wfl { kappa, delays: true, helping: true, combine: false };
+        run_adversary(&spec, algo, &ExecMode::sim(SchedKind::RoundRobin, 300_000_000))
+    };
+    let (under, paper) = (run(1), run(4));
+    assert!(under.run.safety_ok && paper.run.safety_ok);
+    assert!(under.run.delay_overruns > 0, "kappa = 1 against 4 processes must overrun");
+    assert_eq!(paper.run.delay_overruns, 0);
+    assert_eq!(paper.run.steps.count(), paper.run.attempts);
 }

@@ -4,7 +4,7 @@
 //! telemetry bookkeeping.
 
 use proptest::prelude::*;
-use wfl_fairness::{jain_index, ProcTelemetry};
+use wfl_workloads::telemetry::{jain_index, ProcTelemetry};
 use wfl_obs::{FixedHistogram, BUCKETS};
 
 /// A deterministic pseudo-random sample stream from a seed (the shim's

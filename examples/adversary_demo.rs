@@ -12,9 +12,9 @@
 //! Part 1 runs the deterministic simulator: an omniscient controller
 //! ([`TargetedStarter`]) reads the quiesced heap between steps and feeds
 //! competitor commands into mailboxes. Part 2 runs the same strategy on
-//! **real threads** via `wfl_fairness`: competitor OS threads observe the
-//! victim's published attempt state (its probe cell) and launch attempts
-//! themselves, with the identical `flood_decision`.
+//! **real threads** via `fairness::run_adversary`: competitor OS threads
+//! observe the victim's published attempt state (its probe cell) and
+//! launch attempts themselves, with the identical `flood_decision`.
 //!
 //! Run with: `cargo run --release --example adversary_demo`
 
@@ -126,7 +126,7 @@ fn real_part() {
     let mode = ExecMode::real_timed(Duration::from_millis(100)).with_epoch_rounds(64);
     let algo = AlgoKind::wfl(nprocs);
     let report = run_adversary(&spec, algo, &mode);
-    assert!(report.safety_ok, "counter safety violated");
+    assert!(report.run.safety_ok, "counter safety violated");
 
     println!("process | role       | wins / attempts | success rate | max stretch");
     for (pid, t) in report.per_proc.iter().enumerate() {
@@ -145,7 +145,7 @@ fn real_part() {
         v.wilson_lower(2.58),
         1.0 / nprocs as f64,
         report.jain_rates(),
-        report.epochs
+        report.run.epochs
     );
 }
 

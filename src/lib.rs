@@ -30,8 +30,8 @@
 //!   list, graph updates, and the experiment harness.
 //! * [`lincheck`] — linearizability, set-regularity and holder-
 //!   exclusivity checkers used by the test suite.
-//! * [`fairness`] — fairness telemetry (fixed-bucket histograms, Jain
-//!   index) and the adaptive player adversary on both backends (E15).
+//! * [`fairness`] — the adaptive player adversary on both backends and
+//!   its fairness telemetry (E15); an alias of `workloads::adversary`.
 //!
 //! The most common entry points are also re-exported at the top level.
 //!
@@ -83,12 +83,12 @@ pub use wfl_activeset as activeset;
 pub use wfl_baselines as baselines;
 pub use wfl_core as core;
 pub use wfl_delegation as delegation;
-pub use wfl_fairness as fairness;
 pub use wfl_idem as idem;
 pub use wfl_lincheck as lincheck;
 pub use wfl_obs as obs;
 pub use wfl_runtime as runtime;
 pub use wfl_workloads as workloads;
+pub use wfl_workloads::adversary as fairness;
 
 // Common entry points at the top level.
 pub use wfl_core::{

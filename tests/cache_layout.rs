@@ -171,11 +171,11 @@ fn sharded_adversary_holder_sequences_are_exclusive() {
     let mode = ExecMode::new(Backend::Real { run_for: None, cfg: RealConfig::precise() })
         .with_epoch_rounds(8);
     let r = run_adversary(&spec, AlgoKind::wfl(3), &mode);
-    assert!(r.safety_ok, "per-epoch win counters diverged on the sharded layout");
-    assert_eq!(r.epochs, 3, "24 rounds at 8/epoch");
+    assert!(r.run.safety_ok, "per-epoch win counters diverged on the sharded layout");
+    assert_eq!(r.run.epochs, 3, "24 rounds at 8/epoch");
     assert_eq!(r.holder_logs.len(), 3, "one holder log per recorded epoch");
-    assert!(!r.history.is_empty(), "recorded epochs must produce attempt events");
+    assert!(!r.run.history.is_empty(), "recorded epochs must produce attempt events");
     let total_log: usize = r.holder_logs.iter().map(|(_, t)| t.len()).sum();
-    assert_eq!(total_log as u64, r.wins(), "every win appends exactly one holder");
-    assert_holder_exclusive(&r.history, &r.holder_logs);
+    assert_eq!(total_log as u64, r.run.wins, "every win appends exactly one holder");
+    assert_holder_exclusive(&r.run.history, &r.holder_logs);
 }
