@@ -13,8 +13,8 @@
 //! acquisition releases whatever it already holds and returns `won ==
 //! false` instead of wedging the drain behind a stalled holder.
 
-use crate::api::{AttemptOutcome, LockAlgo};
-use wfl_core::{Scratch, TryLockRequest};
+use crate::api::LockAlgo;
+use wfl_core::{AbortReason, AttemptMetrics, Scratch, TryLockRequest};
 use wfl_idem::{Frame, Registry, TagSource};
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
 
@@ -100,7 +100,7 @@ impl LockAlgo for BlockingTpl<'_> {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let deadline = scratch.deadline;
         let me = ctx.pid() as u64 + 1;
@@ -133,19 +133,11 @@ impl LockAlgo for BlockingTpl<'_> {
                 // an expired contender gives up, but a contender whose
                 // deadline has not expired keeps spinning — the collapse
                 // E16 measures.
-                if ctx.stop_requested() || deadline.expired(ctx) {
+                if let Some(r) = AbortReason::poll(ctx, deadline) {
                     for &held in scratch.order[..acquired].iter().rev() {
                         ctx.write_rel(self.lock_word(held), 0);
                     }
-                    return AttemptOutcome {
-                        won: false,
-                        steps: ctx.steps() - start,
-                        aborted: true,
-                        rescued: false,
-                        combined: false,
-                        combined_peers: 0,
-                        delay_overrun: false,
-                    };
+                    return AttemptMetrics::abandoned(r, false, ctx.steps() - start);
                 }
                 if self.mode == BlockingMode::Cohort {
                     // Local spin between polls: counted own steps that
@@ -164,7 +156,7 @@ impl LockAlgo for BlockingTpl<'_> {
         for &id in scratch.order.iter().rev() {
             ctx.write_rel(self.lock_word(id), 0);
         }
-        AttemptOutcome::decided(true, ctx.steps() - start)
+        AttemptMetrics::decided(true, ctx.steps() - start)
     }
 }
 
@@ -303,7 +295,7 @@ mod tests {
                 let req =
                     TryLockRequest { locks: &locks, thunk: incr, args: &[counter.to_word()] };
                 let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
-                assert!(!out.won && out.aborted);
+                assert!(!out.won && out.aborted == Some(AbortReason::Deadline));
             })
             .run();
         assert_eq!(report.poisoned, vec![0], "the cohort contender must exit on its own");
@@ -451,7 +443,11 @@ mod tests {
                     TryLockRequest { locks: &locks, thunk: incr, args: &[counter.to_word()] };
                 let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
                 assert!(!out.won);
-                assert!(out.aborted, "deadline expiry must be reported as an abort");
+                assert_eq!(
+                    out.aborted,
+                    Some(AbortReason::Deadline),
+                    "deadline expiry must be reported as an abort"
+                );
                 assert!(!out.rescued, "no helpers exist in the blocking baseline");
                 ctx.heap().poke(out_cell, 1);
             })

@@ -26,7 +26,7 @@ pub mod blocking;
 pub mod naive;
 pub mod tsp;
 
-pub use api::{AttemptOutcome, LockAlgo, WflKnown, WflUnknown};
+pub use api::{LockAlgo, WflKnown, WflUnknown};
 pub use blocking::{BlockingMode, BlockingTpl};
 pub use naive::NaiveTryLock;
 pub use tsp::TspLock;

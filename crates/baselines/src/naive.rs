@@ -8,8 +8,8 @@
 //! removes. There is also no fairness bound: under contention, attempts
 //! can fail at arbitrarily high rates (livelock).
 
-use crate::api::{AttemptOutcome, LockAlgo};
-use wfl_core::{Scratch, TryLockRequest};
+use crate::api::LockAlgo;
+use wfl_core::{AttemptMetrics, Scratch, TryLockRequest};
 use wfl_idem::{Frame, Registry, TagSource};
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
 
@@ -68,7 +68,7 @@ impl LockAlgo for NaiveTryLock<'_> {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let me = ctx.pid() as u64 + 1;
         let order = &mut scratch.order;
@@ -81,7 +81,7 @@ impl LockAlgo for NaiveTryLock<'_> {
                 for &rid in order[..i].iter().rev() {
                     ctx.write_rel(self.lock_word(rid), 0);
                 }
-                return AttemptOutcome::decided(false, ctx.steps() - start);
+                return AttemptMetrics::decided(false, ctx.steps() - start);
             }
         }
         let frame = Frame::create(ctx, self.registry, req.thunk, tags.next_base(), req.args);
@@ -89,7 +89,7 @@ impl LockAlgo for NaiveTryLock<'_> {
         for &id in scratch.order.iter().rev() {
             ctx.write_rel(self.lock_word(id), 0);
         }
-        AttemptOutcome::decided(true, ctx.steps() - start)
+        AttemptMetrics::decided(true, ctx.steps() - start)
     }
 }
 

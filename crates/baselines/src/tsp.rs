@@ -15,8 +15,8 @@
 //! the paper's algorithm adds. Attempts here always eventually succeed
 //! (`won` is always true), matching the original blocking-style usage.
 
-use crate::api::{AttemptOutcome, LockAlgo};
-use wfl_core::{Scratch, TryLockRequest};
+use crate::api::LockAlgo;
+use wfl_core::{AttemptMetrics, Scratch, TryLockRequest};
 use wfl_idem::{Frame, Registry, TagSource};
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
 
@@ -129,7 +129,7 @@ impl LockAlgo for TspLock<'_> {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let frame = Frame::create(ctx, self.registry, req.thunk, tags.next_base(), req.args);
         let order = &mut scratch.order;
@@ -144,7 +144,7 @@ impl LockAlgo for TspLock<'_> {
             ctx.write_rel(desc.off(D_LOCKS + i as u32), id as u64);
         }
         self.help(ctx, desc, ctx.nprocs() + 1);
-        AttemptOutcome::decided(true, ctx.steps() - start)
+        AttemptMetrics::decided(true, ctx.steps() - start)
     }
 }
 

@@ -18,7 +18,7 @@ use wfl_runtime::schedule::RoundRobin;
 use wfl_runtime::sim::{Controller, Mailboxes, SimBuilder};
 use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, Ctx, Heap};
-use wfl_workloads::player::{encode_attempt, run_player_loop};
+use wfl_workloads::player::{encode_attempt, player_result, run_player_loop};
 
 struct Touch;
 impl Thunk for Touch {
@@ -104,17 +104,15 @@ fn victim_rate(helping: bool) -> Bernoulli {
                 let mut tags = TagSource::new(pid);
                 let mut scratch = wfl_core::Scratch::new();
                 let my_results = results.off((pid as u64 * attempts) as u32);
-                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, attempts);
+                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, None, attempts);
             }
         })
         .run();
     report.assert_clean();
     let mut b = Bernoulli::default();
-    for i in 0..attempts {
-        match heap.peek(results.off(i as u32)) {
-            0 => break,
-            o => b.record(o == 2),
-        }
+    for i in 0..attempts as usize {
+        let Some(out) = player_result(&heap, results, i) else { break };
+        b.record(out.won());
     }
     b
 }

@@ -87,6 +87,19 @@ impl AbortReason {
             AbortReason::Stop => 1,
         }
     }
+
+    /// The baselines' bail-out poll (uncounted): the stop flag, then
+    /// `deadline`. Unlike the tryLock's helping-safe poll it honours the
+    /// stop flag with no deadline armed, so a spinning baseline drains.
+    pub fn poll(ctx: &Ctx<'_>, deadline: Deadline) -> Option<AbortReason> {
+        if ctx.stop_requested() {
+            Some(AbortReason::Stop)
+        } else if deadline.expired(ctx) {
+            Some(AbortReason::Deadline)
+        } else {
+            None
+        }
+    }
 }
 
 /// Why a bounded retry loop ([`crate::lock_and_run_limited`] /

@@ -33,10 +33,9 @@ pub struct LockConfig {
     /// Pre-insert helping phase enabled (disable only for the E12
     /// ablation).
     pub helping: bool,
-    /// Combining fast path enabled (`CombineMode`, E17): a winner scans
-    /// its locks' active sets for still-active competitors whose lock
-    /// sets are covered by its own and executes their thunks in a batch
-    /// before releasing. Off by default — combining changes the counted
+    /// Combining fast path enabled (E17): a winner scans its locks' active
+    /// sets for still-active competitors whose lock sets are covered by
+    /// its own and executes their thunks in a batch before releasing. Off by default — combining changes the counted
     /// step sequence, so recorded sim schedules replay identically unless
     /// the schedule family opts in.
     pub combine: bool,

@@ -32,10 +32,14 @@ pub const ST_WON: u64 = 1;
 /// Status value: eliminated by a higher-priority competitor.
 pub const ST_LOST: u64 = 2;
 /// Status value: won, and the thunk was claimed for batch execution by a
-/// combining lock holder (the `CombineMode` fast path). Semantically a
-/// win — every status check that accepts [`ST_WON`] must accept this via
-/// [`is_won`] — but recorded separately so the owner's retry loop can
-/// report an `OUT_COMBINED` outcome instead of re-running the protocol.
+/// combining lock holder (the [`LockConfig::combine`] fast path).
+/// Semantically a win — every status check that accepts [`ST_WON`] must
+/// accept this via [`is_won`] — but recorded separately so the owner
+/// reports a [`AttemptMetrics::combined`] win instead of re-running the
+/// protocol.
+///
+/// [`LockConfig::combine`]: crate::LockConfig::combine
+/// [`AttemptMetrics::combined`]: crate::AttemptMetrics::combined
 pub const ST_COMBINED: u64 = 3;
 
 /// Whether a status word denotes a win (either the ordinary `decide` CAS

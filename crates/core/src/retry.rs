@@ -23,11 +23,12 @@ use wfl_runtime::Ctx;
 /// Note: each retry is a fresh attempt with a fresh descriptor and a fresh
 /// random priority (attempts are independent by Theorem 6.9).
 ///
-/// Under `CombineMode` ([`LockConfig::with_combining`]) an attempt may be
-/// claimed and executed by a combining lock holder; the attempt then
-/// reports a settled win (`AttemptMetrics::combined`) and the loop exits
-/// exactly as for an ordinary win — the retry layer never re-runs the
-/// acquisition protocol for a thunk that already executed in a batch.
+/// Under [`LockConfig::combine`] ([`LockConfig::with_combining`]) an
+/// attempt may be claimed and executed by a combining lock holder; the
+/// attempt then reports a settled win (`AttemptMetrics::combined`) and the
+/// loop exits exactly as for an ordinary win — the retry layer never
+/// re-runs the acquisition protocol for a thunk that already executed in a
+/// batch.
 ///
 /// `lock_and_run` is unconditional by contract — it disarms any deadline
 /// left in the scratch for the duration of the loop (retry-until-success

@@ -35,8 +35,8 @@ use crate::space::LockSpace;
 use std::cell::Cell;
 use wfl_activeset::{get_members_by, multi_insert_into, multi_remove, ActiveSet, Flag};
 use wfl_idem::{Frame, Registry, TagSource, ThunkId};
-use wfl_obs::{AttemptOutcomeBits, EventKind};
-use wfl_runtime::{Addr, Ctx};
+use wfl_obs::EventKind;
+use wfl_runtime::Ctx;
 
 /// Emits one flight-recorder event from an algorithm hook point. Every
 /// argument read (`pid`, `now`, `steps`) is an uncounted `Cell` load, so
@@ -62,17 +62,17 @@ pub struct TryLockRequest<'a> {
 /// The multi-active-set flag strategy of the known-bounds algorithm: the
 /// priority word is the flag; raising it is the reveal step, with the
 /// paper's `T0` delay folded in.
-struct RevealFlag {
+struct RevealFlag<'a> {
     /// Stall target (absolute own steps) before revealing; `None` when
     /// delays are ablated.
     reveal_at: Option<u64>,
     /// Unique serial for tie-free priorities.
     tag_base: u32,
-    /// Set if real work overran the delay target (fairness void).
-    overrun: Cell<bool>,
+    /// The attempt's overrun flag ([`Attempt::overrun`]).
+    overrun: &'a Cell<bool>,
 }
 
-impl Flag for RevealFlag {
+impl Flag for RevealFlag<'_> {
     fn clear(&self, ctx: &Ctx<'_>, item: u64) {
         ctx.write_rel(Desc::from_item(item).prio_addr(), PRIO_UNSET);
     }
@@ -109,10 +109,10 @@ pub(crate) fn revealed_members(ctx: &Ctx<'_>, set: &ActiveSet, out: &mut Vec<u64
 
 /// `eliminate(p)`: one-shot transition `active → lost`. Idempotent under
 /// arbitrary helper races (monotonic CAS; AcqRel under the tiered
-/// ordering).
+/// ordering). Returns whether this call made the transition.
 #[inline]
-pub(crate) fn eliminate(ctx: &Ctx<'_>, p: Desc) {
-    ctx.cas_bool_sync(p.status_addr(), ST_ACTIVE, ST_LOST);
+pub(crate) fn eliminate(ctx: &Ctx<'_>, p: Desc) -> bool {
+    ctx.cas_bool_sync(p.status_addr(), ST_ACTIVE, ST_LOST)
 }
 
 /// `decide(p)`: one-shot transition `active → won`; succeeds iff `p` was
@@ -195,6 +195,183 @@ pub(crate) fn run_desc(
     celebrate_if_won(ctx, registry, p);
 }
 
+/// One attempt in flight, past its helping phase: the state both tryLock
+/// variants thread through the steps they share ([`Attempt::begin`], the
+/// exits, and the settle).
+pub(crate) struct Attempt {
+    /// The attempt's descriptor.
+    pub(crate) p: Desc,
+    /// Own steps at the attempt's start.
+    pub(crate) start: u64,
+    /// Unique serial for tie-free priorities.
+    pub(crate) tag_base: u32,
+    /// Descriptors helped during the helping phase.
+    helped: u64,
+    /// Set if real work overran a delay target (fairness void).
+    overrun: Cell<bool>,
+}
+
+impl Attempt {
+    /// The prelude both variants share. Creates the descriptor and its
+    /// thunk frame, hands the descriptor to the fairness probe, then (with
+    /// `helping`) runs every already-revealed competitor to completion.
+    /// Polls for an abort between helps and once more before the insert;
+    /// an abort abandons the still-private descriptor, and its metrics are
+    /// the `Err`.
+    pub(crate) fn begin(
+        ctx: &Ctx<'_>,
+        space: &LockSpace,
+        registry: &Registry,
+        tags: &mut TagSource,
+        scratch: &mut Scratch,
+        req: &TryLockRequest<'_>,
+        helping: bool,
+    ) -> Result<Attempt, AttemptMetrics> {
+        let start = ctx.steps();
+        let tag_base = tags.next_base();
+        let deadline = scratch.deadline;
+
+        // Descriptor + thunk frame (private until inserted).
+        let frame = Frame::create(ctx, registry, req.thunk, tag_base, req.args);
+        let p = Desc::create(ctx, req.locks, frame);
+        obs(ctx, EventKind::AttemptStart, req.locks.len() as u64);
+        if let Some(cell) = scratch.probe {
+            // Fairness probe: hand the adversary this attempt's descriptor
+            // the moment it exists — it can watch the priority word for the
+            // pre-reveal window. Strictly more visibility than a real
+            // player could extract, which is exactly the regime Theorem 6.9
+            // bounds.
+            ctx.write_rel(cell, p.item());
+        }
+        let mut a = Attempt { p, start, tag_base, helped: 0, overrun: Cell::new(false) };
+
+        // Helping phase: clear the field of every already-revealed
+        // competitor.
+        let mut aborted: Option<AbortReason> = None;
+        if helping {
+            // Split borrow: `helping` holds the member list being iterated
+            // while `members` serves as run_desc's own scan buffer.
+            let Scratch { helping, members, .. } = scratch;
+            'help: for &l in req.locks {
+                revealed_members(ctx, space.set(l), helping);
+                for &m in helping.iter() {
+                    // Abort poll (uncounted) between helps: each competitor
+                    // is helped to completion or not started — never left
+                    // half run — and our own descriptor is still private.
+                    if let Some(r) = poll_abort(ctx, deadline) {
+                        aborted = Some(r);
+                        break 'help;
+                    }
+                    run_desc(ctx, space, registry, Desc::from_item(m), members);
+                    a.helped += 1;
+                }
+            }
+        }
+
+        // Pre-insert abort poll. The descriptor has never been revealed, so
+        // abandoning it here is trivially safe: eliminate it so any probe
+        // observer sees a settled status, clear the probe, and return
+        // without the end-of-attempt padding — an aborted attempt forfeits
+        // its fairness guarantees but costs nobody else anything.
+        if aborted.is_none() {
+            aborted = poll_abort(ctx, deadline);
+        }
+        if let Some(r) = aborted {
+            eliminate(ctx, p);
+            if let Some(cell) = scratch.probe {
+                ctx.write_rel(cell, 0);
+            }
+            obs(ctx, EventKind::Abort, r.index() as u64);
+            return Err(a.finish(ctx, AttemptMetrics::abandoned(r, false, ctx.steps() - start)));
+        }
+        obs(ctx, EventKind::HelpDone, a.helped);
+        Ok(a)
+    }
+
+    /// multiRemove from every lock's active set, then clear the probe.
+    pub(crate) fn withdraw<F: Flag>(&self, ctx: &Ctx<'_>, scratch: &Scratch, flag: &F) {
+        multi_remove(ctx, flag, self.p.item(), &scratch.sets, &scratch.slots);
+        if let Some(cell) = scratch.probe {
+            ctx.write_rel(cell, 0);
+        }
+    }
+
+    /// Abandons the attempt after its priority reveal. The descriptor is
+    /// public, so abandoning it must leave it helpable: the abort is an
+    /// `eliminate` racing the helpers' `decide` — whichever one-shot status
+    /// transition lands is final and visible to everyone. If a helper
+    /// already decided the attempt *won*, the abort came too late: the
+    /// critical section belongs to this attempt, so celebrate it (running
+    /// the thunk to completion if the helper is still mid-flight) and
+    /// report the win as a rescue. A combining grant that lands before the
+    /// eliminate is a win the same way: the thunk already belongs to the
+    /// claimant's batch, so it too is a rescue (never `combined`: rescued
+    /// and combined are disjoint).
+    pub(crate) fn abandon<F: Flag>(
+        &self,
+        ctx: &Ctx<'_>,
+        registry: &Registry,
+        scratch: &Scratch,
+        flag: &F,
+        reason: AbortReason,
+    ) -> AttemptMetrics {
+        let rescued = !eliminate(ctx, self.p) && is_won(self.p.status(ctx));
+        if rescued {
+            celebrate_if_won(ctx, registry, self.p);
+        }
+        self.withdraw(ctx, scratch, flag);
+        obs(ctx, EventKind::Abort, reason.index() as u64 | 1 << 8);
+        if rescued {
+            obs(ctx, EventKind::Rescue, 0);
+        }
+        self.finish(ctx, AttemptMetrics::abandoned(reason, rescued, ctx.steps() - self.start))
+    }
+
+    /// `run(p)` on the attempt's own descriptor: compete and decide.
+    pub(crate) fn compete(
+        &self,
+        ctx: &Ctx<'_>,
+        space: &LockSpace,
+        registry: &Registry,
+        members: &mut Vec<u64>,
+    ) {
+        run_desc(ctx, space, registry, self.p, members);
+        if wfl_obs::rec::is_enabled() {
+            // The status re-read for the event argument is an uncounted
+            // peek: the counted re-read in `end` happens identically
+            // either way.
+            obs(ctx, EventKind::SettleDone, is_won(ctx.heap().peek(self.p.status_addr())) as u64);
+        }
+    }
+
+    /// Ends an attempt that ran to its decision (after the withdrawal and
+    /// the end padding): reads the settled status. `combined_peers` counts
+    /// the peers this attempt's combining batch ran.
+    pub(crate) fn end(&self, ctx: &Ctx<'_>, combined_peers: u64) -> AttemptMetrics {
+        let status = self.p.status(ctx);
+        self.finish(
+            ctx,
+            AttemptMetrics {
+                // This attempt's own win was granted by a combining peer
+                // (its `decide` lost to a claimant's CAS; the thunk ran in
+                // the peer's batch): the retry loop observes a settled win
+                // either way.
+                combined: status == ST_COMBINED,
+                combined_peers,
+                ..AttemptMetrics::decided(is_won(status), ctx.steps() - self.start)
+            },
+        )
+    }
+
+    /// Every exit's last step: adds what the attempt tracked to `m` and
+    /// records the `AttemptEnd` event.
+    pub(crate) fn finish(&self, ctx: &Ctx<'_>, m: AttemptMetrics) -> AttemptMetrics {
+        let m = AttemptMetrics { helped: self.helped, delay_overrun: self.overrun.get(), ..m };
+        obs(ctx, EventKind::AttemptEnd, m.bits().0);
+        m
+    }
+}
+
 /// Executes one tryLock attempt (the known-bounds algorithm of §6).
 ///
 /// Returns the attempt's outcome and step cost. On success, the thunk has
@@ -222,7 +399,11 @@ pub fn try_locks(
     if cfg.delays {
         validate_budget(registry, cfg, &req);
     }
-    let start = ctx.steps();
+    let a = match Attempt::begin(ctx, space, registry, tags, scratch, &req, cfg.helping) {
+        Ok(a) => a,
+        Err(aborted) => return aborted,
+    };
+    let (p, start) = (a.p, a.start);
     let budget = cfg.delays.then(|| cfg.budget());
     // Absolute own-step targets of the reveal and of the attempt's end.
     let reveal_at = budget.map(|b| start + b.t0());
@@ -232,116 +413,21 @@ pub fn try_locks(
     let last_round_start =
         budget.map(|b| (start + b.t0() + b.t1()).saturating_sub(b.combine_round + b.remove));
     let round_fits = |ctx: &Ctx<'_>| last_round_start.is_none_or(|t| ctx.steps() <= t);
-    let deadline = scratch.deadline;
-    let tag_base = tags.next_base();
-
-    // Descriptor + thunk frame (private until inserted).
-    let frame = Frame::create(ctx, registry, req.thunk, tag_base, req.args);
-    let p = Desc::create(ctx, req.locks, frame);
-    obs(ctx, EventKind::AttemptStart, req.locks.len() as u64);
-    if let Some(cell) = scratch.probe {
-        // Fairness probe: hand the adversary this attempt's descriptor the
-        // moment it exists — it can watch the priority word for the
-        // pre-reveal window. Strictly more visibility than a real player
-        // could extract, which is exactly the regime Theorem 6.9 bounds.
-        ctx.write_rel(cell, p.item());
-    }
-
-    // Helping phase: clear the field of every already-revealed competitor.
-    let mut helped = 0u64;
-    let mut aborted: Option<AbortReason> = None;
-    if cfg.helping {
-        // Split borrow: `helping` holds the member list being iterated
-        // while `members` serves as run_desc's own scan buffer.
-        let Scratch { helping, members, .. } = scratch;
-        'help: for &l in req.locks {
-            revealed_members(ctx, space.set(l), helping);
-            for &m in helping.iter() {
-                // Abort poll (uncounted) between helps: each competitor is
-                // helped to completion or not started — never left half
-                // run — and our own descriptor is still private.
-                if let Some(r) = poll_abort(ctx, deadline) {
-                    aborted = Some(r);
-                    break 'help;
-                }
-                run_desc(ctx, space, registry, Desc::from_item(m), members);
-                helped += 1;
-            }
-        }
-    }
-
-    // Pre-insert abort poll: the descriptor has never been revealed, so
-    // abandoning it here is trivially safe — no competitor has seen it.
-    if aborted.is_none() {
-        aborted = poll_abort(ctx, deadline);
-    }
-    if let Some(r) = aborted {
-        return abort_unrevealed(ctx, scratch, p, r, start, helped);
-    }
-    obs(ctx, EventKind::HelpDone, helped);
 
     // multiInsert; the flag raise is the reveal step with the T0 delay.
     scratch.sets.clear();
     scratch.sets.extend(req.locks.iter().map(|&l| *space.set(l)));
-    let flag = RevealFlag {
-        reveal_at,
-        tag_base,
-        overrun: Cell::new(false),
-    };
+    let flag = RevealFlag { reveal_at, tag_base: a.tag_base, overrun: &a.overrun };
     multi_insert_into(ctx, &flag, p.item(), &scratch.sets, &mut scratch.slots);
     obs(ctx, EventKind::RevealDone, 0);
 
     // Post-reveal abort poll (the `T0` reveal stall just ran, so this is
-    // where an expired deadline usually surfaces). The descriptor is now
-    // public, so abandoning it must leave it helpable: the abort is an
-    // `eliminate` racing the helpers' `decide` — whichever one-shot status
-    // transition lands is final and visible to everyone. If a helper
-    // already decided the attempt *won*, the abort came too late: the
-    // critical section belongs to this attempt, so celebrate it (running
-    // the thunk to completion if the helper is still mid-flight) and
-    // report the win as a rescue.
-    if let Some(r) = poll_abort(ctx, deadline) {
-        let eliminated = ctx.cas_bool_sync(p.status_addr(), ST_ACTIVE, ST_LOST);
-        // A combining grant that lands before the eliminate is a win the
-        // same way a helper's `decide` is: the thunk already belongs to
-        // the claimant's batch, so the abort came too late — report the
-        // rescue (never `combined`: rescued and combined are disjoint).
-        let rescued = !eliminated && is_won(p.status(ctx));
-        if rescued {
-            celebrate_if_won(ctx, registry, p);
-        }
-        multi_remove(ctx, &flag, p.item(), &scratch.sets, &scratch.slots);
-        if let Some(cell) = scratch.probe {
-            ctx.write_rel(cell, 0);
-        }
-        obs(ctx, EventKind::Abort, r.index() as u64 | 1 << 8);
-        if rescued {
-            obs(ctx, EventKind::Rescue, 0);
-        }
-        obs(
-            ctx,
-            EventKind::AttemptEnd,
-            AttemptOutcomeBits::pack(rescued, true, rescued, false, 0),
-        );
-        return AttemptMetrics {
-            won: rescued,
-            steps: ctx.steps() - start,
-            helped,
-            delay_overrun: flag.overrun.get(),
-            aborted: Some(r),
-            rescued,
-            combined: false,
-            combined_peers: 0,
-        };
+    // where an expired deadline usually surfaces).
+    if let Some(r) = poll_abort(ctx, scratch.deadline) {
+        return a.abandon(ctx, registry, scratch, &flag, r);
     }
 
-    // Compete.
-    run_desc(ctx, space, registry, p, &mut scratch.members);
-    if wfl_obs::rec::is_enabled() {
-        // The status re-read for the event argument is an uncounted peek:
-        // the counted re-read below happens identically either way.
-        obs(ctx, EventKind::SettleDone, is_won(ctx.heap().peek(p.status_addr())) as u64);
-    }
+    a.compete(ctx, space, registry, &mut scratch.members);
 
     // Combining fast path (E17, `cfg.combine`): having won by our own
     // `decide` — own thunk complete, descriptor still in every active set
@@ -442,73 +528,14 @@ pub fn try_locks(
     // before the padding: the competition is decided, and keeping the clear
     // inside the delay window means probing never alters the fixed
     // `T0 + T1` attempt length.
-    multi_remove(ctx, &flag, p.item(), &scratch.sets, &scratch.slots);
-    if let Some(cell) = scratch.probe {
-        ctx.write_rel(cell, 0);
-    }
+    a.withdraw(ctx, scratch, &flag);
     if let Some(end) = end_at {
         if ctx.steps() > end {
-            flag.overrun.set(true);
+            a.overrun.set(true);
         }
         ctx.stall_until_steps(end);
     }
-
-    let status = p.status(ctx);
-    obs(
-        ctx,
-        EventKind::AttemptEnd,
-        AttemptOutcomeBits::pack(
-            is_won(status),
-            false,
-            false,
-            status == ST_COMBINED,
-            combined_peers,
-        ),
-    );
-    AttemptMetrics {
-        won: is_won(status),
-        steps: ctx.steps() - start,
-        helped,
-        delay_overrun: flag.overrun.get(),
-        aborted: None,
-        rescued: false,
-        // This attempt's own win was granted by a combining peer (its
-        // `decide` lost to a claimant's CAS; the thunk ran in the peer's
-        // batch): the retry loop observes a settled win either way.
-        combined: status == ST_COMBINED,
-        combined_peers,
-    }
-}
-
-/// Abandons an attempt whose descriptor was never revealed (pre-insert
-/// abort): eliminate it so any probe observer sees a settled status, clear
-/// the probe, and return without the end-of-attempt padding — an aborted
-/// attempt forfeits its fairness guarantees but costs nobody else anything
-/// (no competitor ever saw the descriptor).
-pub(crate) fn abort_unrevealed(
-    ctx: &Ctx<'_>,
-    scratch: &mut Scratch,
-    p: Desc,
-    reason: AbortReason,
-    start: u64,
-    helped: u64,
-) -> AttemptMetrics {
-    eliminate(ctx, p);
-    if let Some(cell) = scratch.probe {
-        ctx.write_rel(cell, 0);
-    }
-    obs(ctx, EventKind::Abort, reason.index() as u64);
-    obs(ctx, EventKind::AttemptEnd, AttemptOutcomeBits::pack(false, true, false, false, 0));
-    AttemptMetrics {
-        won: false,
-        steps: ctx.steps() - start,
-        helped,
-        delay_overrun: false,
-        aborted: Some(reason),
-        rescued: false,
-        combined: false,
-        combined_peers: 0,
-    }
+    a.end(ctx, combined_peers)
 }
 
 pub(crate) fn validate(
@@ -559,9 +586,4 @@ fn validate_budget(registry: &Registry, cfg: &LockConfig, req: &TryLockRequest<'
 /// (by `decide` or by a combining grant).
 pub fn peek_won(heap: &wfl_runtime::Heap, p: Desc) -> bool {
     is_won(p.peek_status(heap))
-}
-
-/// Address of a word inside the snapshot region (used by `unknown.rs`).
-pub(crate) fn snap_word(snap: Addr, off: u32) -> Addr {
-    snap.off(off)
 }

@@ -24,15 +24,15 @@
 //!   compared; the attempt conservatively self-eliminates (wait-free, and
 //!   mutual exclusion is preserved; fairness cost measured in E6).
 
-use crate::abort::{poll_abort, AbortReason};
-use crate::descriptor::{is_won, make_priority, Desc, PRIO_TBD, PRIO_UNSET, ST_ACTIVE, ST_LOST};
+use crate::abort::poll_abort;
+use crate::descriptor::{make_priority, Desc, PRIO_TBD, PRIO_UNSET};
 use crate::metrics::AttemptMetrics;
 use crate::scratch::Scratch;
 use crate::space::LockSpace;
-use crate::trylock::{abort_unrevealed, celebrate_if_won, obs, run_desc, validate, TryLockRequest};
-use wfl_activeset::{get_members_by, multi_insert_into, multi_remove, Flag};
-use wfl_obs::{AttemptOutcomeBits, EventKind};
-use wfl_idem::{Frame, Registry, TagSource};
+use crate::trylock::{eliminate, obs, validate, Attempt, TryLockRequest};
+use wfl_activeset::{get_members_by, multi_insert_into, Flag};
+use wfl_idem::{Registry, TagSource};
+use wfl_obs::EventKind;
 use wfl_runtime::Ctx;
 
 /// Configuration of the unknown-bounds algorithm: only the ablation
@@ -114,47 +114,11 @@ pub fn try_locks_unknown(
     req: TryLockRequest<'_>,
 ) -> AttemptMetrics {
     validate(space, registry, cfg.l_limit.min(space.len()), usize::MAX, &req);
-    let start = ctx.steps();
-    let deadline = scratch.deadline;
-    let tag_base = tags.next_base();
-
-    let frame = Frame::create(ctx, registry, req.thunk, tag_base, req.args);
-    let p = Desc::create(ctx, req.locks, frame);
-    obs(ctx, EventKind::AttemptStart, req.locks.len() as u64);
-    if let Some(cell) = scratch.probe {
-        // Fairness probe (see `try_locks`): expose the in-flight descriptor
-        // to the adaptive adversary for the whole attempt.
-        ctx.write_rel(cell, p.item());
-    }
-
-    // Helping phase: run every already-revealed competitor to completion.
-    let mut helped = 0u64;
-    let mut aborted: Option<AbortReason> = None;
-    if cfg.helping {
-        let Scratch { helping, members, .. } = scratch;
-        'help: for &l in req.locks {
-            crate::trylock::revealed_members(ctx, space.set(l), helping);
-            for &m in helping.iter() {
-                // Abort poll (uncounted) between helps; the descriptor is
-                // still private here (see `try_locks`).
-                if let Some(r) = poll_abort(ctx, deadline) {
-                    aborted = Some(r);
-                    break 'help;
-                }
-                run_desc(ctx, space, registry, Desc::from_item(m), members);
-                helped += 1;
-            }
-        }
-    }
-
-    // Pre-insert abort poll: nothing has been revealed yet.
-    if aborted.is_none() {
-        aborted = poll_abort(ctx, deadline);
-    }
-    if let Some(r) = aborted {
-        return abort_unrevealed(ctx, scratch, p, r, start, helped);
-    }
-    obs(ctx, EventKind::HelpDone, helped);
+    let a = match Attempt::begin(ctx, space, registry, tags, scratch, &req, cfg.helping) {
+        Ok(a) => a,
+        Err(aborted) => return aborted,
+    };
+    let (p, start, deadline) = (a.p, a.start, scratch.deadline);
 
     // multiInsert; the flag raise is the PARTICIPATION reveal (TBD).
     scratch.sets.clear();
@@ -170,23 +134,10 @@ pub fn try_locks_unknown(
     // settles the status and removal is safe. Skipping the freeze also
     // skips its snapshot allocation.
     if let Some(r) = poll_abort(ctx, deadline) {
-        ctx.cas_bool_sync(p.status_addr(), ST_ACTIVE, ST_LOST);
-        multi_remove(ctx, &flag, p.item(), &scratch.sets, &scratch.slots);
-        if let Some(cell) = scratch.probe {
-            ctx.write_rel(cell, 0);
-        }
+        eliminate(ctx, p);
+        a.withdraw(ctx, scratch, &flag);
         obs(ctx, EventKind::Abort, r.index() as u64);
-        obs(ctx, EventKind::AttemptEnd, AttemptOutcomeBits::pack(false, true, false, false, 0));
-        return AttemptMetrics {
-            won: false,
-            steps: ctx.steps() - start,
-            helped,
-            delay_overrun: false,
-            aborted: Some(r),
-            rescued: false,
-            combined: false,
-            combined_peers: 0,
-        };
+        return a.finish(ctx, AttemptMetrics::abandoned(r, false, ctx.steps() - start));
     }
 
     // Freeze the competitor sets: query every lock once (including TBD
@@ -210,12 +161,9 @@ pub fn try_locks_unknown(
     let mut off = 0u32;
     let mut item_idx = 0usize;
     for &len in &scratch.frozen_lens {
-        ctx.write_rel(crate::trylock::snap_word(snap, off), len as u64);
+        ctx.write_rel(snap.off(off), len as u64);
         for k in 0..len {
-            ctx.write_rel(
-                crate::trylock::snap_word(snap, off + 1 + k),
-                scratch.frozen_items[item_idx],
-            );
+            ctx.write_rel(snap.off(off + 1 + k), scratch.frozen_items[item_idx]);
             item_idx += 1;
         }
         off += 1 + len;
@@ -228,73 +176,25 @@ pub fn try_locks_unknown(
         stall_to_pow2(ctx, start);
     }
     let r = ctx.rand_u64();
-    ctx.write_rel(p.prio_addr(), make_priority(r, tag_base));
+    ctx.write_rel(p.prio_addr(), make_priority(r, a.tag_base));
     ctx.publication_fence();
     obs(ctx, EventKind::RevealDone, 0);
 
     // Post-priority-reveal abort poll: from here competitors can help the
     // descriptor to completion, so abandonment is the eliminate-vs-decide
-    // race of the known-bounds algorithm (see `try_locks`): if a helper's
-    // `decide` landed first the attempt won anyway — celebrate and report
-    // the rescue.
+    // race of the known-bounds algorithm.
     if let Some(reason) = poll_abort(ctx, deadline) {
-        let eliminated = ctx.cas_bool_sync(p.status_addr(), ST_ACTIVE, ST_LOST);
-        let rescued = !eliminated && is_won(p.status(ctx));
-        if rescued {
-            celebrate_if_won(ctx, registry, p);
-        }
-        multi_remove(ctx, &flag, p.item(), &scratch.sets, &scratch.slots);
-        if let Some(cell) = scratch.probe {
-            ctx.write_rel(cell, 0);
-        }
-        obs(ctx, EventKind::Abort, reason.index() as u64 | 1 << 8);
-        if rescued {
-            obs(ctx, EventKind::Rescue, 0);
-        }
-        obs(
-            ctx,
-            EventKind::AttemptEnd,
-            AttemptOutcomeBits::pack(rescued, true, rescued, false, 0),
-        );
-        return AttemptMetrics {
-            won: rescued,
-            steps: ctx.steps() - start,
-            helped,
-            delay_overrun: false,
-            aborted: Some(reason),
-            rescued,
-            combined: false,
-            combined_peers: 0,
-        };
+        return a.abandon(ctx, registry, scratch, &flag, reason);
     }
 
     // Compete over the frozen snapshot.
-    run_desc(ctx, space, registry, p, &mut scratch.members);
-    if wfl_obs::rec::is_enabled() {
-        // Uncounted peek for the event argument (see `try_locks`).
-        obs(ctx, EventKind::SettleDone, is_won(ctx.heap().peek(p.status_addr())) as u64);
-    }
+    a.compete(ctx, space, registry, &mut scratch.members);
 
     // Clean up; pad the attempt end to a power-of-two length (the probe
     // clear stays inside the padding so probing never changes it).
-    multi_remove(ctx, &flag, p.item(), &scratch.sets, &scratch.slots);
-    if let Some(cell) = scratch.probe {
-        ctx.write_rel(cell, 0);
-    }
+    a.withdraw(ctx, scratch, &flag);
     if cfg.delays {
         stall_to_pow2(ctx, start);
     }
-
-    let won = is_won(p.status(ctx));
-    obs(ctx, EventKind::AttemptEnd, AttemptOutcomeBits::pack(won, false, false, false, 0));
-    AttemptMetrics {
-        won,
-        steps: ctx.steps() - start,
-        helped,
-        delay_overrun: false,
-        aborted: None,
-        rescued: false,
-        combined: false,
-        combined_peers: 0,
-    }
+    a.end(ctx, 0)
 }

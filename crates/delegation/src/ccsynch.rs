@@ -22,8 +22,8 @@
 //! a baseline whose whole family is blocking under a frozen combiner.
 
 use crate::obs;
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AbortReason, AttemptMetrics, Scratch, TryLockRequest};
 use wfl_idem::{Frame, Registry, TagSource};
 use wfl_obs::EventKind;
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
@@ -165,21 +165,13 @@ impl LockAlgo for CcSynch<'_> {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let deadline = scratch.deadline;
         let me = ctx.pid();
         // Pre-arrival bail: not enqueued, nothing to unwind.
-        if ctx.stop_requested() || deadline.expired(ctx) {
-            return AttemptOutcome {
-                won: false,
-                steps: ctx.steps() - start,
-                aborted: true,
-                rescued: false,
-                combined: false,
-                combined_peers: 0,
-                delay_overrun: false,
-            };
+        if let Some(r) = AbortReason::poll(ctx, deadline) {
+            return AttemptMetrics::abandoned(r, false, ctx.steps() - start);
         }
         let frame = Frame::create(ctx, self.registry, req.thunk, tags.next_base(), req.args);
         let frame_word = frame.0.to_word();
@@ -207,66 +199,41 @@ impl LockAlgo for CcSynch<'_> {
         // Spin locally; retract on abort but keep spinning — the node
         // stays in the queue until a combiner (possibly us) settles it.
         let mut retracted = false;
-        let mut tried_retract = false;
+        let mut abort: Option<AbortReason> = None;
         while ctx.read_acq(cur.off(W_WAIT)) == 1 {
-            if !tried_retract && (ctx.stop_requested() || deadline.expired(ctx)) {
-                tried_retract = true;
-                retracted = ctx.cas_bool_sync(cur.off(W_REQ), frame_word, REQ_RETRACTED);
+            if abort.is_none() {
+                abort = AbortReason::poll(ctx, deadline);
+                if abort.is_some() {
+                    retracted = ctx.cas_bool_sync(cur.off(W_REQ), frame_word, REQ_RETRACTED);
+                }
             }
         }
 
         if ctx.read_acq(cur.off(W_DONE)) == 1 {
             // A combiner settled the node.
-            if retracted {
-                return AttemptOutcome {
-                    won: false,
-                    steps: ctx.steps() - start,
-                    aborted: true,
-                    rescued: false,
-                    combined: false,
-                    combined_peers: 0,
-                    delay_overrun: false,
-                };
-            }
-            return AttemptOutcome {
-                won: true,
-                steps: ctx.steps() - start,
-                aborted: tried_retract,
-                // The retract lost the claim race: the thunk already
-                // belonged to a combiner's batch — a rescued win, not a
-                // combined one (same disjointness as wfl's abort path).
-                rescued: tried_retract,
-                combined: !tried_retract,
-                combined_peers: 0,
-                delay_overrun: false,
+            return match abort {
+                Some(r) => {
+                    // A retract that lost the claim race finds the thunk
+                    // already in a combiner's batch: a rescued win, not a
+                    // combined one (same disjointness as wfl's abort path).
+                    AttemptMetrics::abandoned(r, !retracted, ctx.steps() - start)
+                }
+                None => AttemptMetrics {
+                    combined: true,
+                    ..AttemptMetrics::decided(true, ctx.steps() - start)
+                },
             };
         }
 
         // Handed combining duty (wait=0, done=0): our own request is
         // still unclaimed unless we retracted it ourselves.
         let (others, self_applied) = self.combine(ctx, cur);
-        if retracted {
-            debug_assert!(!self_applied);
-            return AttemptOutcome {
-                won: false,
-                steps: ctx.steps() - start,
-                aborted: true,
-                rescued: false,
-                combined: false,
-                combined_peers: others,
-                delay_overrun: false,
-            };
-        }
-        debug_assert!(self_applied);
-        AttemptOutcome {
-            won: true,
-            steps: ctx.steps() - start,
-            aborted: false,
-            rescued: false,
-            combined: false,
-            combined_peers: others,
-            delay_overrun: false,
-        }
+        debug_assert_eq!(self_applied, !retracted);
+        let outcome = match abort {
+            Some(r) if retracted => AttemptMetrics::abandoned(r, false, ctx.steps() - start),
+            _ => AttemptMetrics::decided(true, ctx.steps() - start),
+        };
+        AttemptMetrics { combined_peers: others, ..outcome }
     }
 }
 
@@ -313,7 +280,7 @@ mod tests {
                         };
                         let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
                         assert!(out.won, "ccsynch attempts always complete without faults");
-                        assert!(!out.aborted && !out.rescued);
+                        assert!(out.aborted.is_none() && !out.rescued);
                     }
                 }
             })
@@ -386,7 +353,7 @@ mod tests {
                 ctx.stall_until_steps(100);
                 scratch.deadline = Deadline::at_steps(50);
                 let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
-                assert!(!out.won && out.aborted && !out.rescued);
+                assert!(!out.won && out.aborted.is_some() && !out.rescued);
                 scratch.deadline = Deadline::NEVER;
                 for _ in 0..3 {
                     let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);

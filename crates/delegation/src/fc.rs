@@ -21,8 +21,8 @@
 //! throughput, which is exactly what E17's fault arms measure.
 
 use crate::obs;
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AbortReason, AttemptMetrics, Scratch, TryLockRequest};
 use wfl_idem::{Frame, Registry, TagSource};
 use wfl_obs::EventKind;
 use wfl_runtime::{Addr, Ctx, Heap, Placement, LINE_WORDS};
@@ -136,21 +136,13 @@ impl LockAlgo for FcLock<'_> {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let deadline = scratch.deadline;
         let me = ctx.pid();
         // Pre-publication bail: nothing shared has been touched.
-        if ctx.stop_requested() || deadline.expired(ctx) {
-            return AttemptOutcome {
-                won: false,
-                steps: ctx.steps() - start,
-                aborted: true,
-                rescued: false,
-                combined: false,
-                combined_peers: 0,
-                delay_overrun: false,
-            };
+        if let Some(r) = AbortReason::poll(ctx, deadline) {
+            return AttemptMetrics::abandoned(r, false, ctx.steps() - start);
         }
         let my = self.record(me);
         let frame = Frame::create(ctx, self.registry, req.thunk, tags.next_base(), req.args);
@@ -165,16 +157,12 @@ impl LockAlgo for FcLock<'_> {
             match ctx.read_acq(my.off(W_STATE)) {
                 REC_DONE => {
                     ctx.write_rel(my.off(W_STATE), REC_EMPTY);
-                    return AttemptOutcome {
-                        won: true,
-                        steps: ctx.steps() - start,
-                        aborted: false,
-                        rescued: false,
+                    return AttemptMetrics {
                         // Executed by another process's combining stint
                         // unless this process applied it itself.
                         combined: !self_applied,
                         combined_peers: others,
-                        delay_overrun: false,
+                        ..AttemptMetrics::decided(true, ctx.steps() - start)
                     };
                 }
                 REC_PENDING => {
@@ -190,35 +178,19 @@ impl LockAlgo for FcLock<'_> {
                         // always settles it; the next loop turn reaps.
                         continue;
                     }
-                    if ctx.stop_requested() || deadline.expired(ctx) {
+                    if let Some(r) = AbortReason::poll(ctx, deadline) {
                         // Retract. Success: the request was never picked
                         // up — a clean aborted loss. Failure: a combiner
                         // already claimed it; wait out the (bounded)
                         // execution and report the rescue.
                         if ctx.cas_bool_sync(my.off(W_STATE), REC_PENDING, REC_EMPTY) {
-                            return AttemptOutcome {
-                                won: false,
-                                steps: ctx.steps() - start,
-                                aborted: true,
-                                rescued: false,
-                                combined: false,
-                                combined_peers: 0,
-                                delay_overrun: false,
-                            };
+                            return AttemptMetrics::abandoned(r, false, ctx.steps() - start);
                         }
                         while ctx.read_acq(my.off(W_STATE)) != REC_DONE {
                             ctx.local_step();
                         }
                         ctx.write_rel(my.off(W_STATE), REC_EMPTY);
-                        return AttemptOutcome {
-                            won: true,
-                            steps: ctx.steps() - start,
-                            aborted: true,
-                            rescued: true,
-                            combined: false,
-                            combined_peers: 0,
-                            delay_overrun: false,
-                        };
+                        return AttemptMetrics::abandoned(r, true, ctx.steps() - start);
                     }
                     ctx.local_step();
                 }
@@ -275,7 +247,7 @@ mod tests {
                         };
                         let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
                         assert!(out.won, "fc attempts always complete without faults");
-                        assert!(!out.aborted && !out.rescued);
+                        assert!(out.aborted.is_none() && !out.rescued);
                         combined += out.combined as u64;
                     }
                     ctx.write(combined_out.off(pid as u32), combined);
@@ -352,7 +324,7 @@ mod tests {
                 ctx.stall_until_steps(100);
                 scratch.deadline = Deadline::at_steps(50);
                 let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);
-                assert!(!out.won && out.aborted && !out.rescued);
+                assert!(!out.won && out.aborted.is_some() && !out.rescued);
                 // The record is clean: a fresh un-deadlined attempt wins.
                 scratch.deadline = Deadline::NEVER;
                 let out = algo_ref.attempt(ctx, &mut tags, &mut scratch, &req);

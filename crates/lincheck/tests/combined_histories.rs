@@ -21,7 +21,7 @@
 //!   consistent with real time);
 //! * the double-apply a combiner/owner race would cause — the owner's
 //!   decide path re-running a critical section its combiner already ran,
-//!   i.e. the `OUT_COMBINED`/`OUT_RESCUED` disjointness broken into two
+//!   i.e. the `COMBINED`/`RESCUED` outcome-bit disjointness broken into two
 //!   executors — appends the token twice and is rejected;
 //! * a claim that "wins" an attempt the competition had already
 //!   eliminated (eliminate-beats-claim done wrong) leaks a losing
@@ -182,9 +182,9 @@ proptest! {
     /// race in which both execute the claimed critical section (the owner
     /// decided itself WON while the claimant also ran the frame; the bug
     /// the one-claim-per-settle-round protocol exists to prevent) appends
-    /// the token twice. This is also what breaking `OUT_COMBINED` /
-    /// `OUT_RESCUED` disjointness looks like on the log: two distinct
-    /// grant paths each executing the same attempt.
+    /// the token twice. This is also what breaking the `COMBINED` /
+    /// `RESCUED` outcome-bit disjointness looks like on the log: two
+    /// distinct grant paths each executing the same attempt.
     #[test]
     fn combiner_owner_double_apply_is_detected(seed in 0u64..1_000_000) {
         let mut ex = build(seed, 4, 3, 80);

@@ -104,26 +104,33 @@ impl EventKind {
     }
 }
 
-/// Bit layout of an [`EventKind::AttemptEnd`] argument word.
+/// Bit layout of one attempt's outcome, shared by every observer: the
+/// [`EventKind::AttemptEnd`] argument, and (plus one, so 0 means "not
+/// run") the harness outcome book's and the player loop's slot words.
+/// `wfl_core::AttemptMetrics::bits` packs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttemptOutcomeBits(pub u64);
 
 impl AttemptOutcomeBits {
+    /// The attempt won its locks: its thunk ran.
     pub const WON: u64 = 1;
+    /// The attempt was abandoned mid-flight (deadline or stop flag).
     pub const ABORTED: u64 = 2;
+    /// Abandoned, but a helper or combiner had already completed it: a
+    /// win, so it implies [`Self::WON`] and [`Self::ABORTED`].
     pub const RESCUED: u64 = 4;
+    /// The win was granted by a combining holder: implies [`Self::WON`],
+    /// never set with [`Self::RESCUED`].
     pub const COMBINED: u64 = 8;
-    /// Combined-peer count lives above the flag bits.
+    /// The attempt's real work overran a delay target (Theorem 6.9 void).
+    pub const OVERRUN: u64 = 16;
+    /// Every flag above.
+    pub const FLAGS: u64 =
+        Self::WON | Self::ABORTED | Self::RESCUED | Self::COMBINED | Self::OVERRUN;
+    /// The combined-peer count lives above the flag bits. Bits 5–7 stay
+    /// free for a word's owner (the outcome book keeps its stop-flag
+    /// sample there).
     pub const PEERS_SHIFT: u32 = 8;
-
-    /// Packs an attempt outcome.
-    pub fn pack(won: bool, aborted: bool, rescued: bool, combined: bool, peers: u64) -> u64 {
-        (won as u64 * Self::WON)
-            | (aborted as u64 * Self::ABORTED)
-            | (rescued as u64 * Self::RESCUED)
-            | (combined as u64 * Self::COMBINED)
-            | (peers << Self::PEERS_SHIFT)
-    }
 
     pub fn won(self) -> bool {
         self.0 & Self::WON != 0
@@ -137,8 +144,19 @@ impl AttemptOutcomeBits {
     pub fn combined(self) -> bool {
         self.0 & Self::COMBINED != 0
     }
+    pub fn overrun(self) -> bool {
+        self.0 & Self::OVERRUN != 0
+    }
     pub fn peers(self) -> u64 {
         self.0 >> Self::PEERS_SHIFT
+    }
+
+    /// Whether the flags can describe one attempt: `combined ⇒ won`,
+    /// `rescued ⇒ won ∧ aborted`, and never `combined ∧ rescued`.
+    pub fn consistent(self) -> bool {
+        (!self.combined() || self.won())
+            && (!self.rescued() || (self.won() && self.aborted()))
+            && !(self.combined() && self.rescued())
     }
 
     /// A compact human label, e.g. `"won"`, `"won+combined(2)"`.
@@ -158,6 +176,9 @@ impl AttemptOutcomeBits {
         }
         if parts.is_empty() {
             parts.push("lost".to_string());
+        }
+        if self.overrun() {
+            parts.push("overrun".to_string());
         }
         parts.join("+")
     }
@@ -196,13 +217,36 @@ mod tests {
 
     #[test]
     fn outcome_bits_pack_and_unpack() {
-        let w = AttemptOutcomeBits::pack(true, false, false, true, 3);
-        let b = AttemptOutcomeBits(w);
-        assert!(b.won() && !b.aborted() && !b.rescued() && b.combined());
+        use super::AttemptOutcomeBits as B;
+        let b = B(B::WON | B::COMBINED | 3 << B::PEERS_SHIFT);
+        assert!(b.won() && !b.aborted() && !b.rescued() && b.combined() && !b.overrun());
         assert_eq!(b.peers(), 3);
         assert_eq!(b.describe(), "won+combined(3)");
-        assert_eq!(AttemptOutcomeBits(0).describe(), "lost");
-        let r = AttemptOutcomeBits(AttemptOutcomeBits::pack(true, true, true, false, 0));
-        assert_eq!(r.describe(), "won+aborted+rescued");
+        assert_eq!(B(0).describe(), "lost");
+        assert_eq!(B(B::WON | B::ABORTED | B::RESCUED).describe(), "won+aborted+rescued");
+        assert_eq!(B(B::OVERRUN).describe(), "lost+overrun");
+        // Every flag combination round-trips through the word, beside any
+        // peer count, and the consistency rule accepts exactly the
+        // combinations an attempt can report.
+        for flags in 0..=B::FLAGS {
+            for peers in [0, 1, 7, 1 << 20] {
+                let b = B(flags | peers << B::PEERS_SHIFT);
+                let back = (b.won() as u64 * B::WON)
+                    | (b.aborted() as u64 * B::ABORTED)
+                    | (b.rescued() as u64 * B::RESCUED)
+                    | (b.combined() as u64 * B::COMBINED)
+                    | (b.overrun() as u64 * B::OVERRUN);
+                assert_eq!((back, b.peers()), (flags, peers), "flags {flags:#b}");
+            }
+            let (won, aborted) = (flags & B::WON != 0, flags & B::ABORTED != 0);
+            let (rescued, combined) = (flags & B::RESCUED != 0, flags & B::COMBINED != 0);
+            let legal = match (rescued, combined) {
+                (false, false) => true,
+                (true, false) => won && aborted,
+                (false, true) => won,
+                (true, true) => false,
+            };
+            assert_eq!(B(flags).consistent(), legal, "flags {flags:#b}");
+        }
     }
 }

@@ -447,7 +447,7 @@ mod tests {
                             EventKind::AttemptEnd,
                             40,
                             130,
-                            AttemptOutcomeBits::pack(true, false, false, false, 0),
+                            AttemptOutcomeBits::WON,
                         ),
                         ev(EventKind::AttemptStart, 50, 140, 1),
                         ev(EventKind::Abort, 55, 145, 0),
@@ -455,7 +455,7 @@ mod tests {
                             EventKind::AttemptEnd,
                             56,
                             146,
-                            AttemptOutcomeBits::pack(false, true, false, false, 0),
+                            AttemptOutcomeBits::ABORTED,
                         ),
                     ],
                 ),

@@ -32,10 +32,10 @@
 use crate::algo::{AlgoHandle, AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, Backend, EpochWorkload, ExecMode, SchedKind, Turn};
 use crate::outcomes::{HarnessReport, Outcomes};
-use crate::player::{run_player_loop_stats, TargetedStarter};
+use crate::player::{player_result, run_player_loop, TargetedStarter};
 use std::sync::Mutex;
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AbortReason, AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::tag::MIN_PROCESS_CAPACITY;
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_lincheck::holders::HOLD_OP;
@@ -247,14 +247,14 @@ fn run_sim(
                 }
                 let base = (pid * rounds) as u32;
                 handle_ref.with(|a| {
-                    run_player_loop_stats(
+                    run_player_loop(
                         ctx,
                         a,
                         &mut tags,
                         &mut scratch,
                         touch,
                         results.off(base),
-                        steps_log.off(base),
+                        Some(steps_log.off(base)),
                         rounds as u64,
                     )
                 });
@@ -267,18 +267,18 @@ fn run_sim(
     run.epochs = 1;
     let mut per_proc = vec![ProcTelemetry::new(); spec.nprocs];
     for (pid, tel) in per_proc.iter_mut().enumerate() {
-        for slot in 0..rounds {
-            let idx = (pid * rounds + slot) as u32;
-            // `1 + won + 2 * overrun`, 0 = not run.
-            let Some(bits) = heap.peek(results.off(idx)).checked_sub(1) else { break };
-            let (won, steps) = (bits & 1 != 0, heap.peek(steps_log.off(idx)));
-            tel.record_attempt(won, steps);
+        for idx in pid * rounds..(pid + 1) * rounds {
+            let Some(bits) = player_result(&heap, results, idx) else { break };
+            // No deadline is armed in sim, so no attempt aborts.
+            let steps = heap.peek(steps_log.off(idx as u32));
+            let out = AttemptMetrics::from_bits(bits, steps, AbortReason::Deadline);
+            tel.record(&out);
             run.attempts += 1;
-            run.wins += won as u64;
-            run.per_pid[pid].0 += won as u64;
+            run.wins += out.won as u64;
+            run.per_pid[pid].0 += out.won as u64;
             run.per_pid[pid].1 += 1;
             run.steps.record(steps);
-            run.delay_overruns += bits >> 1;
+            run.delay_overruns += out.delay_overrun as u64;
         }
     }
     run.safety_ok = cell::value(heap.peek(counter)) as u64 == run.wins;
@@ -391,7 +391,7 @@ impl EpochWorkload for AdversaryWl {
         pid: usize,
         _round: usize,
         slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let victim = pid == FairnessReport::VICTIM;
         if victim {
             scratch.probe = Some(c.probe);
@@ -442,7 +442,7 @@ impl EpochWorkload for AdversaryWl {
         for (pid, acc) in self.per_proc.lock().expect("telemetry lock poisoned").iter_mut().enumerate() {
             let mut tel = ProcTelemetry::new();
             for a in rec.attempts(heap, pid) {
-                tel.record_attempt_outcome(a.out.won, a.out.steps, a.out.aborted, a.out.rescued);
+                tel.record(&a.out);
             }
             acc.merge(&tel);
         }

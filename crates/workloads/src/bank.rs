@@ -10,8 +10,8 @@ use crate::algo::{AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
 use crate::outcomes::{HarnessReport, Outcomes};
 use std::sync::Mutex;
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::rng::Pcg;
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -81,7 +81,7 @@ impl Bank {
         a: usize,
         b: usize,
         amt: u32,
-    ) -> wfl_baselines::AttemptOutcome {
+    ) -> AttemptMetrics {
         assert_ne!(a, b, "transfer needs two distinct accounts");
         let locks = [LockId(a as u32), LockId(b as u32)];
         let args = [
@@ -156,7 +156,7 @@ impl EpochWorkload for BankWl {
         pid: usize,
         round: usize,
         _slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let mut rng = Pcg::new(self.seed ^ 0xBA2C, ((pid as u64) << 32) | round as u64);
         let a = rng.below(self.accounts as u64) as usize;
         let mut b = rng.below(self.accounts as u64 - 1) as usize;

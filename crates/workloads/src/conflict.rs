@@ -6,8 +6,8 @@
 use crate::algo::{AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
 use crate::outcomes::{HarnessReport, Outcomes};
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, SpaceLayout, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, LockId, Scratch, SpaceLayout, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::rng::Pcg;
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -175,7 +175,7 @@ impl EpochWorkload for ConflictWl {
         pid: usize,
         round: usize,
         _slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let s = &self.spec;
         picker.pick_into(s.seed, pid, round, s.locks_per_attempt, locks);
         args.clear();

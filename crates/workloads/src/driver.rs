@@ -8,8 +8,8 @@ use crate::algo::{AlgoInstance, AlgoSpec};
 use crate::outcomes::{HarnessReport, Outcomes};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{Deadline, GiveUp, Scratch};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, Deadline, GiveUp, Scratch};
 use wfl_idem::{Registry, TagSource};
 use wfl_runtime::epoch::{run_epoch_worker, EpochState, EpochSync};
 use wfl_runtime::real::{run_threads_epochs, RealConfig};
@@ -221,7 +221,7 @@ pub(crate) trait EpochWorkload: Sync {
         pid: usize,
         round: usize,
         slot: usize,
-    ) -> AttemptOutcome;
+    ) -> AttemptMetrics;
 
     /// Asked before each of `pid`'s rounds, after the stop-flag and
     /// heap-pressure checks. Default [`Turn::Go`]. A [`Turn::Wait`] takes
@@ -237,7 +237,9 @@ pub(crate) trait EpochWorkload: Sync {
 
     /// Epoch-boundary check at quiescence: aggregate this epoch's recorded
     /// outcomes (via [`Outcomes::aggregate`]) and compare the heap state
-    /// against them. Returns the epoch report and whether it was safe.
+    /// against them. Returns the epoch report and whether the heap state
+    /// matched; the driver also fails the epoch on the report's own
+    /// outcome oracle (`safety_ok`).
     fn check(&self, heap: &Heap, roots: &Self::Roots, rec: &Outcomes) -> (HarnessReport, bool);
 }
 
@@ -398,6 +400,7 @@ pub(crate) fn drive_epochs<WL: EpochWorkload>(
                 );
                 events.extend(report.history.events);
                 let (erep, safe) = wl.check(heap, &world.roots, &world.rec);
+                let safe = safe && erep.safety_ok;
                 postmortem_on_failure(epoch, safe);
                 run.merge(&erep, safe);
                 // The sim host owns the quiescent gap between epoch runs,
@@ -455,6 +458,7 @@ pub(crate) fn drive_epochs<WL: EpochWorkload>(
                             let heap = ctx.heap();
                             let mut world = world_ref.write().unwrap();
                             let (erep, safe) = wl.check(heap, &world.roots, &world.rec);
+                            let safe = safe && erep.safety_ok;
                             postmortem_on_failure(epoch as usize, safe);
                             run_ref.lock().unwrap().merge(&erep, safe);
                             // The barrier stamp goes on the leader's *own*

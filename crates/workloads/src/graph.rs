@@ -10,8 +10,8 @@
 use crate::algo::{AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
 use crate::outcomes::{HarnessReport, Outcomes};
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::rng::Pcg;
 use wfl_runtime::{Addr, Ctx, Heap};
@@ -157,7 +157,7 @@ impl Graph {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         v: usize,
-    ) -> wfl_baselines::AttemptOutcome {
+    ) -> AttemptMetrics {
         let locks = self.lock_set(v);
         let mut args = Vec::new();
         self.relax_args(v, &mut args);
@@ -223,7 +223,7 @@ impl EpochWorkload for GraphWl {
         pid: usize,
         round: usize,
         _slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let (locks, args) = &reqs[self.vertex_of(pid, round)];
         let req = TryLockRequest { locks, thunk: graph.relax, args };
         algo.attempt(ctx, tags, scratch, &req)

@@ -18,8 +18,8 @@
 use crate::algo::{AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
 use crate::outcomes::{HarnessReport, Outcomes};
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::{Addr, Ctx, Heap};
 
@@ -287,7 +287,7 @@ impl EpochWorkload for ListWl {
         pid: usize,
         _round: usize,
         slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let start = ctx.steps();
         let r = list.insert(
             ctx,
@@ -299,7 +299,7 @@ impl EpochWorkload for ListWl {
             self.key_of(pid, slot),
             LIST_ATTEMPT_BUDGET,
         );
-        AttemptOutcome::decided(r == Some(true), ctx.steps() - start)
+        AttemptMetrics::decided(r == Some(true), ctx.steps() - start)
     }
 
     fn check(&self, heap: &Heap, list: &SortedList, rec: &Outcomes) -> (HarnessReport, bool) {

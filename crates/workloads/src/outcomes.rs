@@ -3,9 +3,8 @@
 //! fold into ([`HarnessReport`]), one epoch at a time.
 
 use std::time::Duration;
-use wfl_baselines::AttemptOutcome;
-use wfl_core::GiveUp;
-use wfl_obs::FixedHistogram;
+use wfl_core::{AbortReason, AttemptMetrics, GiveUp};
+use wfl_obs::{AttemptOutcomeBits, FixedHistogram};
 use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, Ctx, Heap, History};
 
@@ -22,7 +21,9 @@ pub struct HarnessReport {
     /// Per-process (wins, attempts).
     pub per_pid: Vec<(u64, u64)>,
     /// Whether **every epoch's** workload invariant matched its recorded
-    /// outcomes exactly (the mutual-exclusion check).
+    /// outcomes exactly (the mutual-exclusion check), and every recorded
+    /// outcome was self-consistent ([`AttemptOutcomeBits::consistent`],
+    /// and `rescues + combined_wins ≤ wins` per epoch).
     pub safety_ok: bool,
     /// Attempts abandoned mid-flight (armed deadline expired, or the stop
     /// flag during a deadline-armed attempt) rather than decided.
@@ -160,14 +161,13 @@ impl HarnessReport {
 
 /// Per-`(process, round)` outcome slots in the shared heap for **one
 /// epoch**: 0 = round not run (timed run stopped first), else `1 + bits`
-/// with bit 0 = won, bit 1 = aborted, bit 2 = rescued, bit 3 = the stop
-/// flag was up when the abort was recorded (classifies the abort reason),
-/// bit 4 = combined, bit 5 = delay overrun, the combine batch size above;
-/// plus a parallel word of own-steps per attempt and one batch-exit word
-/// per process (0 = ran its full batch, else `1 + GiveUp::index`). The
-/// recorder knows its epoch's base round so aggregation reports *global*
-/// round numbers, which is what keeps deterministic `(seed, pid, round)`
-/// reconstructions exact across resets.
+/// in the shared [`AttemptOutcomeBits`] layout, plus the book's own
+/// [`STOPPING`] bit; a parallel word of own-steps per attempt; and one
+/// batch-exit word per process (0 = ran its full batch, else
+/// `1 + GiveUp::index`). The recorder knows its epoch's base round so
+/// aggregation reports *global* round numbers, which is what keeps
+/// deterministic `(seed, pid, round)` reconstructions exact across
+/// resets.
 pub(crate) struct Outcomes {
     outcomes: Addr,
     steps: Addr,
@@ -183,19 +183,12 @@ pub(crate) struct Outcomes {
     base_round: usize,
 }
 
-/// Outcome-word bits (over `value - 1`).
-const OUT_WON: u64 = 1;
-const OUT_ABORTED: u64 = 2;
-const OUT_RESCUED: u64 = 4;
-const OUT_STOPPING: u64 = 8;
-/// The win was granted by a combining holder (disjoint from
-/// [`OUT_RESCUED`]; implies [`OUT_WON`]).
-const OUT_COMBINED: u64 = 16;
-/// The attempt's real work overran a delay target (wfl with delays).
-const OUT_OVERRUN: u64 = 32;
-/// Bits above this shift carry the winner's combine batch size (peer
-/// requests applied while holding; 0 for non-combining wins).
-const OUT_PEERS_SHIFT: u32 = 6;
+/// The book's own bit, in one the shared layout leaves free: the stop flag
+/// was up when an abort was recorded, which classifies the abort reason.
+const STOPPING: u64 = 1 << 5;
+const _: () = assert!(
+    STOPPING & AttemptOutcomeBits::FLAGS == 0 && STOPPING >> AttemptOutcomeBits::PEERS_SHIFT == 0
+);
 
 impl Outcomes {
     pub(crate) fn create_root(heap: &Heap, nprocs: usize, cap: usize, base_round: usize) -> Outcomes {
@@ -237,32 +230,16 @@ impl Outcomes {
     /// boundary, where the barrier's mutex (or the sim host's join)
     /// already provides the happens-before edge — the store needs no
     /// global ordering of its own.
-    pub(crate) fn record(&self, ctx: &Ctx<'_>, pid: usize, slot: usize, out: &AttemptOutcome) {
+    pub(crate) fn record(&self, ctx: &Ctx<'_>, pid: usize, slot: usize, out: &AttemptMetrics) {
         let idx = self.idx(pid, slot);
-        let mut bits = 0u64;
-        if out.won {
-            bits |= OUT_WON;
+        let mut bits = out.bits().0;
+        // Classifies an abort: armed deadlines are the steady-state
+        // trigger; the stop flag only rises once the driver drains, and it
+        // never falls again, so sampling it here is exact enough to split
+        // the per-reason counters.
+        if out.aborted.is_some() && ctx.stop_requested() {
+            bits |= STOPPING;
         }
-        if out.aborted {
-            bits |= OUT_ABORTED;
-            // Classifies the abort: armed deadlines are the steady-state
-            // trigger; the stop flag only rises once the driver drains, and
-            // it never falls again, so sampling it here is exact enough to
-            // split the per-reason counters.
-            if ctx.stop_requested() {
-                bits |= OUT_STOPPING;
-            }
-        }
-        if out.rescued {
-            bits |= OUT_RESCUED;
-        }
-        if out.combined {
-            bits |= OUT_COMBINED;
-        }
-        if out.delay_overrun {
-            bits |= OUT_OVERRUN;
-        }
-        bits |= out.combined_peers << OUT_PEERS_SHIFT;
         ctx.write_rel(self.outcomes.off(idx), 1 + bits);
         ctx.write_rel(self.steps.off(idx), out.steps);
     }
@@ -278,7 +255,8 @@ impl Outcomes {
 
     /// The attempts `pid` recorded this epoch, in slot order, decoded
     /// back from their outcome and step words (uncounted reads, for the
-    /// quiescent boundary).
+    /// quiescent boundary). An abort's reason is the book's stop-flag
+    /// sample; `helped` reads 0.
     pub(crate) fn attempts<'h>(&self, heap: &'h Heap, pid: usize) -> impl Iterator<Item = Recorded> + 'h {
         let (outcomes, steps) = (self.outcomes, self.steps);
         let base = self.idx(pid, 0);
@@ -287,37 +265,32 @@ impl Outcomes {
             // A batch fills its slots in order, so the first 0 (round not
             // run) ends the process's rounds.
             let bits = heap.peek(outcomes.off(idx)).checked_sub(1)?;
-            let out = AttemptOutcome {
-                won: bits & OUT_WON != 0,
-                steps: heap.peek(steps.off(idx)),
-                aborted: bits & OUT_ABORTED != 0,
-                rescued: bits & OUT_RESCUED != 0,
-                combined: bits & OUT_COMBINED != 0,
-                combined_peers: bits >> OUT_PEERS_SHIFT,
-                delay_overrun: bits & OUT_OVERRUN != 0,
-            };
-            Some(Recorded { slot, out, stopping: bits & OUT_STOPPING != 0 })
+            let reason = if bits & STOPPING != 0 { AbortReason::Stop } else { AbortReason::Deadline };
+            let out = AttemptMetrics::from_bits(AttemptOutcomeBits(bits), heap.peek(steps.off(idx)), reason);
+            Some(Recorded { slot, out })
         })
     }
 
     /// Folds this epoch's recorded outcomes into a one-epoch
-    /// [`HarnessReport`] (with `safety_ok` left `true` for the caller to
-    /// refine), invoking `on_win(pid, global_round)` for every recorded
-    /// win so the caller can reconstruct the workload-specific
-    /// expectation.
+    /// [`HarnessReport`], invoking `on_win(pid, global_round)` for every
+    /// recorded win so the caller can reconstruct the workload-specific
+    /// expectation. `safety_ok` is the outcome oracle: every attempt's
+    /// flags are [consistent](AttemptOutcomeBits::consistent), and
+    /// `rescues + combined_wins ≤ wins`. The caller checks the workload's
+    /// own invariant on top.
     pub(crate) fn aggregate(&self, heap: &Heap, mut on_win: impl FnMut(usize, usize)) -> HarnessReport {
         let mut r = HarnessReport::empty(self.nprocs);
         r.epochs = 1;
         for pid in 0..self.nprocs {
-            for Recorded { slot, out, stopping } in self.attempts(heap, pid) {
+            for Recorded { slot, out } in self.attempts(heap, pid) {
+                r.safety_ok &= out.bits().consistent();
                 r.attempts += 1;
                 r.per_pid[pid].1 += 1;
                 r.steps.record(out.steps);
-                if out.aborted {
+                if let Some(reason) = out.aborted {
                     r.aborts += 1;
                     r.abort_steps.record(out.steps);
-                    let reason = if stopping { GiveUp::Stop } else { GiveUp::Deadline };
-                    r.give_up[reason.index()] += 1;
+                    r.give_up[GiveUp::from(reason).index()] += 1;
                 }
                 r.rescues += u64::from(out.rescued);
                 r.combined_wins += u64::from(out.combined);
@@ -338,6 +311,7 @@ impl Outcomes {
                 r.give_up[idx] += 1;
             }
         }
+        r.safety_ok &= r.rescues + r.combined_wins <= r.wins;
         r
     }
 }
@@ -347,9 +321,7 @@ pub(crate) struct Recorded {
     /// The round index within the epoch.
     pub(crate) slot: usize,
     /// The outcome as recorded.
-    pub(crate) out: AttemptOutcome,
-    /// The stop flag was up when an abort was recorded.
-    pub(crate) stopping: bool,
+    pub(crate) out: AttemptMetrics,
 }
 
 #[cfg(test)]
@@ -379,6 +351,40 @@ mod tests {
             r.combine_batch.record(1 + s);
         }
         r
+    }
+
+    /// Aggregates one epoch in which process 0 recorded `words` (each
+    /// `1 + bits`, as the book writes them).
+    fn aggregate_words(words: &[u64]) -> HarnessReport {
+        let heap = Heap::new(1 << 12);
+        let book = Outcomes::create_root(&heap, 1, 8, 0);
+        for (slot, &w) in words.iter().enumerate() {
+            heap.poke(book.outcomes.off(slot as u32), w);
+            heap.poke(book.steps.off(slot as u32), 10);
+        }
+        book.aggregate(&heap, |_, _| {})
+    }
+
+    #[test]
+    fn inconsistent_outcome_flags_make_the_epoch_unsafe() {
+        type B = AttemptOutcomeBits;
+        let ok = aggregate_words(&[
+            1 + B::WON,
+            1 + (B::WON | B::COMBINED),
+            1 + (B::WON | B::ABORTED | B::RESCUED),
+            1 + (B::ABORTED | STOPPING),
+            1,
+        ]);
+        assert!(ok.safety_ok, "every outcome an attempt can report");
+        assert_eq!((ok.wins, ok.aborts, ok.rescues, ok.combined_wins), (3, 2, 1, 1));
+        assert_eq!(ok.give_up[GiveUp::Stop.index()], 1, "the book's stop sample");
+        assert_eq!(ok.give_up[GiveUp::Deadline.index()], 1);
+        let rescued_loss = aggregate_words(&[1 + B::WON, 1 + (B::ABORTED | B::RESCUED)]);
+        assert!(!rescued_loss.safety_ok, "RESCUED without WON");
+        let both = aggregate_words(&[1 + (B::WON | B::ABORTED | B::RESCUED | B::COMBINED)]);
+        assert!(!both.safety_ok, "RESCUED with COMBINED");
+        let combined_loss = aggregate_words(&[1 + B::COMBINED]);
+        assert!(!combined_loss.safety_ok, "COMBINED without WON");
     }
 
     #[test]

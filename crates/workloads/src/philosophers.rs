@@ -11,8 +11,8 @@
 use crate::algo::{AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, EpochWorkload, ExecMode};
 use crate::outcomes::{HarnessReport, Outcomes};
-use wfl_baselines::{AttemptOutcome, LockAlgo};
-use wfl_core::{LockId, Scratch, TryLockRequest};
+use wfl_baselines::LockAlgo;
+use wfl_core::{AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_runtime::{Addr, Ctx, Heap};
 
@@ -70,7 +70,7 @@ impl Table {
         tags: &mut TagSource,
         scratch: &mut Scratch,
         i: usize,
-    ) -> wfl_baselines::AttemptOutcome {
+    ) -> AttemptMetrics {
         let locks = self.chopsticks(i);
         let args = [self.meals.off(i as u32).to_word()];
         let req = TryLockRequest { locks: &locks, thunk: self.eat, args: &args };
@@ -110,7 +110,7 @@ impl EpochWorkload for PhilWl {
         pid: usize,
         _round: usize,
         _slot: usize,
-    ) -> AttemptOutcome {
+    ) -> AttemptMetrics {
         let out = table.attempt_eat(ctx, algo, tags, scratch, pid);
         let think = ctx.rand_below(24);
         for _ in 0..think {

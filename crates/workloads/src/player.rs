@@ -8,9 +8,10 @@
 //! * **Simulator**: a [`wfl_runtime::sim::Controller`]
 //!   ([`TargetedStarter`]) inspects the quiesced heap between steps and
 //!   feeds `start` commands into process mailboxes; the process side
-//!   ([`run_player_loop`]) polls its mailbox and executes the commanded
-//!   attempts. Experiments E7/E11 use this to try to bias a victim's
-//!   success probability; the delay mechanism is what defeats it.
+//!   ([`run_player_loop`]) polls its mailbox, executes the commanded
+//!   attempts and records their outcomes ([`player_result`]).
+//!   Experiments E7/E11 use this to try to bias a victim's success
+//!   probability; the delay mechanism is what defeats it.
 //! * **Real threads**: the [`crate::adversary`] workload runs competitor
 //!   threads that watch the victim's probe cell directly and start
 //!   attempts themselves, on the harness's epoch driver.
@@ -30,6 +31,7 @@ use wfl_baselines::LockAlgo;
 use wfl_core::descriptor::PRIO_TBD;
 use wfl_core::{Desc, LockId, Scratch, TryLockRequest};
 use wfl_idem::{TagSource, ThunkId};
+use wfl_obs::AttemptOutcomeBits;
 use wfl_runtime::sim::{Controller, Mailboxes};
 use wfl_runtime::{Addr, Ctx, Heap};
 
@@ -127,46 +129,19 @@ pub fn decode_attempt(cmd: &[u64]) -> (Vec<LockId>, Vec<u64>) {
 }
 
 /// The process side of a commanded player: polls the mailbox; on a
-/// command, runs one attempt and records the outcome into
-/// `results[attempt_counter]` as `1 + won` (0 = not yet run). Stops when
-/// the driver raises the stop flag or after `max_attempts`.
+/// command, runs one attempt and records its outcome into
+/// `results[attempt_counter]` as `1 + bits` in the shared
+/// [`AttemptOutcomeBits`] layout (0 = not yet run; read back with
+/// [`player_result`]), and, given `steps_out` (a region of at least
+/// `max_attempts` words), its own-step cost into
+/// `steps_out[attempt_counter]`. Stops when the driver raises the stop
+/// flag or after `max_attempts`.
 ///
 /// If the caller set `scratch.probe`, the loop brackets every attempt with
 /// [`PROBE_OPAQUE`]/clear writes so even baseline algorithms (which never
 /// publish a descriptor) are observable by the adaptive adversary.
 #[allow(clippy::too_many_arguments)]
 pub fn run_player_loop<A: LockAlgo + ?Sized>(
-    ctx: &Ctx<'_>,
-    algo: &A,
-    tags: &mut TagSource,
-    scratch: &mut Scratch,
-    thunk: ThunkId,
-    results: Addr,
-    max_attempts: u64,
-) {
-    player_loop_inner(ctx, algo, tags, scratch, thunk, results, None, max_attempts);
-}
-
-/// Like [`run_player_loop`], but also records each attempt's own-step cost
-/// into `steps_out[attempt_counter]` (a region of at least `max_attempts`
-/// words), and adds 2 to the `results` word of an attempt that overran a
-/// delay target. Used by the adversary's sim arm to build its report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_player_loop_stats<A: LockAlgo + ?Sized>(
-    ctx: &Ctx<'_>,
-    algo: &A,
-    tags: &mut TagSource,
-    scratch: &mut Scratch,
-    thunk: ThunkId,
-    results: Addr,
-    steps_out: Addr,
-    max_attempts: u64,
-) {
-    player_loop_inner(ctx, algo, tags, scratch, thunk, results, Some(steps_out), max_attempts);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn player_loop_inner<A: LockAlgo + ?Sized>(
     ctx: &Ctx<'_>,
     algo: &A,
     tags: &mut TagSource,
@@ -191,13 +166,18 @@ fn player_loop_inner<A: LockAlgo + ?Sized>(
         if let Some(cell) = scratch.probe {
             ctx.write_rel(cell, 0);
         }
-        let overrun = steps_out.is_some() && out.delay_overrun;
-        ctx.write(results.off(done as u32), 1 + out.won as u64 + 2 * overrun as u64);
+        ctx.write(results.off(done as u32), 1 + out.bits().0);
         if let Some(steps) = steps_out {
             ctx.write(steps.off(done as u32), out.steps);
         }
         done += 1;
     }
+}
+
+/// The outcome [`run_player_loop`] recorded in `results[i]` (uncounted);
+/// `None` if that attempt never ran.
+pub fn player_result(heap: &Heap, results: Addr, i: usize) -> Option<AttemptOutcomeBits> {
+    heap.peek(results.off(i as u32)).checked_sub(1).map(AttemptOutcomeBits)
 }
 
 /// An adaptive player adversary that tries to make a victim lose: it

@@ -13,6 +13,7 @@
 //!   standard scalar for "how evenly is success distributed"; it is `1`
 //!   for perfect equality and `1/n` when one process takes everything.
 
+use wfl_core::AttemptMetrics;
 use wfl_obs::FixedHistogram;
 use wfl_runtime::stats::Bernoulli;
 
@@ -52,31 +53,24 @@ impl ProcTelemetry {
         ProcTelemetry::default()
     }
 
-    /// Records one attempt of `steps` own steps. On a win, the current
-    /// streak closes into the try-count and latency histograms.
-    pub fn record_attempt(&mut self, won: bool, steps: u64) {
+    /// Records one attempt. A win (a rescue included) closes the current
+    /// streak into the try-count and latency histograms; `aborted`
+    /// attempts also tally on their own, so an adversary report can split
+    /// "starved by competitors" from "gave up on its own SLO".
+    pub fn record(&mut self, out: &AttemptMetrics) {
         self.attempts += 1;
         self.cur_tries += 1;
-        self.cur_steps = self.cur_steps.saturating_add(steps);
+        self.cur_steps = self.cur_steps.saturating_add(out.steps);
         self.max_stretch = self.max_stretch.max(self.cur_tries);
-        if won {
+        self.aborts += out.aborted.is_some() as u64;
+        self.rescues += out.rescued as u64;
+        if out.won {
             self.wins += 1;
             self.tries.record(self.cur_tries);
             self.latency.record(self.cur_steps);
             self.cur_tries = 0;
             self.cur_steps = 0;
         }
-    }
-
-    /// Records one attempt with its abort markers (see
-    /// [`wfl_baselines::AttemptOutcome`]): `aborted` attempts tally
-    /// separately so an adversary report can split "starved by
-    /// competitors" from "gave up on its own SLO"; a `rescued` attempt is
-    /// an aborted win.
-    pub fn record_attempt_outcome(&mut self, won: bool, steps: u64, aborted: bool, rescued: bool) {
-        self.record_attempt(won, steps);
-        self.aborts += aborted as u64;
-        self.rescues += rescued as u64;
     }
 
     /// Folds `other` (e.g. one epoch's telemetry) into `self`. Unfinished
@@ -129,11 +123,11 @@ mod tests {
     #[test]
     fn telemetry_tracks_streaks() {
         let mut t = ProcTelemetry::new();
-        t.record_attempt(false, 10);
-        t.record_attempt(false, 10);
-        t.record_attempt(true, 10); // acquisition: 3 tries, 30 steps
-        t.record_attempt(true, 5); // acquisition: 1 try, 5 steps
-        t.record_attempt(false, 2); // unfinished streak
+        t.record(&AttemptMetrics::decided(false, 10));
+        t.record(&AttemptMetrics::decided(false, 10));
+        t.record(&AttemptMetrics::decided(true, 10)); // acquisition: 3 tries, 30 steps
+        t.record(&AttemptMetrics::decided(true, 5)); // acquisition: 1 try, 5 steps
+        t.record(&AttemptMetrics::decided(false, 2)); // unfinished streak
         assert_eq!(t.attempts, 5);
         assert_eq!(t.wins, 2);
         assert_eq!(t.max_stretch, 3);
@@ -146,13 +140,13 @@ mod tests {
     #[test]
     fn telemetry_merge_folds_epochs() {
         let mut a = ProcTelemetry::new();
-        a.record_attempt(true, 7);
-        a.record_attempt(false, 7); // unfinished: stretch 1
+        a.record(&AttemptMetrics::decided(true, 7));
+        a.record(&AttemptMetrics::decided(false, 7)); // unfinished: stretch 1
         let mut b = ProcTelemetry::new();
         for _ in 0..4 {
-            b.record_attempt(false, 3);
+            b.record(&AttemptMetrics::decided(false, 3));
         }
-        b.record_attempt(true, 3); // stretch 5
+        b.record(&AttemptMetrics::decided(true, 3)); // stretch 5
         a.merge(&b);
         assert_eq!(a.attempts, 7);
         assert_eq!(a.wins, 2);

@@ -11,7 +11,7 @@ use wfl_runtime::real::RealConfig;
 use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::{Addr, Ctx, Heap};
 use wfl_workloads::harness::{AlgoHandle, AlgoKind, Backend, ExecMode, SchedKind};
-use wfl_workloads::player::{run_player_loop_stats, TargetedStarter};
+use wfl_workloads::player::{player_result, run_player_loop, TargetedStarter};
 
 /// Every strength must drive a clean, safety-checked real-threads run in
 /// which the victim completes exactly its planned attempts.
@@ -167,14 +167,14 @@ fn ported_sim_arm_reproduces_e7_numbers() {
                 }
                 let base = (pid * rounds) as u32;
                 handle_ref.with(|a| {
-                    run_player_loop_stats(
+                    run_player_loop(
                         ctx,
                         a,
                         &mut tags,
                         &mut scratch,
                         touch,
                         results.off(base),
-                        steps_log.off(base),
+                        Some(steps_log.off(base)),
                         rounds as u64,
                     )
                 });
@@ -186,13 +186,9 @@ fn ported_sim_arm_reproduces_e7_numbers() {
     for pid in 0..nprocs {
         let (mut attempts, mut wins) = (0u64, 0u64);
         for slot in 0..rounds {
-            match heap.peek(results.off((pid * rounds + slot) as u32)) {
-                0 => break,
-                o => {
-                    attempts += 1;
-                    wins += (o == 2) as u64;
-                }
-            }
+            let Some(out) = player_result(&heap, results, pid * rounds + slot) else { break };
+            attempts += 1;
+            wins += out.won() as u64;
         }
         let t = &ported.per_proc[pid];
         assert_eq!(

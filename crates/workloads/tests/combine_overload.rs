@@ -47,8 +47,9 @@ fn run_cell_cs(
 
 /// The accounting identities every cell must satisfy, whatever the
 /// schedule did: rescues and combined grants are subsets of wins, and —
-/// because `OUT_RESCUED` and `OUT_COMBINED` are disjoint by contract — the
-/// two subsets cannot overlap, so their sum is still bounded by wins.
+/// because the `RESCUED` and `COMBINED` outcome bits are disjoint by
+/// contract — the two subsets cannot overlap, so their sum is still
+/// bounded by wins.
 fn audit(label: &str, r: &HarnessReport, attempts: u64) {
     assert!(r.safety_ok, "{label}: safety audit failed");
     assert_eq!(r.attempts, attempts, "{label}: sim cells complete every round");
@@ -57,7 +58,7 @@ fn audit(label: &str, r: &HarnessReport, attempts: u64) {
     assert!(r.combined_wins <= r.wins, "{label}: combined grants are wins");
     assert!(
         r.rescues + r.combined_wins <= r.wins,
-        "{label}: OUT_RESCUED/OUT_COMBINED disjointness violated in aggregate \
+        "{label}: RESCUED/COMBINED disjointness violated in aggregate \
          (rescues {} + combined {} > wins {})",
         r.rescues,
         r.combined_wins,

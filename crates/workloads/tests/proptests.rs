@@ -4,6 +4,7 @@
 //! telemetry bookkeeping.
 
 use proptest::prelude::*;
+use wfl_core::AttemptMetrics;
 use wfl_workloads::telemetry::{jain_index, ProcTelemetry};
 use wfl_obs::{FixedHistogram, BUCKETS};
 
@@ -128,7 +129,7 @@ proptest! {
         let mut wins = 0u64;
         for (i, &s) in samples.iter().enumerate() {
             let won = (s ^ i as u64) & 3 == 0;
-            t.record_attempt(won, s % 1000);
+            t.record(&AttemptMetrics::decided(won, s % 1000));
             wins += won as u64;
         }
         prop_assert_eq!(t.attempts, len as u64);

@@ -22,7 +22,7 @@ use std::time::Duration;
 use wait_free_locks::baselines::WflKnown;
 use wait_free_locks::fairness::{run_adversary, AdvStrength, AdversarySpec};
 use wait_free_locks::workloads::harness::{AlgoKind, ExecMode};
-use wait_free_locks::workloads::player::{run_player_loop, TargetedStarter};
+use wait_free_locks::workloads::player::{player_result, run_player_loop, TargetedStarter};
 use wait_free_locks::{
     cell, Ctx, Heap, IdemRun, LockConfig, LockId, LockSpace, Registry, RoundRobin, SimBuilder,
     TagSource, Thunk,
@@ -80,7 +80,7 @@ fn sim_part() {
                     scratch.probe = Some(victim_desc_cell);
                 }
                 let my_results = results.off((pid as u64 * attempts) as u32);
-                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, attempts);
+                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, None, attempts);
             }
         })
         .run();
@@ -91,15 +91,11 @@ fn sim_part() {
         let mut wins = 0u64;
         let mut total = 0u64;
         for i in 0..attempts {
-            match heap.peek(results.off((pid as u64 * attempts + i) as u32)) {
-                0 => break,
-                o => {
-                    total += 1;
-                    if o == 2 {
-                        wins += 1;
-                    }
-                }
-            }
+            let Some(out) = player_result(&heap, results, (pid as u64 * attempts + i) as usize) else {
+                break;
+            };
+            total += 1;
+            wins += out.won() as u64;
         }
         rows.push((pid, wins, total));
     }

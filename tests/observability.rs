@@ -8,7 +8,9 @@
 //! mutex (other integration-test binaries are separate processes).
 
 use std::sync::Mutex;
-use wait_free_locks::obs::{perfetto, rec, EventKind};
+use wait_free_locks::core::LockConfig;
+use wait_free_locks::idem::body_steps;
+use wait_free_locks::obs::{perfetto, rec, AttemptOutcomeBits, EventKind};
 use wait_free_locks::workloads::harness::{
     run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
@@ -114,6 +116,60 @@ fn faulted_trace_reaches_the_exporter() {
     assert!(stats.attempts > 0);
     assert!(stats.aborts > 0);
     assert!(stats.fault_windows > 0);
+}
+
+/// Every observer reads an attempt through the one shared outcome layout,
+/// so a recorded run's `AttemptEnd` words fold to exactly its outcome
+/// book. The cell is a faulted combining race on one hot lock: κ = 2
+/// against 8 processes, so helping overruns `T0`, and a deadline just past
+/// the reveal aborts exactly the overrunning attempts. Won, aborted,
+/// rescued and combined outcomes all occur (wfl rescues are rare: this
+/// seed has one).
+#[test]
+fn attempt_end_words_fold_to_the_outcome_book() {
+    let _g = recorder_lock();
+    let kappa = 2;
+    let mut spec = SimSpec::new(8, 30, 1, 1);
+    spec.seed = 4;
+    spec.think_max = 0;
+    spec.cs_work = 0;
+    let t0 = LockConfig::new(kappa, 1, 2).with_cs_steps(body_steps(2)).t0();
+    let faults = SchedKind::RandomFaults { period: 2_000, quantum: 1_333 };
+    let mode =
+        ExecMode::sim(faults, 2_000_000_000).with_deadline_steps(t0 + 10).with_recorder();
+    let combine = AlgoKind::Wfl { kappa, delays: true, helping: true, combine: true };
+    let r = run_random_conflict(&spec, combine, &mode);
+    assert!(r.safety_ok);
+    let trace = r.trace.as_ref().expect("recorded run carries a trace");
+    assert!(trace.dropped.is_empty(), "a ring dropped events: {:?}", trace.dropped);
+    let mut folded = HarnessReport::default();
+    let mut ends = 0;
+    for e in trace.per_pid.iter().flat_map(|(_, events)| events) {
+        if e.kind != EventKind::AttemptEnd {
+            continue;
+        }
+        let b = AttemptOutcomeBits(e.arg);
+        assert!(b.consistent(), "inconsistent outcome {}", b.describe());
+        ends += 1;
+        folded.wins += b.won() as u64;
+        folded.aborts += b.aborted() as u64;
+        folded.rescues += b.rescued() as u64;
+        folded.combined_wins += b.combined() as u64;
+        folded.delay_overruns += b.overrun() as u64;
+        if b.peers() > 0 {
+            folded.combine_batch.record(b.peers());
+        }
+    }
+    assert_eq!(ends, r.attempts, "one AttemptEnd per recorded attempt");
+    let totals = |r: &HarnessReport| {
+        (r.wins, r.aborts, r.rescues, r.combined_wins, r.combine_batch.sum(), r.delay_overruns)
+    };
+    assert_eq!(totals(&folded), totals(&r));
+    assert!(
+        r.wins > 0 && r.aborts > 0 && r.rescues > 0 && r.combined_wins > 0,
+        "the cell must show every outcome flag: {:?}",
+        totals(&r)
+    );
 }
 
 #[test]
