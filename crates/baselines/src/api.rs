@@ -3,7 +3,6 @@
 
 use wfl_core::{
     try_locks, try_locks_unknown, AttemptMetrics, LockConfig, LockSpace, Scratch, TryLockRequest,
-    UnknownConfig,
 };
 use wfl_idem::{Registry, TagSource};
 use wfl_runtime::Ctx;
@@ -66,8 +65,6 @@ pub struct WflUnknown<'a> {
     pub space: &'a LockSpace,
     /// The thunk registry.
     pub registry: &'a Registry,
-    /// Ablation switches.
-    pub cfg: UnknownConfig,
 }
 
 impl LockAlgo for WflUnknown<'_> {
@@ -78,6 +75,6 @@ impl LockAlgo for WflUnknown<'_> {
         scratch: &mut Scratch,
         req: &TryLockRequest<'_>,
     ) -> AttemptMetrics {
-        try_locks_unknown(ctx, self.space, self.registry, &self.cfg, tags, scratch, *req)
+        try_locks_unknown(ctx, self.space, self.registry, tags, scratch, *req)
     }
 }

@@ -11,14 +11,14 @@
 //! victim's success rate collapses below the fair bound.
 
 use wfl_bench::{fmt_success, header, row, verdict};
-use wfl_baselines::{LockAlgo, WflKnown};
+use wfl_baselines::WflKnown;
 use wfl_core::{Desc, LockConfig, LockId, LockSpace};
-use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
+use wfl_idem::{IdemRun, Registry, Thunk};
 use wfl_runtime::schedule::RoundRobin;
-use wfl_runtime::sim::{Controller, Mailboxes, SimBuilder};
+use wfl_runtime::sim::{Controller, Mailboxes};
 use wfl_runtime::stats::Bernoulli;
-use wfl_runtime::{Addr, Ctx, Heap};
-use wfl_workloads::player::{encode_attempt, player_result, run_player_loop};
+use wfl_runtime::{Addr, Heap};
+use wfl_workloads::player::{encode_attempt, run_commanded};
 
 struct Touch;
 impl Thunk for Touch {
@@ -73,13 +73,11 @@ impl Controller for StartWhenStrong {
 
 fn victim_rate(helping: bool) -> Bernoulli {
     let nprocs = 2;
-    let attempts = 70u64;
     let mut registry = Registry::new();
     let touch = registry.register(Touch);
     let heap = Heap::new(1 << 25);
     let space = LockSpace::create_root(&heap, 1, nprocs);
     let counter = heap.alloc_root(1);
-    let results = heap.alloc_root(attempts as usize * nprocs);
     let mut cfg = LockConfig::new(nprocs, 1, 2);
     cfg.helping = helping;
     // Delays off isolates the helping mechanism (and keeps the victim's
@@ -94,26 +92,11 @@ fn victim_rate(helping: bool) -> Bernoulli {
         competitor: 1,
         next_competitor_at: 0,
     };
-    let algo_ref: &dyn LockAlgo = &algo;
-    let report = SimBuilder::new(&heap, nprocs)
-        .schedule(RoundRobin::new(nprocs))
-        .controller(controller)
-        .max_steps(100_000_000)
-        .spawn_all(|pid| {
-            move |ctx: &Ctx| {
-                let mut tags = TagSource::new(pid);
-                let mut scratch = wfl_core::Scratch::new();
-                let my_results = results.off((pid as u64 * attempts) as u32);
-                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, None, attempts);
-            }
-        })
-        .run();
-    report.assert_clean();
+    let (_, outcomes) = run_commanded(&heap, nprocs, 70, false, false, &algo, touch, |sim, _| {
+        sim.schedule(RoundRobin::new(nprocs)).controller(controller).max_steps(100_000_000)
+    });
     let mut b = Bernoulli::default();
-    for i in 0..attempts as usize {
-        let Some(out) = player_result(&heap, results, i) else { break };
-        b.record(out.won());
-    }
+    outcomes[0].iter().for_each(|out| b.record(out.won));
     b
 }
 

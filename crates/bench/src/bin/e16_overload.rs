@@ -28,6 +28,15 @@
 //! collapses: contenders spin uselessly against the frozen holder until
 //! their deadlines expire, burning steps with no wins.
 //!
+//! The matrix runs every extended algorithm but naive: the paper's locks
+//! (wfl, wfl-unknown), tsp, both blocking disciplines, and the delegation
+//! showdown's contenders (wfl+combine, flat combining, CC-Synch). Under
+//! freezes the delegation baselines **lose wait-freedom** — their
+//! combiner is a single point of failure, so pending requests blow their
+//! deadline budgets spinning on it — while wfl+combine, whose batches stay
+//! helpable, blows none (DESIGN §2.7; E17 reports the closed-loop half of
+//! that comparison).
+//!
 //! The sim block drives the deterministic fault scheduler
 //! ([`SchedKind::RandomFaults`] — replayable, so the gates are stable);
 //! the real-threads block arms the wall-clock injector
@@ -36,8 +45,8 @@
 //! Emits `BENCH_overload.json`.
 //! Usage: `e16_overload [--smoke] [--algos a,b,c] [--trace out.json]`
 //!   --algos : narrow the matrix to the named algorithms (any
-//!             [`AlgoKind::all_extended`] label); gates that compare
-//!             against a filtered-out algorithm are skipped.
+//!             [`AlgoKind::all_extended`] label, naive included); gates
+//!             that compare against a filtered-out algorithm are skipped.
 //!   --trace : export the recorded faulted deadline-armed wfl replay cell
 //!             as Chrome/Perfetto `trace_event` JSON at the given path
 //!             (openable in ui.perfetto.dev), with a
@@ -47,16 +56,25 @@
 //!     (a) wfl goodput under faults stays ≥ 0.8× its fault-free goodput
 //!         at the SLO deadline;
 //!     (b) abort latency p99 ≤ 2× the armed deadline budget on every
-//!         sim cell with a meaningful abort population;
+//!         sim cell at the SLO with a meaningful abort population;
 //!     (c) the blocking baseline collapses: its faulted/fault-free
 //!         goodput ratio falls measurably below wfl's;
 //!     (d) every run's safety audit passes (aborted and rescued attempts
-//!         never corrupt holder sequences), and a faulted deadline-armed
-//!         wfl cell replays exactly.
+//!         never corrupt holder sequences), and two faulted cells replay
+//!         exactly, flight-recorder trace included: deadline-armed wfl at
+//!         the tight budget, and wfl+combine at the SLO;
+//!     (e) at 3 processes, wfl+combine keeps wait-freedom under freezes
+//!         (zero aborts at the SLO, ≥ 0.8× fault-free goodput) while fc
+//!         and ccsynch lose it (faulted aborts with p99 ≥ the SLO), and
+//!         fc's faulted/fault-free ratio also falls below 0.9× of
+//!         wfl+combine's (ccsynch's frozen combiner costs its SLO tail,
+//!         not aggregate goodput);
+//!     (f) no wfl or wfl+combine cell, sim or real, reports a delay
+//!         overrun (the fairness precondition).
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use wfl_bench::{header, row, verdict};
+use wfl_bench::{combining_fields, goodput, header, row, verdict};
 use wfl_runtime::clamp_threads;
 use wfl_runtime::real::{FaultSpec, RealConfig};
 use wfl_workloads::harness::{
@@ -117,24 +135,25 @@ fn rounds_for(algo: AlgoKind, smoke: bool) -> usize {
     if smoke { r } else { (2 * r).min(4_000) }
 }
 
-/// The four contenders of the overload matrix, optionally narrowed by
-/// `--algos`. (Naive retries are the E8/E14 story; under deadlines it
-/// reduces to tsp-without-wins, so the matrix spends its budget on the
-/// four informative columns. E17 covers the delegation roster, but
-/// `--algos` accepts any extended label here too.)
+/// Every extended algorithm but naive, optionally narrowed by `--algos`.
+/// (Naive retries are the E8/E14 story; under deadlines it reduces to
+/// tsp-without-wins, so the matrix runs it only when `--algos` names it.)
+/// The order puts wfl before blocking and wfl+combine before fc and
+/// ccsynch, the yardsticks their gates compare against.
 fn algos(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
-    let roster = if filter.is_some() {
-        AlgoKind::all_extended(threads).to_vec()
-    } else {
-        vec![
-            AlgoKind::wfl(threads.max(2)),
-            AlgoKind::WflUnknown,
-            AlgoKind::Tsp,
-            AlgoKind::Blocking,
-        ]
-    };
+    let roster = AlgoKind::all_extended(threads)
+        .into_iter()
+        .filter(|&k| k != AlgoKind::Naive || filter.is_some())
+        .collect();
     wfl_bench::retain_algos(roster, |k| k.label(), filter)
 }
+
+/// The process count of the wait-freedom gate's cells. The goodput-ratio
+/// leg is shape-sensitive: at 4+ processes a freeze *discounts
+/// contention* for the survivors (DESIGN §2.6), pushing every
+/// faulted/fault-free ratio above 1 and burying the delegation collapse
+/// that the 3-process shape exposes.
+const WAIT_FREEDOM_PROCS: usize = 3;
 
 struct Cell {
     report: HarnessReport,
@@ -147,9 +166,7 @@ struct Cell {
 
 impl Cell {
     fn from_report(report: HarnessReport) -> Cell {
-        let steps_total = report.steps.sum() as f64;
-        let goodput =
-            if steps_total > 0.0 { 1000.0 * report.wins as f64 / steps_total } else { 0.0 };
+        let goodput = goodput(&report);
         let abort_p50 = report.abort_steps.percentile(0.50);
         let help_rate = if report.aborts > 0 {
             report.rescues as f64 / report.aborts as f64
@@ -244,22 +261,48 @@ fn json_cell(
     faulted: bool,
     c: &Cell,
 ) {
+    let mut fields = vec![
+        ("threads", threads.to_string()),
+        ("deadline_steps", deadline.map_or("null".to_string(), |d| d.to_string())),
+        ("faulted", faulted.to_string()),
+        ("goodput_wins_per_kstep", format!("{:.4}", c.goodput)),
+        ("abort_p50", c.abort_p50.to_string()),
+        ("help_rate", format!("{:.4}", c.help_rate)),
+    ];
+    fields.extend(combining_fields(&c.report));
     rows.push(
         &[("backend", backend.to_string()), ("algo", algo.to_string())],
-        &[
-            ("threads", threads.to_string()),
-            ("deadline_steps", deadline.map_or("null".to_string(), |d| d.to_string())),
-            ("faulted", faulted.to_string()),
-            ("goodput_wins_per_kstep", format!("{:.4}", c.goodput)),
-            ("abort_p50", c.abort_p50.to_string()),
-            ("help_rate", format!("{:.4}", c.help_rate)),
-        ],
+        &fields,
         &c.report.metrics(),
     );
 }
 
 fn fmt_deadline(d: Option<u64>) -> String {
     d.map_or("none".into(), |d| d.to_string())
+}
+
+/// Runs a faulted, recorded sim cell twice: both runs must agree on
+/// every outcome tally and on the full flight-recorder event sequence
+/// (same seed, bit-identical trace). Returns the verdict and the first
+/// run.
+fn replays_exactly(algo: AlgoKind, threads: usize, deadline: u64) -> (bool, Cell) {
+    let a = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
+    let b = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
+    let (ra, rb) = (&a.report, &b.report);
+    let events = ra.trace.as_ref().map_or(0, |t| t.total_events());
+    let ok = ra.wins == rb.wins
+        && ra.aborts == rb.aborts
+        && ra.rescues == rb.rescues
+        && ra.combined_wins == rb.combined_wins
+        && ra.give_up == rb.give_up
+        && ra.trace == rb.trace
+        && events > 0;
+    println!(
+        "faulted {} replay determinism at deadline {deadline}, trace included ({events} events): {}",
+        algo.label(),
+        verdict(ok)
+    );
+    (ok, a)
 }
 
 fn main() {
@@ -284,6 +327,8 @@ fn main() {
 
     // --- sim block: the deterministic overload matrix, and the gates ---
     let mut gates_ok = true;
+    // Gate (f)'s tally: delay overruns over every wfl / wfl+combine cell.
+    let mut wfl_overruns = 0u64;
     for &threads in thread_counts {
         let (tight_d, slo_d) = (tight(threads), slo(threads));
         // No-deadline cells are omitted: with zero aborts they are
@@ -292,23 +337,33 @@ fn main() {
         println!("## sim, {threads} procs (tight {tight_d}, SLO {slo_d} own steps)");
         header(&[
             "algo", "deadline", "faults", "goodput/kstep", "wins/att", "aborts",
-            "abort p50/p99", "help rate",
+            "abort p50/p99", "help rate", "combined",
         ]);
-        // wfl's own faulted/fault-free goodput ratio at the SLO — the
-        // yardstick the blocking collapse gate compares against.
+        // The faulted/fault-free goodput ratios at the SLO of wfl and of
+        // wfl+combine — the yardsticks of the blocking collapse gate and
+        // of the delegation wait-freedom gate.
         let mut wfl_ratio = 0.0f64;
+        let mut combine_ratio = 0.0f64;
         for algo in algos(threads, algo_filter.as_ref()) {
-            // (fault-free, faulted) goodput at the SLO deadline, for ratios.
+            // (fault-free, faulted) goodput at the SLO deadline, for ratios,
+            // and the faulted SLO cell's aborts and abort p99.
             let mut slo_pair = [0.0f64; 2];
+            let (mut faulted_aborts, mut faulted_p99) = (0u64, 0u64);
             for deadline in deadlines {
                 for faulted in [false, true] {
                     let c = run_sim_cell(
                         algo, threads, rounds_for(algo, smoke), deadline, faulted, false,
                     );
+                    let p99 = c.report.abort_steps.percentile(0.99);
                     if deadline == Some(slo_d) {
                         slo_pair[faulted as usize] = c.goodput;
+                        if faulted {
+                            (faulted_aborts, faulted_p99) = (c.report.aborts, p99);
+                        }
                     }
-                    let p99 = c.report.abort_steps.percentile(0.99);
+                    if matches!(algo, AlgoKind::Wfl { .. }) {
+                        wfl_overruns += c.report.delay_overruns;
+                    }
                     row(&[
                         algo.label().to_string(),
                         fmt_deadline(deadline),
@@ -318,6 +373,7 @@ fn main() {
                         format!("{}", c.report.aborts),
                         format!("{}/{p99}", c.abort_p50),
                         format!("{:.2}", c.help_rate),
+                        format!("{}", c.report.combined_wins),
                     ]);
                     json_cell(&mut rows, "sim", algo.label(), threads, deadline, faulted, &c);
                     // Gate (b): the SLO is honored — aborts bail out within
@@ -338,8 +394,9 @@ fn main() {
                     }
                 }
             }
-            // Gates (a) and (c): degradation ratios at the SLO deadline.
+            // Gates (a), (c) and (e): degradation ratios at the SLO deadline.
             let ratio = if slo_pair[0] > 0.0 { slo_pair[1] / slo_pair[0] } else { 0.0 };
+            let wait_freedom_cell = threads == WAIT_FREEDOM_PROCS;
             println!();
             match algo {
                 AlgoKind::Wfl { combine: false, .. } => {
@@ -349,6 +406,19 @@ fn main() {
                         verdict(ratio >= 0.8)
                     );
                     gates_ok &= ratio >= 0.8;
+                }
+                // Gate (e), wfl+combine's half: combining never traded
+                // away wait-freedom — its batches stay helpable under
+                // freezes, so nobody blows the SLO.
+                AlgoKind::Wfl { combine: true, .. } if wait_freedom_cell => {
+                    combine_ratio = ratio;
+                    let ok = ratio >= 0.8 && faulted_aborts == 0;
+                    println!(
+                        "wfl+combine under freezes at SLO {slo_d}: goodput ratio {ratio:.3}, \
+                         {faulted_aborts} blown deadlines {}",
+                        verdict(ok)
+                    );
+                    gates_ok &= ok;
                 }
                 // The wfl yardstick only exists when the (earlier) wfl rows
                 // ran — under an `--algos` filter that drops wfl the
@@ -366,6 +436,36 @@ fn main() {
                     );
                     gates_ok &= collapsed;
                 }
+                // Gate (e), the delegation half: freezes cost delegation its
+                // wait-freedom (requests pinned behind the frozen combiner
+                // blow their SLO). fc additionally collapses in aggregate
+                // goodput; ccsynch's queue absorbs the freeze in aggregate
+                // (the literature's robustness story) but its *individual*
+                // attempts stall past the deadline all the same, which is
+                // exactly the guarantee the paper refuses to give up. So
+                // the aggregate-ratio clause gates fc only; both must show
+                // the SLO tail.
+                AlgoKind::FlatCombining | AlgoKind::CcSynch
+                    if wait_freedom_cell && combine_ratio > 0.0 =>
+                {
+                    let collapses = algo == AlgoKind::FlatCombining;
+                    let lost_wf = faulted_aborts > 0
+                        && faulted_p99 >= slo_d
+                        && (!collapses || ratio < 0.9 * combine_ratio);
+                    let ratio_clause = if collapses {
+                        format!(", ratio < 0.9 x wfl+combine {combine_ratio:.3}")
+                    } else {
+                        String::new()
+                    };
+                    println!(
+                        "{} under freezes at SLO {slo_d}: goodput ratio {ratio:.3}, \
+                         {faulted_aborts} blown deadlines, abort p99 {faulted_p99}; \
+                         wait-freedom lost (aborts > 0, p99 >= SLO{ratio_clause}): {}",
+                        algo.label(),
+                        verdict(lost_wf)
+                    );
+                    gates_ok &= lost_wf;
+                }
                 _ => {
                     println!(
                         "{} faulted/fault-free goodput at SLO {slo_d}: {ratio:.3}",
@@ -377,30 +477,19 @@ fn main() {
         }
     }
 
-    // Gate (d): a faulted, deadline-armed wfl cell is deterministic —
-    // byte-identical outcome books on replay. Both replays run with the
-    // flight recorder on, so the gate also covers the full event
-    // sequence: same seed, bit-identical trace.
+    // Gate (d): faulted cells are deterministic — byte-identical outcome
+    // books and flight-recorder traces on replay: deadline-armed wfl at
+    // the tight budget (every attempt aborts or is rescued), and
+    // wfl+combine at the SLO (batches under freezes).
     let t0 = thread_counts[0];
-    let replay_algo = AlgoKind::wfl(t0.max(2));
-    let a = run_sim_cell(replay_algo, t0, 60, Some(tight(t0)), true, true);
-    let b = run_sim_cell(replay_algo, t0, 60, Some(tight(t0)), true, true);
-    let replay_ok = a.report.wins == b.report.wins
-        && a.report.aborts == b.report.aborts
-        && a.report.rescues == b.report.rescues
-        && a.report.give_up == b.report.give_up;
-    println!("faulted deadline replay determinism: {}", verdict(replay_ok));
-    gates_ok &= replay_ok;
-    let trace_a = a.report.trace.as_ref().expect("recorded replay cell carries a trace");
-    let trace_ok = a.report.trace == b.report.trace && trace_a.total_events() > 0;
-    println!(
-        "faulted trace replay determinism ({} events): {}",
-        trace_a.total_events(),
-        verdict(trace_ok)
-    );
-    gates_ok &= trace_ok;
+    let wfl = AlgoKind::wfl(t0.max(2));
+    let (wfl_ok, a) = replays_exactly(wfl, t0, tight(t0));
+    let combine = AlgoKind::Wfl { kappa: t0.max(2), delays: true, helping: true, combine: true };
+    let (combine_ok, c) = replays_exactly(combine, t0, slo(t0));
+    gates_ok &= wfl_ok && combine_ok;
+    wfl_overruns += a.report.delay_overruns + c.report.delay_overruns;
 
-    // --trace: export the recorded faulted cell as a Chrome/Perfetto
+    // --trace: export the recorded faulted wfl cell as a Chrome/Perfetto
     // trace_event document (plus a metrics sidecar), and parse-validate
     // it before writing — spans must nest, and a faulted deadline-armed
     // cell must show attempts, aborts and fault windows.
@@ -408,13 +497,14 @@ fn main() {
         let meta = [
             ("bench", "e16_overload".to_string()),
             ("backend", "sim".to_string()),
-            ("algo", replay_algo.label().to_string()),
+            ("algo", wfl.label().to_string()),
             ("threads", t0.to_string()),
             ("deadline_steps", tight(t0).to_string()),
             ("faulted", "true".to_string()),
             ("seed", SEED.to_string()),
         ];
-        let stats = wfl_bench::write_trace(&path, trace_a, &a.report.metrics(), &meta);
+        let trace = a.report.trace.as_ref().expect("recorded replay cell carries a trace");
+        let stats = wfl_bench::write_trace(&path, trace, &a.report.metrics(), &meta);
         assert!(stats.attempts > 0, "traced cell shows no attempt spans");
         assert!(stats.aborts > 0, "traced deadline-armed cell shows no aborts");
         assert!(stats.fault_windows > 0, "traced faulted cell shows no fault windows");
@@ -429,16 +519,20 @@ fn main() {
     let real_attempts = if smoke { 60 } else { 300 };
     println!();
     println!("## real threads, {real_threads} procs, wall-clock injector (2ms stall / 4ms)");
-    header(&["algo", "faults", "wins/att", "aborts", "rescues", "wall ms"]);
+    header(&["algo", "faults", "wins/att", "aborts", "rescues", "combined", "wall ms"]);
     for algo in algos(real_threads, algo_filter.as_ref()) {
         for faulted in [false, true] {
             let c = run_real_cell(algo, real_threads, real_attempts, slo(real_threads), faulted);
+            if matches!(algo, AlgoKind::Wfl { .. }) {
+                wfl_overruns += c.report.delay_overruns;
+            }
             row(&[
                 algo.label().to_string(),
                 if faulted { "inject".into() } else { "-".into() },
                 format!("{}/{}", c.report.wins, c.report.attempts),
                 format!("{}", c.report.aborts),
                 format!("{}", c.report.rescues),
+                format!("{}", c.report.combined_wins),
                 format!("{:.1}", c.report.wall.expect("real run").as_secs_f64() * 1e3),
             ]);
             json_cell(
@@ -453,6 +547,11 @@ fn main() {
         }
     }
     println!();
+
+    // Gate (f): an attempt that overran its delay budget voids the
+    // fairness claim the wfl cells stand for.
+    println!("wfl delay overruns (sim + real): {wfl_overruns} {}", verdict(wfl_overruns == 0));
+    gates_ok &= wfl_overruns == 0;
 
     json.push_str("  \"results\": ");
     json.push_str(&rows.finish());

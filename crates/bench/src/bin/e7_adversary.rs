@@ -10,14 +10,13 @@
 
 use wfl_bench::{fmt_success, header, row, verdict};
 use wfl_core::LockId;
-use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
+use wfl_idem::{IdemRun, Registry, Thunk};
 use wfl_runtime::schedule::RoundRobin;
-use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::stats::Bernoulli;
-use wfl_runtime::{Addr, Ctx, Heap};
+use wfl_runtime::{Addr, Heap};
 use wfl_baselines::WflKnown;
 use wfl_core::{LockConfig, LockSpace};
-use wfl_workloads::player::{player_result, run_player_loop, AdvStrength, TargetedStarter};
+use wfl_workloads::player::{run_commanded, AdvStrength, TargetedStarter};
 
 struct Touch;
 impl Thunk for Touch {
@@ -33,60 +32,33 @@ impl Thunk for Touch {
 
 fn victim_rate(ncompetitors: usize, delays: bool) -> (Bernoulli, bool) {
     let nprocs = 1 + ncompetitors;
-    let attempts = 80u64;
     let mut registry = Registry::new();
     let touch = registry.register(Touch);
     let heap = Heap::new(1 << 25);
     let space = LockSpace::create_root(&heap, 1, nprocs);
     let counter = heap.alloc_root(1);
-    let results = heap.alloc_root(attempts as usize * nprocs);
-    let victim_desc_cell = heap.alloc_root(1);
     let mut cfg = LockConfig::new(nprocs, 1, 2);
     cfg.delays = delays;
     let algo = WflKnown { space: &space, registry: &registry, cfg };
-    let adversary = TargetedStarter {
-        victim: 0,
-        competitors: (1..nprocs).collect(),
-        locks: vec![LockId(0)],
-        args: vec![counter.to_word()],
-        victim_period: 600,
-        victim_desc_cell,
-        strength: AdvStrength::Targeted,
-        issued: 0,
-    };
-    let algo_ref = &algo;
-    let report = SimBuilder::new(&heap, nprocs)
-        .schedule(RoundRobin::new(nprocs))
-        .controller(adversary)
-        .max_steps(300_000_000)
-        .spawn_all(|pid| {
-            move |ctx: &Ctx| {
-                let mut tags = TagSource::new(pid);
-                let mut scratch = wfl_core::Scratch::new();
-                if pid == 0 {
-                    // The victim publishes its in-flight attempt through
-                    // the probe cell — this is what the adversary watches.
-                    scratch.probe = Some(victim_desc_cell);
-                }
-                let my_results = results.off((pid as u64 * attempts) as u32);
-                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, None, attempts);
-            }
-        })
-        .run();
-    report.assert_clean();
+    // The victim publishes its in-flight attempt through the probe cell —
+    // this is what the adversary watches.
+    let (_, outcomes) = run_commanded(&heap, nprocs, 80, true, false, &algo, touch, |sim, probe| {
+        sim.schedule(RoundRobin::new(nprocs))
+            .controller(TargetedStarter {
+                victim: 0,
+                competitors: (1..nprocs).collect(),
+                locks: vec![LockId(0)],
+                args: vec![counter.to_word()],
+                victim_period: 600,
+                victim_desc_cell: probe.expect("the victim has a probe cell"),
+                strength: AdvStrength::Targeted,
+                issued: 0,
+            })
+            .max_steps(300_000_000)
+    });
     let mut b = Bernoulli::default();
-    let mut total_wins = 0u64;
-    for pid in 0..nprocs {
-        for i in 0..attempts {
-            let Some(out) = player_result(&heap, results, (pid as u64 * attempts + i) as usize) else {
-                break;
-            };
-            if pid == 0 {
-                b.record(out.won());
-            }
-            total_wins += out.won() as u64;
-        }
-    }
+    outcomes[0].iter().for_each(|out| b.record(out.won));
+    let total_wins = outcomes.iter().flatten().filter(|out| out.won).count() as u64;
     let safety = wfl_idem::cell::value(heap.peek(counter)) as u64 == total_wins;
     (b, safety)
 }

@@ -1,4 +1,4 @@
-//! Shared utilities for the experiment binaries (E1–E13).
+//! Shared utilities for the experiment binaries (E1–E17).
 //!
 //! Each binary regenerates one theorem-validation table; see `DESIGN.md`
 //! §3 for the experiment index.
@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use wfl_obs::{escape, MetricsSnapshot};
 use wfl_runtime::stats::Bernoulli;
+use wfl_workloads::harness::HarnessReport;
+use wfl_workloads::telemetry::jain_index;
 
 /// Prints a markdown table header.
 pub fn header(cols: &[&str]) {
@@ -130,6 +132,39 @@ fn metrics_fields(m: &MetricsSnapshot) -> String {
         opt(m.steps_per_sec, 1),
         opt(m.wins_per_sec, 1),
     )
+}
+
+/// Wins per 1k own steps spent across all attempts (0 when no step was
+/// spent): the per-step goodput of E16/E17, which a stalled process does
+/// not move, only steps burned on attempts that then fail.
+pub fn goodput(r: &HarnessReport) -> f64 {
+    let steps = r.steps.sum() as f64;
+    if steps > 0.0 { 1000.0 * r.wins as f64 / steps } else { 0.0 }
+}
+
+/// The Jain fairness index over per-process win counts.
+pub fn jain_wins(r: &HarnessReport) -> f64 {
+    jain_index(&r.per_pid.iter().map(|&(w, _)| w as f64).collect::<Vec<_>>())
+}
+
+/// `combined_wins / wins` (0 when nothing won).
+pub fn combined_share(r: &HarnessReport) -> f64 {
+    if r.wins > 0 { r.combined_wins as f64 / r.wins as f64 } else { 0.0 }
+}
+
+/// The combining and fairness fields of an E16/E17 row: the combined-win
+/// share, the batch-size histogram (peers per combining winner, exact
+/// below 64) with its count, mean and max, and the Jain index over
+/// per-process wins.
+pub fn combining_fields(r: &HarnessReport) -> [(&'static str, String); 6] {
+    [
+        ("combined_share", format!("{:.4}", combined_share(r))),
+        ("combine_batches", r.combine_batch.count().to_string()),
+        ("combine_batch_mean", format!("{:.3}", r.combine_batch.mean())),
+        ("combine_batch_max", r.combine_batch.max().to_string()),
+        ("combine_batch_hist", MetricsSnapshot::hist_json(&r.combine_batch)),
+        ("jain", format!("{:.4}", jain_wins(r))),
+    ]
 }
 
 /// Writes a flight-recorder snapshot as a Chrome/Perfetto `trace_event`

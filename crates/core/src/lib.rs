@@ -79,4 +79,4 @@ pub use retry::{lock_and_run, lock_and_run_limited, lock_and_run_until};
 pub use scratch::Scratch;
 pub use space::{LockSpace, SpaceLayout};
 pub use trylock::{try_locks, TryLockRequest};
-pub use unknown::{try_locks_unknown, UnknownConfig};
+pub use unknown::try_locks_unknown;

@@ -35,37 +35,10 @@ use wfl_idem::{Registry, TagSource};
 use wfl_obs::EventKind;
 use wfl_runtime::Ctx;
 
-/// Configuration of the unknown-bounds algorithm: only the ablation
-/// switches remain — there are no bounds to configure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnknownConfig {
-    /// Doubling delays enabled (disable only for ablations).
-    pub delays: bool,
-    /// Pre-insert helping phase enabled (disable only for ablations).
-    pub helping: bool,
-    /// Upper bound on locks per attempt accepted by validation (a sanity
-    /// limit, not an algorithm parameter; defaults to the lock count).
-    pub l_limit: usize,
-}
-
-impl UnknownConfig {
-    /// Default configuration.
-    pub fn new() -> UnknownConfig {
-        UnknownConfig { delays: true, helping: true, l_limit: usize::MAX }
-    }
-}
-
-impl Default for UnknownConfig {
-    fn default() -> Self {
-        UnknownConfig::new()
-    }
-}
-
 /// Flag strategy for §6.2: raising the flag writes the TBD marker (the
 /// participation reveal), with the doubling delay folded in.
 struct TbdFlag {
     start: u64,
-    delays: bool,
 }
 
 impl Flag for TbdFlag {
@@ -74,9 +47,7 @@ impl Flag for TbdFlag {
     }
 
     fn set(&self, ctx: &Ctx<'_>, item: u64) {
-        if self.delays {
-            stall_to_pow2(ctx, self.start);
-        }
+        stall_to_pow2(ctx, self.start);
         // Participation reveal: Release, so an Acquire reader of the TBD
         // marker sees the descriptor body.
         ctx.write_rel(Desc::from_item(item).prio_addr(), PRIO_TBD);
@@ -108,13 +79,12 @@ pub fn try_locks_unknown(
     ctx: &Ctx<'_>,
     space: &LockSpace,
     registry: &Registry,
-    cfg: &UnknownConfig,
     tags: &mut TagSource,
     scratch: &mut Scratch,
     req: TryLockRequest<'_>,
 ) -> AttemptMetrics {
-    validate(space, registry, cfg.l_limit.min(space.len()), usize::MAX, &req);
-    let a = match Attempt::begin(ctx, space, registry, tags, scratch, &req, cfg.helping) {
+    validate(space, registry, space.len(), usize::MAX, &req);
+    let a = match Attempt::begin(ctx, space, registry, tags, scratch, &req, true) {
         Ok(a) => a,
         Err(aborted) => return aborted,
     };
@@ -123,7 +93,7 @@ pub fn try_locks_unknown(
     // multiInsert; the flag raise is the PARTICIPATION reveal (TBD).
     scratch.sets.clear();
     scratch.sets.extend(req.locks.iter().map(|&l| *space.set(l)));
-    let flag = TbdFlag { start, delays: cfg.delays };
+    let flag = TbdFlag { start };
     multi_insert_into(ctx, &flag, p.item(), &scratch.sets, &mut scratch.slots);
 
     // Post-participation abort poll (the first doubling stall just ran).
@@ -172,9 +142,7 @@ pub fn try_locks_unknown(
 
     // PRIORITY reveal, behind a second doubling delay. Release: helpers
     // that acquire the revealed priority must also see the snapshot.
-    if cfg.delays {
-        stall_to_pow2(ctx, start);
-    }
+    stall_to_pow2(ctx, start);
     let r = ctx.rand_u64();
     ctx.write_rel(p.prio_addr(), make_priority(r, a.tag_base));
     ctx.publication_fence();
@@ -193,8 +161,6 @@ pub fn try_locks_unknown(
     // Clean up; pad the attempt end to a power-of-two length (the probe
     // clear stays inside the padding so probing never changes it).
     a.withdraw(ctx, scratch, &flag);
-    if cfg.delays {
-        stall_to_pow2(ctx, start);
-    }
+    stall_to_pow2(ctx, start);
     a.end(ctx, 0)
 }

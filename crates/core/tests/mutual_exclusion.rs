@@ -7,10 +7,7 @@
 //! lock's counter would diverge from the number of successful attempts
 //! that covered it.
 
-use wfl_core::{
-    try_locks, try_locks_unknown, LockConfig, LockId, LockSpace, Scratch, TryLockRequest,
-    UnknownConfig,
-};
+use wfl_core::{try_locks, try_locks_unknown, LockConfig, LockId, LockSpace, Scratch, TryLockRequest};
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk};
 use wfl_runtime::schedule::{Bursty, RoundRobin, SeededRandom, Weighted};
 use wfl_runtime::sim::SimBuilder;
@@ -69,9 +66,8 @@ fn run_counter_workload(
     let counters = heap.alloc_root(nlocks);
     let outcomes = heap.alloc_root(nprocs * attempts);
     let cfg = LockConfig::new(kappa, l_max, 2 * l_max).without_delays();
-    let ucfg = UnknownConfig::new();
 
-    let (space_ref, reg_ref, cfg_ref, ucfg_ref) = (&space, &registry, &cfg, &ucfg);
+    let (space_ref, reg_ref, cfg_ref) = (&space, &registry, &cfg);
     let n = nprocs;
     let mut builder = SimBuilder::new(&heap, nprocs).seed(seed).max_steps(200_000_000);
     builder = match schedule_kind {
@@ -94,9 +90,7 @@ fn run_counter_workload(
                     args.extend(locks.iter().map(|l| counters.off(l.0).to_word()));
                     let req = TryLockRequest { locks: &locks, thunk: incr, args: &args };
                     let m = if unknown_variant {
-                        try_locks_unknown(
-                            ctx, space_ref, reg_ref, ucfg_ref, &mut tags, &mut scratch, req,
-                        )
+                        try_locks_unknown(ctx, space_ref, reg_ref, &mut tags, &mut scratch, req)
                     } else {
                         try_locks(ctx, space_ref, reg_ref, cfg_ref, &mut tags, &mut scratch, req)
                     };

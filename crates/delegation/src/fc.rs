@@ -18,7 +18,7 @@
 //!
 //! Blocking caveat: a combiner frozen mid-scan leaves every `TAKEN`/
 //! `PENDING` owner spinning — flat combining trades wait-freedom for
-//! throughput, which is exactly what E17's fault arms measure.
+//! throughput, which is exactly what E16's fault arms measure.
 
 use crate::obs;
 use wfl_baselines::LockAlgo;

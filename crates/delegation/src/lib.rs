@@ -24,9 +24,9 @@
 //! the honest baseline: delegation trades away disjoint-access
 //! parallelism and wait-freedom (a frozen combiner wedges everyone —
 //! [`LockAlgo::blocks_under_crash`] is true for both) for very low
-//! coherence traffic on the hot path. Experiment E17 measures both sides
-//! of that trade against wfl's combining fast path, which batches at a
-//! *winner* without ever blocking losers.
+//! coherence traffic on the hot path. Experiments E17 (throughput) and
+//! E16 (freezes) measure both sides of that trade against wfl's combining
+//! fast path, which batches at a *winner* without ever blocking losers.
 //!
 //! [`LockAlgo::blocks_under_crash`]: wfl_baselines::LockAlgo::blocks_under_crash
 

@@ -32,15 +32,14 @@
 use crate::algo::{AlgoHandle, AlgoKind, AlgoSpec};
 use crate::driver::{drive_epochs, Backend, EpochWorkload, ExecMode, SchedKind, Turn};
 use crate::outcomes::{HarnessReport, Outcomes};
-use crate::player::{player_result, run_player_loop, TargetedStarter};
+use crate::player::{run_commanded, TargetedStarter};
 use std::sync::Mutex;
 use wfl_baselines::LockAlgo;
-use wfl_core::{AbortReason, AttemptMetrics, LockId, Scratch, TryLockRequest};
+use wfl_core::{AttemptMetrics, LockId, Scratch, TryLockRequest};
 use wfl_idem::tag::MIN_PROCESS_CAPACITY;
 use wfl_idem::{cell, IdemRun, Registry, TagSource, Thunk, ThunkId};
 use wfl_lincheck::holders::HOLD_OP;
 use wfl_runtime::real::RealConfig;
-use wfl_runtime::sim::SimBuilder;
 use wfl_runtime::stats::Bernoulli;
 use wfl_runtime::{Addr, Ctx, Heap};
 
@@ -210,74 +209,44 @@ fn run_sim(
     let touch = registry.register(HolderTouch);
     let heap = Heap::new(spec.heap_words);
     // Allocation order is part of the sim arm's contract (the parity test
-    // reconstructs it): lock records, counter, results, step log, probe.
+    // reconstructs it): lock records, counter, then `run_commanded`'s
+    // results, step log and probe.
     let handle = AlgoHandle::create(&heap, &registry, algo, 1, spec.nprocs, L_MAX, T_MAX);
     let counter = heap.alloc_root(1);
-    let results = heap.alloc_root(spec.nprocs * rounds);
-    let steps_log = heap.alloc_root(spec.nprocs * rounds);
-    let probe = heap.alloc_root(1);
-
-    let adversary = TargetedStarter {
-        victim: 0,
-        competitors: (1..spec.nprocs).collect(),
-        locks: vec![LockId(0)],
-        // No holder log in sim: commands carry one fixed arg set, and the
-        // log needs a distinct token per attempt.
-        args: vec![counter.to_word(), 0, 0, 0],
-        victim_period: spec.victim_period,
-        victim_desc_cell: probe,
-        strength: spec.strength,
-        issued: 0,
-    };
-    let handle_ref = &handle;
     if recorder {
         wfl_obs::rec::enable();
     }
-    let report = SimBuilder::new(&heap, spec.nprocs)
-        .seed(spec.seed)
-        .schedule_box(sched.build(spec.nprocs, spec.seed))
-        .controller(adversary)
-        .max_steps(max_steps)
-        .spawn_all(|pid| {
-            move |ctx: &Ctx| {
-                let mut tags = TagSource::new(pid);
-                let mut scratch = Scratch::new();
-                if pid == 0 {
-                    scratch.probe = Some(probe);
-                }
-                let base = (pid * rounds) as u32;
-                handle_ref.with(|a| {
-                    run_player_loop(
-                        ctx,
-                        a,
-                        &mut tags,
-                        &mut scratch,
-                        touch,
-                        results.off(base),
-                        Some(steps_log.off(base)),
-                        rounds as u64,
-                    )
-                });
-            }
+    let (report, outcomes) = handle.with(|a| {
+        run_commanded(&heap, spec.nprocs, rounds, true, true, a, touch, |sim, probe| {
+            sim.seed(spec.seed)
+                .schedule_box(sched.build(spec.nprocs, spec.seed))
+                .controller(TargetedStarter {
+                    victim: 0,
+                    competitors: (1..spec.nprocs).collect(),
+                    locks: vec![LockId(0)],
+                    // No holder log in sim: commands carry one fixed arg
+                    // set, and the log needs a distinct token per attempt.
+                    args: vec![counter.to_word(), 0, 0, 0],
+                    victim_period: spec.victim_period,
+                    victim_desc_cell: probe.expect("the victim has a probe cell"),
+                    strength: spec.strength,
+                    issued: 0,
+                })
+                .max_steps(max_steps)
         })
-        .run();
-    report.assert_clean();
+    });
 
     let mut run = HarnessReport::empty(spec.nprocs);
     run.epochs = 1;
     let mut per_proc = vec![ProcTelemetry::new(); spec.nprocs];
-    for (pid, tel) in per_proc.iter_mut().enumerate() {
-        for idx in pid * rounds..(pid + 1) * rounds {
-            let Some(bits) = player_result(&heap, results, idx) else { break };
-            // No deadline is armed in sim, so no attempt aborts.
-            let steps = heap.peek(steps_log.off(idx as u32));
-            let out = AttemptMetrics::from_bits(bits, steps, AbortReason::Deadline);
-            tel.record(&out);
+    for (pid, (tel, outs)) in per_proc.iter_mut().zip(&outcomes).enumerate() {
+        for out in outs {
+            tel.record(out);
             run.attempts += 1;
             run.wins += out.won as u64;
             run.per_pid[pid].0 += out.won as u64;
             run.per_pid[pid].1 += 1;
-            run.steps.record(steps);
+            run.steps.record(out.steps);
             run.delay_overruns += out.delay_overrun as u64;
         }
     }

@@ -4,7 +4,7 @@
 //! drivers ([`AlgoHandle`]).
 
 use wfl_baselines::{BlockingMode, BlockingTpl, LockAlgo, NaiveTryLock, TspLock, WflKnown, WflUnknown};
-use wfl_core::{LockConfig, LockSpace, SpaceLayout, UnknownConfig};
+use wfl_core::{LockConfig, LockSpace, SpaceLayout};
 use wfl_delegation::{CcSynch, FcLock};
 use wfl_idem::Registry;
 use wfl_runtime::Heap;
@@ -245,9 +245,7 @@ impl<'reg> AlgoInstance<'reg> {
     pub(crate) fn with<R>(&self, registry: &Registry, f: impl FnOnce(&dyn LockAlgo) -> R) -> R {
         match self {
             AlgoInstance::Wfl { space, cfg } => f(&WflKnown { space, registry, cfg: *cfg }),
-            AlgoInstance::Unknown { space } => {
-                f(&WflUnknown { space, registry, cfg: UnknownConfig::new() })
-            }
+            AlgoInstance::Unknown { space } => f(&WflUnknown { space, registry }),
             AlgoInstance::Tsp(a) => f(a),
             AlgoInstance::Blocking(a) => f(a),
             AlgoInstance::Naive(a) => f(a),

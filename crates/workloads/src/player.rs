@@ -10,8 +10,9 @@
 //!   feeds `start` commands into process mailboxes; the process side
 //!   ([`run_player_loop`]) polls its mailbox, executes the commanded
 //!   attempts and records their outcomes ([`player_result`]).
-//!   Experiments E7/E11 use this to try to bias a victim's success
-//!   probability; the delay mechanism is what defeats it.
+//!   [`run_commanded`] wires one such run. Experiments E7/E11 use this to
+//!   try to bias a victim's success probability; the delay mechanism is
+//!   what defeats it.
 //! * **Real threads**: the [`crate::adversary`] workload runs competitor
 //!   threads that watch the victim's probe cell directly and start
 //!   attempts themselves, on the harness's epoch driver.
@@ -29,10 +30,10 @@
 
 use wfl_baselines::LockAlgo;
 use wfl_core::descriptor::PRIO_TBD;
-use wfl_core::{Desc, LockId, Scratch, TryLockRequest};
+use wfl_core::{AbortReason, AttemptMetrics, Desc, LockId, Scratch, TryLockRequest};
 use wfl_idem::{TagSource, ThunkId};
 use wfl_obs::AttemptOutcomeBits;
-use wfl_runtime::sim::{Controller, Mailboxes};
+use wfl_runtime::sim::{Controller, Mailboxes, SimBuilder, SimReport};
 use wfl_runtime::{Addr, Ctx, Heap};
 
 /// Probe-cell sentinel: the process is inside an attempt but exposes no
@@ -178,6 +179,63 @@ pub fn run_player_loop<A: LockAlgo + ?Sized>(
 /// `None` if that attempt never ran.
 pub fn player_result(heap: &Heap, results: Addr, i: usize) -> Option<AttemptOutcomeBits> {
     heap.peek(results.off(i as u32)).checked_sub(1).map(AttemptOutcomeBits)
+}
+
+/// One commanded simulator run: a [`run_player_loop`] per process on
+/// `algo`, under the simulator `sim` configures. Asserts the run was clean
+/// and returns its report beside each process's decoded outcomes, in
+/// attempt order.
+///
+/// The run first allocates its heap cells, in this order: `nprocs *
+/// attempts` result words, then as many step-log words if `step_log`, then
+/// the victim's probe cell if `probe`. `sim` gets a fresh [`SimBuilder`]
+/// and that probe cell, and sets the schedule, seed, controller and
+/// budget. The victim is pid 0: it publishes every attempt through the
+/// probe cell ([`Scratch::probe`]). Without a step log every outcome
+/// reads 0 steps.
+#[allow(clippy::too_many_arguments)]
+pub fn run_commanded<'a, A: LockAlgo + ?Sized>(
+    heap: &'a Heap,
+    nprocs: usize,
+    attempts: usize,
+    probe: bool,
+    step_log: bool,
+    algo: &'a A,
+    thunk: ThunkId,
+    sim: impl FnOnce(SimBuilder<'a, 'a>, Option<Addr>) -> SimBuilder<'a, 'a>,
+) -> (SimReport, Vec<Vec<AttemptMetrics>>) {
+    let results = heap.alloc_root(nprocs * attempts);
+    let steps = step_log.then(|| heap.alloc_root(nprocs * attempts));
+    let probe = probe.then(|| heap.alloc_root(1));
+    let report = sim(SimBuilder::new(heap, nprocs), probe)
+        .spawn_all(|pid| {
+            move |ctx: &Ctx| {
+                let mut tags = TagSource::new(pid);
+                let mut scratch = Scratch::new();
+                if pid == 0 {
+                    scratch.probe = probe;
+                }
+                let base = (pid * attempts) as u32;
+                let steps_out = steps.map(|s| s.off(base));
+                let (results, max) = (results.off(base), attempts as u64);
+                run_player_loop(ctx, algo, &mut tags, &mut scratch, thunk, results, steps_out, max);
+            }
+        })
+        .run();
+    report.assert_clean();
+    let outcomes = (0..nprocs)
+        .map(|pid| {
+            (pid * attempts..(pid + 1) * attempts)
+                .map_while(|i| {
+                    let bits = player_result(heap, results, i)?;
+                    let steps = steps.map_or(0, |s| heap.peek(s.off(i as u32)));
+                    // No deadline is armed, so only a stop can abort.
+                    Some(AttemptMetrics::from_bits(bits, steps, AbortReason::Stop))
+                })
+                .collect()
+        })
+        .collect();
+    (report, outcomes)
 }
 
 /// An adaptive player adversary that tries to make a victim lose: it

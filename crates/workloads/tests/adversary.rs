@@ -3,7 +3,7 @@
 //! ported player construction, and the holder-exclusivity audit.
 
 use std::time::Duration;
-use wfl_core::{LockId, Scratch};
+use wfl_core::{LockConfig, LockId, Scratch};
 use wfl_workloads::adversary::{run_adversary, AdvStrength, AdversarySpec, FairnessReport};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
 use wfl_lincheck::holders::{assert_holder_exclusive, check_holder_exclusivity};
@@ -282,9 +282,11 @@ fn probing_keeps_wfl_attempt_length_fixed() {
 }
 
 /// The sim arm reads each attempt's delay-overrun flag back from its
-/// result word: a κ below the real contention overruns, the paper's
-/// κ = nprocs does not, and the report's step histogram holds one
-/// per-attempt sample per attempt.
+/// result word and its own steps from `run_commanded`'s step log: a κ
+/// below the real contention overruns; the paper's κ = nprocs does not,
+/// and then every attempt takes exactly the one fixed length
+/// `LockConfig::step_bound()` documents (`T0 + T1` plus the final status
+/// read).
 #[test]
 fn sim_arm_counts_delay_overruns() {
     let run = |kappa: usize| {
@@ -297,5 +299,11 @@ fn sim_arm_counts_delay_overruns() {
     assert!(under.run.safety_ok && paper.run.safety_ok);
     assert!(under.run.delay_overruns > 0, "kappa = 1 against 4 processes must overrun");
     assert_eq!(paper.run.delay_overruns, 0);
-    assert_eq!(paper.run.steps.count(), paper.run.attempts);
+    let mut registry = Registry::new();
+    registry.register(HolderTouchClone);
+    let len = LockConfig::new(4, 1, 3).with_cs_steps(registry.max_steps()).step_bound() + 1;
+    let steps = &paper.run.steps;
+    assert_eq!(steps.count(), paper.run.attempts);
+    assert_eq!(steps.sum(), paper.run.attempts * len, "an attempt left the fixed length {len}");
+    assert_eq!(steps.max(), len);
 }

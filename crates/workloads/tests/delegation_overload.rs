@@ -23,10 +23,10 @@ use wfl_workloads::harness::{
 use wfl_runtime::real::{FaultSpec, RealConfig};
 
 const SEED: u64 = 4242;
-/// Own-step SLO an unobstructed attempt meets comfortably (the e16/e17
+/// Own-step SLO an unobstructed attempt meets comfortably (the e16
 /// sizing for 3 processes).
 const SLO: u64 = 12_600;
-/// Freeze window (the e17 sizing): one victim loses the first `QUANTUM`
+/// Freeze window (the e16 sizing): one victim loses the first `QUANTUM`
 /// of every `PERIOD` scheduled slots — several SLOs long, so a contender
 /// pinned behind the victim blows its budget before the thaw.
 const QUANTUM: u64 = 56_700;
@@ -79,7 +79,7 @@ fn combiner_freeze_collapses_delegation_but_not_wfl_combine() {
     );
 
     for algo in [AlgoKind::FlatCombining, AlgoKind::CcSynch] {
-        let rounds = 2 * rounds; // delegation rounds are ~2x cheaper (e17)
+        let rounds = 2 * rounds; // delegation rounds are ~2x cheaper (e16)
         let fault_free = run_cell(algo, false, rounds);
         let faulted = run_cell(algo, true, rounds);
         assert_eq!(fault_free.aborts, 0, "{}: fault-free cell aborted", algo.label());

@@ -22,11 +22,8 @@ use std::time::Duration;
 use wait_free_locks::baselines::WflKnown;
 use wait_free_locks::fairness::{run_adversary, AdvStrength, AdversarySpec};
 use wait_free_locks::workloads::harness::{AlgoKind, ExecMode};
-use wait_free_locks::workloads::player::{player_result, run_player_loop, TargetedStarter};
-use wait_free_locks::{
-    cell, Ctx, Heap, IdemRun, LockConfig, LockId, LockSpace, Registry, RoundRobin, SimBuilder,
-    TagSource, Thunk,
-};
+use wait_free_locks::workloads::player::{run_commanded, TargetedStarter};
+use wait_free_locks::{cell, Heap, IdemRun, LockConfig, LockId, LockSpace, Registry, RoundRobin, Thunk};
 
 struct Touch;
 impl Thunk for Touch {
@@ -42,72 +39,43 @@ impl Thunk for Touch {
 
 fn sim_part() {
     let nprocs = 3; // victim + 2 competitors
-    let attempts = 60u64;
 
     let mut registry = Registry::new();
     let touch = registry.register(Touch);
     let heap = Heap::new(1 << 24);
     let space = LockSpace::create_root(&heap, 1, nprocs);
     let counter = heap.alloc_root(1);
-    let results = heap.alloc_root(attempts as usize * nprocs);
-    let victim_desc_cell = heap.alloc_root(1);
     let cfg = LockConfig::new(nprocs, 1, 2);
     let algo = WflKnown { space: &space, registry: &registry, cfg };
 
-    let adversary = TargetedStarter {
-        victim: 0,
-        competitors: vec![1, 2],
-        locks: vec![LockId(0)],
-        args: vec![counter.to_word()],
-        victim_period: 400,
-        victim_desc_cell,
-        strength: AdvStrength::Targeted,
-        issued: 0,
-    };
+    // The victim publishes its in-flight attempt through the probe cell —
+    // the adversary's window into its state.
+    let (_, outcomes) = run_commanded(&heap, nprocs, 60, true, false, &algo, touch, |sim, probe| {
+        sim.schedule(RoundRobin::new(nprocs))
+            .controller(TargetedStarter {
+                victim: 0,
+                competitors: vec![1, 2],
+                locks: vec![LockId(0)],
+                args: vec![counter.to_word()],
+                victim_period: 400,
+                victim_desc_cell: probe.expect("the victim has a probe cell"),
+                strength: AdvStrength::Targeted,
+                issued: 0,
+            })
+            .max_steps(40_000_000)
+    });
 
-    let algo_ref = &algo;
-    let report = SimBuilder::new(&heap, nprocs)
-        .schedule(RoundRobin::new(nprocs))
-        .controller(adversary)
-        .max_steps(40_000_000)
-        .spawn_all(|pid| {
-            move |ctx: &Ctx| {
-                let mut tags = TagSource::new(pid);
-                let mut scratch = wait_free_locks::core::Scratch::new();
-                if pid == 0 {
-                    // The victim publishes its in-flight attempt through the
-                    // probe cell — the adversary's window into its state.
-                    scratch.probe = Some(victim_desc_cell);
-                }
-                let my_results = results.off((pid as u64 * attempts) as u32);
-                run_player_loop(ctx, algo_ref, &mut tags, &mut scratch, touch, my_results, None, attempts);
-            }
-        })
-        .run();
-    report.assert_clean();
-
-    let mut rows = Vec::new();
-    for pid in 0..nprocs {
-        let mut wins = 0u64;
-        let mut total = 0u64;
-        for i in 0..attempts {
-            let Some(out) = player_result(&heap, results, (pid as u64 * attempts + i) as usize) else {
-                break;
-            };
-            total += 1;
-            wins += out.won() as u64;
-        }
-        rows.push((pid, wins, total));
-    }
     println!("process | role       | wins / attempts | success rate");
-    for (pid, wins, total) in &rows {
-        let role = if *pid == 0 { "victim" } else { "competitor" };
-        let rate = if *total > 0 { *wins as f64 / *total as f64 } else { 0.0 };
+    let mut total_wins = 0u64;
+    for (pid, outs) in outcomes.iter().enumerate() {
+        let role = if pid == 0 { "victim" } else { "competitor" };
+        let (wins, total) = (outs.iter().filter(|o| o.won).count() as u64, outs.len() as u64);
+        let rate = if total > 0 { wins as f64 / total as f64 } else { 0.0 };
         println!("{pid:>7} | {role:<10} | {wins:>4} / {total:<8} | {rate:.3}");
+        total_wins += wins;
     }
     println!();
     println!("counter = {} (sanity: equals total wins)", cell::value(heap.peek(counter)));
-    let total_wins: u64 = rows.iter().map(|r| r.1).sum();
     assert_eq!(cell::value(heap.peek(counter)) as u64, total_wins);
 }
 

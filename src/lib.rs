@@ -93,7 +93,7 @@ pub use wfl_workloads::adversary as fairness;
 // Common entry points at the top level.
 pub use wfl_core::{
     lock_and_run, lock_and_run_limited, try_locks, try_locks_unknown, AttemptMetrics, LockConfig,
-    LockId, LockSpace, RetryMetrics, Scratch, SpaceLayout, TryLockRequest, UnknownConfig,
+    LockId, LockSpace, RetryMetrics, Scratch, SpaceLayout, TryLockRequest,
 };
 pub use wfl_idem::{cell, Frame, IdemRun, Registry, TagSource, Thunk, ThunkId};
 pub use wfl_runtime::epoch::{EpochState, EpochSync};

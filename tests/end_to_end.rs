@@ -160,14 +160,13 @@ fn bank_conserves_money_with_delays_and_bursty_schedule() {
 /// The unknown-bounds variant works through the facade too.
 #[test]
 fn unknown_bounds_end_to_end() {
-    use wait_free_locks::{try_locks_unknown, UnknownConfig};
+    use wait_free_locks::try_locks_unknown;
     let mut registry = Registry::new();
     let incr = registry.register(Incr);
     let heap = Heap::new(1 << 22);
     let space = LockSpace::create_root(&heap, 2, 3);
     let counter = heap.alloc_root(1);
-    let ucfg = UnknownConfig::new();
-    let (space, registry, ucfg) = (&space, &registry, &ucfg);
+    let (space, registry) = (&space, &registry);
     let wins = heap.alloc_root(3);
     let report = SimBuilder::new(&heap, 3)
         .schedule(SeededRandom::new(3, 9))
@@ -183,7 +182,7 @@ fn unknown_bounds_end_to_end() {
                         thunk: incr,
                         args: &[counter.to_word()],
                     };
-                    if try_locks_unknown(ctx, space, registry, ucfg, &mut tags, &mut scratch, req).won {
+                    if try_locks_unknown(ctx, space, registry, &mut tags, &mut scratch, req).won {
                         w += 1;
                     }
                 }
