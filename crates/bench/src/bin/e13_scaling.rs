@@ -47,7 +47,6 @@
 //!               Chrome/Perfetto `trace_event` JSON (plus a
 //!               `<path>.metrics.json` sidecar).
 
-use std::fmt::Write as _;
 use wfl_core::SpaceLayout;
 use wfl_runtime::{available_parallelism, Placement};
 use wfl_workloads::harness::{
@@ -56,37 +55,17 @@ use wfl_workloads::harness::{
 
 const REPEATS: usize = 3;
 
-struct Sample {
-    /// Successful acquisitions (critical sections run) per second — the
-    /// useful-throughput metric; failed attempts are not counted, so a
-    /// mode cannot look faster by failing faster.
-    ops_per_sec: f64,
-    /// Arena pressure: highest usage at any epoch boundary, in words.
-    heap_high_water: usize,
-    /// The per-lane breakdown (workers first, root lane last), already
-    /// compacted to the lanes this run used.
-    heap_high_water_lanes: Vec<usize>,
-    /// The uniform metrics fold the shared row writer serializes.
-    metrics: wfl_obs::MetricsSnapshot,
+/// Successful acquisitions (critical sections run) per second — the
+/// useful-throughput metric; failed attempts are not counted, so a mode
+/// cannot look faster by failing faster.
+fn wins_per_sec(r: &HarnessReport) -> f64 {
+    r.wins_per_sec().expect("real runs report wall time")
 }
 
-impl Sample {
-    fn from_report(r: &HarnessReport) -> Sample {
-        let wall = r.wall.expect("real runs report wall time").as_secs_f64();
-        Sample {
-            ops_per_sec: r.wins as f64 / wall,
-            heap_high_water: r.heap_high_water,
-            heap_high_water_lanes: r.compact_high_water_lanes(),
-            metrics: r.metrics(),
-        }
-    }
-
-    fn better_of(self, other: Option<Sample>) -> Sample {
-        match other {
-            Some(b) if b.ops_per_sec > self.ops_per_sec => b,
-            _ => self,
-        }
-    }
+/// Adds a timed run's wins and wall seconds to a `(Σ wins, Σ wall)` tally.
+fn tally(tot: &mut (u64, f64), r: &HarnessReport) {
+    tot.0 += r.wins;
+    tot.1 += r.wall.expect("real runs report wall time").as_secs_f64();
 }
 
 /// The wfl configuration E13 sweeps and gates on: the paper's lock minus
@@ -100,21 +79,21 @@ const WFL: &str = "wfl-nodelay";
 
 /// One timed cell: `threads` philosophers each make `attempts` eating
 /// attempts through the unified harness under `exec`. Returns the best of
-/// `repeats` runs (least-noise estimate on a shared machine); the
-/// harness's meal-count safety check is asserted on every run.
+/// `repeats` runs by wins/s (least-noise estimate on a shared machine);
+/// the harness's meal-count safety check is asserted on every run.
 fn run_config(
     algo_name: &str,
     threads: usize,
     attempts: usize,
     repeats: usize,
     exec: ExecMode,
-) -> Sample {
-    let mut best: Option<Sample> = None;
+) -> HarnessReport {
+    let mut best: Option<HarnessReport> = None;
     for _ in 0..repeats {
         let algo = AlgoKind::from_label(algo_name, 2).expect("validated label");
         let r = run_philosophers(threads, attempts, 42, algo, 1 << 23, &exec);
         assert!(r.safety_ok, "{algo_name}/{threads}t: philosopher meal counters diverged");
-        best = Some(Sample::from_report(&r).better_of(best));
+        best = Some(wfl_bench::faster(best, r));
     }
     best.expect("at least one repeat")
 }
@@ -130,8 +109,8 @@ fn run_layout_cell(
     threads: usize,
     attempts: usize,
     repeats: usize,
-) -> Sample {
-    let mut best: Option<Sample> = None;
+) -> HarnessReport {
+    let mut best: Option<HarnessReport> = None;
     for _ in 0..repeats {
         let mut spec = SimSpec::new(threads, attempts, (2 * threads).max(3), 2);
         spec.seed = 42;
@@ -145,7 +124,7 @@ fn run_layout_cell(
             "random_conflict/{algo_name}/{}/{threads}t: safety check failed",
             layout.label()
         );
-        best = Some(Sample::from_report(&r).better_of(best));
+        best = Some(wfl_bench::faster(best, r));
     }
     best.expect("at least one repeat")
 }
@@ -217,18 +196,6 @@ fn parse_threads(args: &[String]) -> Option<Vec<usize>> {
     None
 }
 
-fn json_lanes(lanes: &[usize]) -> String {
-    let mut s = String::from("[");
-    for (i, w) in lanes.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{w}");
-    }
-    s.push(']');
-    s
-}
-
 #[allow(clippy::too_many_arguments)]
 fn json_row(
     rows: &mut wfl_bench::Rows,
@@ -237,8 +204,9 @@ fn json_row(
     mode: &str,
     layout: &str,
     threads: usize,
-    s: &Sample,
+    r: &HarnessReport,
 ) {
+    let [heap_high_water, lanes] = wfl_bench::heap_fields(r);
     rows.push(
         &[
             ("workload", workload.to_string()),
@@ -249,11 +217,11 @@ fn json_row(
         &[
             ("threads", threads.to_string()),
             ("available_parallelism", available_parallelism().to_string()),
-            ("ops_per_sec", format!("{:.1}", s.ops_per_sec)),
-            ("heap_high_water", s.heap_high_water.to_string()),
-            ("heap_high_water_lanes", json_lanes(&s.heap_high_water_lanes)),
+            ("ops_per_sec", format!("{:.1}", wins_per_sec(r))),
+            heap_high_water,
+            lanes,
         ],
-        &s.metrics,
+        r,
     );
 }
 
@@ -291,13 +259,10 @@ fn main() {
     );
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e13_scaling\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"available_parallelism\": {avail},");
-    let _ = writeln!(json, "  \"attempts_per_thread\": {phil_attempts},");
-    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
+    let mut doc = wfl_bench::Doc::new("e13_scaling", smoke);
+    doc.field("available_parallelism", avail)
+        .field("attempts_per_thread", phil_attempts)
+        .field("repeats", REPEATS);
     let mut rows = wfl_bench::Rows::new();
 
     // --- philosophers sweep (fast hot path) ---
@@ -305,9 +270,9 @@ fn main() {
         let algo = algo.as_str();
         wfl_bench::header(&["threads", "wins/s"]);
         for &threads in &thread_counts {
-            let s = run_config(algo, threads, phil_attempts, REPEATS, ExecMode::real());
-            wfl_bench::row(&[format!("{algo} x{threads}"), format!("{:.0}", s.ops_per_sec)]);
-            json_row(&mut rows, "philosophers", algo, "fast", "padded+sharded", threads, &s);
+            let r = run_config(algo, threads, phil_attempts, REPEATS, ExecMode::real());
+            wfl_bench::row(&[format!("{algo} x{threads}"), format!("{:.0}", wins_per_sec(&r))]);
+            json_row(&mut rows, "philosophers", algo, "fast", "padded+sharded", threads, &r);
         }
         println!();
     }
@@ -349,18 +314,17 @@ fn main() {
             // gate's drift profile), while the best single samples still
             // feed the JSON rows. The smoke gate judges the per-repeat
             // ratios, whose spread is the drift.
-            let mut packed: Option<Sample> = None;
-            let mut padded: Option<Sample> = None;
+            let mut packed: Option<HarnessReport> = None;
+            let mut padded: Option<HarnessReport> = None;
             let mut packed_tot = (0u64, 0f64);
             let mut padded_tot = (0u64, 0f64);
             let mut ratios_ppm = Vec::with_capacity(layout_repeats);
             for i in 0..layout_repeats {
-                let one = |layout, tot: &mut (u64, f64), best: &mut Option<Sample>| {
-                    let s = run_layout_cell(algo, layout, threads, layout_attempts, 1);
-                    let rate = s.ops_per_sec;
-                    tot.0 += s.metrics.wins;
-                    tot.1 += s.metrics.wall_secs.expect("real runs report wall time");
-                    *best = Some(s.better_of(best.take()));
+                let one = |layout, tot: &mut (u64, f64), best: &mut Option<HarnessReport>| {
+                    let r = run_layout_cell(algo, layout, threads, layout_attempts, 1);
+                    let rate = wins_per_sec(&r);
+                    tally(tot, &r);
+                    *best = Some(wfl_bench::faster(best.take(), r));
                     rate
                 };
                 let (packed_rate, padded_rate) = if i % 2 == 0 {
@@ -374,18 +338,18 @@ fn main() {
             }
             let (packed, padded) = (packed.unwrap(), padded.unwrap());
             let speedup = (padded_tot.0 as f64 / padded_tot.1) / (packed_tot.0 as f64 / packed_tot.1);
-            padded_series.push((threads, padded.ops_per_sec));
+            padded_series.push((threads, wins_per_sec(&padded)));
             if algo == WFL && threads == top_threads {
                 layout_speedup_at_max = speedup;
             }
             wfl_bench::row(&[
                 format!("{algo} x{threads}"),
-                format!("{:.0}", packed.ops_per_sec),
-                format!("{:.0}", padded.ops_per_sec),
+                format!("{:.0}", wins_per_sec(&packed)),
+                format!("{:.0}", wins_per_sec(&padded)),
                 format!("{speedup:.2}x"),
             ]);
-            for (layout, s) in [(&packed_unified, &packed), (&padded_sharded, &padded)] {
-                json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, s);
+            for (layout, r) in [(&packed_unified, &packed), (&padded_sharded, &padded)] {
+                json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, r);
             }
             if algo == WFL {
                 // The off-diagonal cells: which half of the layout change
@@ -394,8 +358,8 @@ fn main() {
                     SpaceLayout { placement: Placement::Padded, shards: 1 },
                     SpaceLayout { placement: Placement::Packed, shards: 0 },
                 ] {
-                    let s = run_layout_cell(algo, layout, threads, layout_attempts, REPEATS);
-                    json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, &s);
+                    let r = run_layout_cell(algo, layout, threads, layout_attempts, REPEATS);
+                    json_row(&mut rows, "random_conflict", algo, "fast", &layout.label(), threads, &r);
                 }
             }
             if smoke && algo == WFL {
@@ -487,16 +451,15 @@ fn main() {
     let gate_rounds = gate_repeats.max(12);
     // Per config (baseline, disabled, enabled): best sample for the JSON
     // rows and (Σ wins, Σ wall seconds) for the gated aggregate.
-    let mut best: [Option<Sample>; 3] = [None, None, None];
+    let mut best: [Option<HarnessReport>; 3] = [None, None, None];
     let mut totals = [(0u64, 0f64); 3];
-    let run_cfg = |cfg: usize, best: &mut [Option<Sample>; 3], totals: &mut [(u64, f64); 3]| {
+    let run_cfg = |cfg: usize, best: &mut [Option<HarnessReport>; 3], totals: &mut [(u64, f64); 3]| {
         // Config 2 records; the caller cycles the global recorder to
         // prepare the "steady disabled" state of config 1.
         let exec = if cfg == 2 { ExecMode::real().with_recorder() } else { ExecMode::real() };
-        let s = run_config(WFL, top_threads, gate_attempts, 1, exec);
-        totals[cfg].0 += s.metrics.wins;
-        totals[cfg].1 += s.metrics.wall_secs.expect("real runs report wall time");
-        best[cfg] = Some(s.better_of(best[cfg].take()));
+        let r = run_config(WFL, top_threads, gate_attempts, 1, exec);
+        tally(&mut totals[cfg], &r);
+        best[cfg] = Some(wfl_bench::faster(best[cfg].take(), r));
     };
     // Round 0 in fixed order: the baseline cell covers the never-enabled
     // cold state, then the recorder is cycled once so every "disabled"
@@ -517,18 +480,18 @@ fn main() {
             run_cfg(cfg, &mut best, &mut totals);
         }
     }
-    let [baseline, disabled, enabled] = best.map(|s| s.unwrap());
+    let [baseline, disabled, enabled] = best.map(|r| r.unwrap());
     let agg = |(wins, wall): (u64, f64)| wins as f64 / wall;
     let rec_disabled_ratio = agg(totals[1]) / agg(totals[0]);
     let rec_enabled_ratio = agg(totals[2]) / agg(totals[0]);
-    for (name, s, ratio) in [
+    for (name, r, ratio) in [
         ("baseline", &baseline, 1.0),
         ("rec_disabled", &disabled, rec_disabled_ratio),
         ("rec_enabled", &enabled, rec_enabled_ratio),
     ] {
         wfl_bench::row(&[
             name.to_string(),
-            format!("{:.0}", s.ops_per_sec),
+            format!("{:.0}", wins_per_sec(r)),
             format!("{ratio:.2}x"),
         ]);
         json_row(
@@ -538,7 +501,7 @@ fn main() {
             &format!("fast+{name}"),
             "padded+sharded",
             top_threads,
-            s,
+            r,
         );
     }
     println!();
@@ -555,8 +518,7 @@ fn main() {
             ("mode", "fast".to_string()),
             ("threads", top_threads.to_string()),
         ];
-        let snap = r.trace.as_ref().expect("recorded run carries a trace");
-        wfl_bench::write_trace(&path, snap, &r.metrics(), &meta);
+        wfl_bench::write_trace(&path, &r, &meta);
     }
     if smoke {
         // The observability gates: recording must be effectively free when
@@ -583,26 +545,15 @@ fn main() {
         );
     }
 
-    json.push_str("  \"results\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"recorder_disabled_over_baseline\": {rec_disabled_ratio:.3},");
-    let _ = writeln!(json, "  \"recorder_enabled_over_baseline\": {rec_enabled_ratio:.3},");
-    let _ = writeln!(
-        json,
-        "  \"padded_sharded_over_packed_unified_at_max_threads\": {layout_speedup_at_max:.3},"
-    );
-    json.push_str("  \"knee_threads\": {");
-    for (i, (algo, knee)) in knees.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(json, "\"{algo}\": {knee}");
-    }
-    json.push_str("}\n");
-    json.push_str("}\n");
-
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
+    let knees: Vec<String> = knees.iter().map(|(algo, knee)| format!("\"{algo}\": {knee}")).collect();
+    doc.rows("results", rows)
+        .field("recorder_disabled_over_baseline", format!("{rec_disabled_ratio:.3}"))
+        .field("recorder_enabled_over_baseline", format!("{rec_enabled_ratio:.3}"))
+        .field(
+            "padded_sharded_over_packed_unified_at_max_threads",
+            format!("{layout_speedup_at_max:.3}"),
+        )
+        .field("knee_threads", format!("{{{}}}", knees.join(", ")));
     println!("{WFL} padded+sharded/packed+unified at {top_threads} threads: {layout_speedup_at_max:.2}x");
-    println!("wrote BENCH_scaling.json");
+    doc.write("BENCH_scaling.json");
 }

@@ -33,7 +33,6 @@
 //!             Sim cells run the same lifecycle deterministically. Emits
 //!             `BENCH_soak.json`.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_workloads::harness::{
     run_bank, run_graph, run_list, run_philosophers, run_random_conflict, AlgoKind, Backend,
@@ -219,12 +218,7 @@ fn json_cell(
     mode_label: &str,
     r: &HarnessReport,
 ) {
-    let lanes_json = r
-        .compact_high_water_lanes()
-        .iter()
-        .map(|w| w.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
+    let [heap_high_water, lanes] = wfl_bench::heap_fields(r);
     rows.push(
         &[
             ("workload", workload.to_string()),
@@ -233,11 +227,11 @@ fn json_cell(
         ],
         &[
             ("threads", threads.to_string()),
-            ("heap_high_water", r.heap_high_water.to_string()),
-            ("heap_high_water_lanes", format!("[{lanes_json}]")),
+            heap_high_water,
+            lanes,
             ("safety_ok", "true".to_string()),
         ],
-        &r.metrics(),
+        r,
     );
 }
 
@@ -247,10 +241,6 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
     println!("(every cell doubles as a mutual-exclusion test; smoke = {smoke})");
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e14_workload_matrix\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
     let mut rows = wfl_bench::Rows::new();
 
     let shape = CellShape {
@@ -302,15 +292,10 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
         }
         println!();
     }
-    json.push_str("  \"cells\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"cells_total\": {cells}");
-    json.push_str("}\n");
-
-    std::fs::write("BENCH_workloads.json", &json).expect("write BENCH_workloads.json");
     println!("all {cells} cells passed their safety checks");
-    println!("wrote BENCH_workloads.json");
+    let mut doc = wfl_bench::Doc::new("e14_workload_matrix", smoke);
+    doc.rows("cells", rows).field("cells_total", cells);
+    doc.write("BENCH_workloads.json");
 
     // --trace: export one recorded deterministic cell (random-conflict,
     // wfl-nodelay, top of the thread sweep, sim backend).
@@ -327,8 +312,7 @@ fn run_matrix(p: &MatrixParams, smoke: bool) {
             ("mode", "sim".to_string()),
             ("threads", threads.to_string()),
         ];
-        let snap = r.trace.as_ref().expect("recorded run carries a trace");
-        wfl_bench::write_trace(&path, snap, &r.metrics(), &meta);
+        wfl_bench::write_trace(&path, &r, &meta);
     }
 }
 
@@ -341,13 +325,6 @@ fn run_soak(p: &SoakParams, smoke: bool) {
     );
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e14_workload_matrix_soak\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"heap_words\": {},", p.heap_words);
-    let _ = writeln!(json, "  \"epoch_rounds\": {},", p.epoch_rounds);
-    let _ = writeln!(json, "  \"real_budget_secs\": {:.3},", p.real_budget.as_secs_f64());
     let mut rows = wfl_bench::Rows::new();
 
     // In soak cells the per-workload round counts are the *epoch* batch
@@ -437,15 +414,14 @@ fn run_soak(p: &SoakParams, smoke: bool) {
         }
         println!();
     }
-    json.push_str("  \"cells\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"cells_total\": {cells}");
-    json.push_str("}\n");
-
-    std::fs::write("BENCH_soak.json", &json).expect("write BENCH_soak.json");
     println!("all {cells} soak cells crossed their epoch boundaries safely");
-    println!("wrote BENCH_soak.json");
+    let mut doc = wfl_bench::Doc::new("e14_workload_matrix_soak", smoke);
+    doc.field("heap_words", p.heap_words)
+        .field("epoch_rounds", p.epoch_rounds)
+        .field("real_budget_secs", format!("{:.3}", p.real_budget.as_secs_f64()))
+        .rows("cells", rows)
+        .field("cells_total", cells);
+    doc.write("BENCH_soak.json");
 }
 
 fn main() {

@@ -39,7 +39,6 @@
 //! `give_up`) comes from the run's outcome book; `steps_*` are per-attempt
 //! own steps, as in every other BENCH file.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_bench::{header, row, verdict};
 use wfl_runtime::clamp_threads;
@@ -51,15 +50,6 @@ use wfl_workloads::harness::{AlgoKind, ExecMode, SchedKind};
 const ROUNDS: usize = 96;
 /// Victim think steps between attempts.
 const PERIOD: u64 = 400;
-
-fn algo_of(name: &str, threads: usize) -> AlgoKind {
-    match name {
-        "wfl" => AlgoKind::wfl(threads),
-        "wfl-unknown" => AlgoKind::WflUnknown,
-        "tsp" => AlgoKind::Tsp,
-        _ => AlgoKind::Naive,
-    }
-}
 
 struct Cell {
     report: FairnessReport,
@@ -134,7 +124,7 @@ fn json_cell(
             ("competitor_attempts", (r.run.attempts - v.trials).to_string()),
             ("contested", (r.run.attempts > v.trials).to_string()),
         ],
-        &r.run.metrics(),
+        &r.run,
     );
 }
 
@@ -192,12 +182,6 @@ fn main() {
     );
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e15_fairness\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"bound_model\": \"1/(kappa*L), kappa = threads, L = 1\",");
-    let _ = writeln!(json, "  \"rounds_per_epoch\": {ROUNDS},");
     let mut rows = wfl_bench::Rows::new();
 
     // --- real backend: algorithms x threads x strength ---
@@ -212,7 +196,8 @@ fn main() {
     for &threads in &thread_counts {
         for &algo_name in algos {
             for &strength in strengths {
-                let cell = run_real_cell(algo_of(algo_name, threads), threads, strength, budget);
+                let algo = AlgoKind::from_label(algo_name, threads).expect("roster label");
+                let cell = run_real_cell(algo, threads, strength, budget);
                 print_cell(algo_name, strength.label(), &cell);
                 // Gate (a): the theorem bound, with a 40% tolerance for
                 // hardware noise (the guarantee is a floor, not a target).
@@ -233,8 +218,8 @@ fn main() {
         "comp attempts", "epochs",
     ]);
     let sim_mode = ExecMode::sim(SchedKind::RoundRobin, 300_000_000);
-    let sim_wfl = run_sim_cell(algo_of("wfl", 4), 4, &sim_mode);
-    let sim_naive = run_sim_cell(algo_of("naive", 4), 4, &sim_mode);
+    let sim_wfl = run_sim_cell(AlgoKind::wfl(4), 4, &sim_mode);
+    let sim_naive = run_sim_cell(AlgoKind::Naive, 4, &sim_mode);
     wfl_overruns += sim_wfl.report.run.delay_overruns;
     print_cell("wfl", "targeted", &sim_wfl);
     print_cell("naive", "targeted", &sim_naive);
@@ -262,7 +247,7 @@ fn main() {
         // the degradation marker it hunts (a competitor preempted mid-hold
         // walling off the lock) *is* a preemption artifact, and forcing
         // preemption is the whole point of asking for 8 threads.
-        let cell = run_real_cell(algo_of("naive", 8), 8, AdvStrength::Calm, budget.max(Duration::from_millis(250)));
+        let cell = run_real_cell(AlgoKind::Naive, 8, AdvStrength::Calm, budget.max(Duration::from_millis(250)));
         let (rate, stretch) = (cell.victim_rate(), cell.report.victim().max_stretch);
         naive_worst_rate = naive_worst_rate.min(rate);
         naive_worst_stretch = naive_worst_stretch.max(stretch);
@@ -298,9 +283,7 @@ fn main() {
     );
 
     if let Some(path) = wfl_bench::parse_trace(&std::env::args().collect::<Vec<_>>()) {
-        let cell = run_sim_cell(algo_of("wfl", 4), 4, &sim_mode.with_recorder());
-        let r = &cell.report.run;
-        let snap = r.trace.as_ref().expect("recorded runs return a trace");
+        let cell = run_sim_cell(AlgoKind::wfl(4), 4, &sim_mode.with_recorder());
         let meta = [
             ("bench", "e15_fairness".to_string()),
             ("backend", "sim".to_string()),
@@ -308,22 +291,26 @@ fn main() {
             ("strength", "targeted".to_string()),
             ("threads", "4".to_string()),
         ];
-        wfl_bench::write_trace(&path, snap, &r.metrics(), &meta);
+        wfl_bench::write_trace(&path, &cell.report.run, &meta);
     }
 
-    json.push_str("  \"results\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"gates\": {{");
-    let _ = writeln!(json, "    \"wfl_bound_real\": {wfl_bound_ok},");
-    let _ = writeln!(json, "    \"wfl_bound_sim\": {sim_wfl_holds},");
-    let _ = writeln!(json, "    \"naive_jain_collapse_sim\": {sim_naive_collapses},");
-    let _ = writeln!(json, "    \"naive_degrades_real\": {naive_degrades},");
-    let _ = writeln!(json, "    \"wfl_no_delay_overrun\": {wfl_no_overrun}");
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_fairness.json", &json).expect("write BENCH_fairness.json");
+    let gates: Vec<String> = [
+        ("wfl_bound_real", wfl_bound_ok),
+        ("wfl_bound_sim", sim_wfl_holds),
+        ("naive_jain_collapse_sim", sim_naive_collapses),
+        ("naive_degrades_real", naive_degrades),
+        ("wfl_no_delay_overrun", wfl_no_overrun),
+    ]
+    .iter()
+    .map(|(gate, ok)| format!("    \"{gate}\": {ok}"))
+    .collect();
+    let mut doc = wfl_bench::Doc::new("e15_fairness", smoke);
+    doc.field("bound_model", "\"1/(kappa*L), kappa = threads, L = 1\"")
+        .field("rounds_per_epoch", ROUNDS)
+        .rows("results", rows)
+        .field("gates", format!("{{\n{}\n  }}", gates.join(",\n")));
     println!();
-    println!("wrote BENCH_fairness.json");
+    doc.write("BENCH_fairness.json");
 
     if smoke {
         assert!(wfl_bound_ok, "wfl victim success fell below the paper bound minus tolerance");

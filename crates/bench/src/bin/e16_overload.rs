@@ -72,7 +72,6 @@
 //!     (f) no wfl or wfl+combine cell, sim or real, reports a delay
 //!         overrun (the fairness precondition).
 
-use std::fmt::Write as _;
 use std::time::Duration;
 use wfl_bench::{combining_fields, goodput, header, row, verdict};
 use wfl_runtime::clamp_threads;
@@ -155,26 +154,10 @@ fn algos(threads: usize, filter: Option<&Vec<String>>) -> Vec<AlgoKind> {
 /// that the 3-process shape exposes.
 const WAIT_FREEDOM_PROCS: usize = 3;
 
-struct Cell {
-    report: HarnessReport,
-    /// Wins per 1k own steps spent across all attempts.
-    goodput: f64,
-    abort_p50: u64,
-    /// `rescues / aborts` (0 when nothing aborted).
-    help_rate: f64,
-}
-
-impl Cell {
-    fn from_report(report: HarnessReport) -> Cell {
-        let goodput = goodput(&report);
-        let abort_p50 = report.abort_steps.percentile(0.50);
-        let help_rate = if report.aborts > 0 {
-            report.rescues as f64 / report.aborts as f64
-        } else {
-            0.0
-        };
-        Cell { report, goodput, abort_p50, help_rate }
-    }
+/// The abandoned-attempt helping rate, `rescues / aborts` (0 when
+/// nothing aborted).
+fn help_rate(r: &HarnessReport) -> f64 {
+    if r.aborts > 0 { r.rescues as f64 / r.aborts as f64 } else { 0.0 }
 }
 
 fn conflict_spec(threads: usize, attempts: usize) -> SimSpec {
@@ -204,7 +187,7 @@ fn run_sim_cell(
     deadline: Option<u64>,
     faulted: bool,
     record: bool,
-) -> Cell {
+) -> HarnessReport {
     let spec = conflict_spec(threads, attempts);
     let (p, q) = fault_window(threads);
     let sched = if faulted {
@@ -225,10 +208,10 @@ fn run_sim_cell(
         "{}/{threads}t/deadline {deadline:?}/faults {faulted}: safety audit failed",
         algo.label()
     );
-    Cell::from_report(r)
+    r
 }
 
-fn run_real_cell(algo: AlgoKind, threads: usize, attempts: usize, deadline: u64, faulted: bool) -> Cell {
+fn run_real_cell(algo: AlgoKind, threads: usize, attempts: usize, deadline: u64, faulted: bool) -> HarnessReport {
     let spec = conflict_spec(threads, attempts);
     let cfg = if faulted {
         RealConfig::fast().with_faults(FaultSpec {
@@ -246,7 +229,7 @@ fn run_real_cell(algo: AlgoKind, threads: usize, attempts: usize, deadline: u64,
         "{}/{threads}t/real/faults {faulted}: safety audit failed",
         algo.label()
     );
-    Cell::from_report(r)
+    r
 }
 
 /// One JSON row: experiment-specific fields (the abort p99 is the uniform
@@ -259,22 +242,18 @@ fn json_cell(
     threads: usize,
     deadline: Option<u64>,
     faulted: bool,
-    c: &Cell,
+    r: &HarnessReport,
 ) {
     let mut fields = vec![
         ("threads", threads.to_string()),
         ("deadline_steps", deadline.map_or("null".to_string(), |d| d.to_string())),
         ("faulted", faulted.to_string()),
-        ("goodput_wins_per_kstep", format!("{:.4}", c.goodput)),
-        ("abort_p50", c.abort_p50.to_string()),
-        ("help_rate", format!("{:.4}", c.help_rate)),
+        ("goodput_wins_per_kstep", format!("{:.4}", goodput(r))),
+        ("abort_p50", r.abort_steps.percentile(0.50).to_string()),
+        ("help_rate", format!("{:.4}", help_rate(r))),
     ];
-    fields.extend(combining_fields(&c.report));
-    rows.push(
-        &[("backend", backend.to_string()), ("algo", algo.to_string())],
-        &fields,
-        &c.report.metrics(),
-    );
+    fields.extend(combining_fields(r));
+    rows.push(&[("backend", backend.to_string()), ("algo", algo.to_string())], &fields, r);
 }
 
 fn fmt_deadline(d: Option<u64>) -> String {
@@ -285,10 +264,9 @@ fn fmt_deadline(d: Option<u64>) -> String {
 /// every outcome tally and on the full flight-recorder event sequence
 /// (same seed, bit-identical trace). Returns the verdict and the first
 /// run.
-fn replays_exactly(algo: AlgoKind, threads: usize, deadline: u64) -> (bool, Cell) {
-    let a = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
-    let b = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
-    let (ra, rb) = (&a.report, &b.report);
+fn replays_exactly(algo: AlgoKind, threads: usize, deadline: u64) -> (bool, HarnessReport) {
+    let ra = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
+    let rb = run_sim_cell(algo, threads, 60, Some(deadline), true, true);
     let events = ra.trace.as_ref().map_or(0, |t| t.total_events());
     let ok = ra.wins == rb.wins
         && ra.aborts == rb.aborts
@@ -302,7 +280,7 @@ fn replays_exactly(algo: AlgoKind, threads: usize, deadline: u64) -> (bool, Cell
         algo.label(),
         verdict(ok)
     );
-    (ok, a)
+    (ok, ra)
 }
 
 fn main() {
@@ -319,10 +297,6 @@ fn main() {
     );
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e16_overload\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
     let mut rows = wfl_bench::Rows::new();
 
     // --- sim block: the deterministic overload matrix, and the gates ---
@@ -351,37 +325,37 @@ fn main() {
             let (mut faulted_aborts, mut faulted_p99) = (0u64, 0u64);
             for deadline in deadlines {
                 for faulted in [false, true] {
-                    let c = run_sim_cell(
+                    let r = run_sim_cell(
                         algo, threads, rounds_for(algo, smoke), deadline, faulted, false,
                     );
-                    let p99 = c.report.abort_steps.percentile(0.99);
+                    let p99 = r.abort_steps.percentile(0.99);
                     if deadline == Some(slo_d) {
-                        slo_pair[faulted as usize] = c.goodput;
+                        slo_pair[faulted as usize] = goodput(&r);
                         if faulted {
-                            (faulted_aborts, faulted_p99) = (c.report.aborts, p99);
+                            (faulted_aborts, faulted_p99) = (r.aborts, p99);
                         }
                     }
                     if matches!(algo, AlgoKind::Wfl { .. }) {
-                        wfl_overruns += c.report.delay_overruns;
+                        wfl_overruns += r.delay_overruns;
                     }
                     row(&[
                         algo.label().to_string(),
                         fmt_deadline(deadline),
                         if faulted { "inject".into() } else { "-".into() },
-                        format!("{:.3}", c.goodput),
-                        format!("{}/{}", c.report.wins, c.report.attempts),
-                        format!("{}", c.report.aborts),
-                        format!("{}/{p99}", c.abort_p50),
-                        format!("{:.2}", c.help_rate),
-                        format!("{}", c.report.combined_wins),
+                        format!("{:.3}", goodput(&r)),
+                        format!("{}/{}", r.wins, r.attempts),
+                        format!("{}", r.aborts),
+                        format!("{}/{p99}", r.abort_steps.percentile(0.50)),
+                        format!("{:.2}", help_rate(&r)),
+                        format!("{}", r.combined_wins),
                     ]);
-                    json_cell(&mut rows, "sim", algo.label(), threads, deadline, faulted, &c);
+                    json_cell(&mut rows, "sim", algo.label(), threads, deadline, faulted, &r);
                     // Gate (b): the SLO is honored — aborts bail out within
                     // 2x the armed budget. Gated at the SLO only: a budget
                     // below one attempt's mandatory reveal stall (the TIGHT
                     // column) saturates at the first post-stall poll point
                     // by design, and tiny abort populations are noise.
-                    if deadline == Some(slo_d) && c.report.aborts >= 20 {
+                    if deadline == Some(slo_d) && r.aborts >= 20 {
                         let ok = p99 <= 2 * slo_d;
                         if !ok {
                             println!(
@@ -487,7 +461,7 @@ fn main() {
     let combine = AlgoKind::Wfl { kappa: t0.max(2), delays: true, helping: true, combine: true };
     let (combine_ok, c) = replays_exactly(combine, t0, slo(t0));
     gates_ok &= wfl_ok && combine_ok;
-    wfl_overruns += a.report.delay_overruns + c.report.delay_overruns;
+    wfl_overruns += a.delay_overruns + c.delay_overruns;
 
     // --trace: export the recorded faulted wfl cell as a Chrome/Perfetto
     // trace_event document (plus a metrics sidecar), and parse-validate
@@ -503,8 +477,7 @@ fn main() {
             ("faulted", "true".to_string()),
             ("seed", SEED.to_string()),
         ];
-        let trace = a.report.trace.as_ref().expect("recorded replay cell carries a trace");
-        let stats = wfl_bench::write_trace(&path, trace, &a.report.metrics(), &meta);
+        let stats = wfl_bench::write_trace(&path, &a, &meta);
         assert!(stats.attempts > 0, "traced cell shows no attempt spans");
         assert!(stats.aborts > 0, "traced deadline-armed cell shows no aborts");
         assert!(stats.fault_windows > 0, "traced faulted cell shows no fault windows");
@@ -522,18 +495,18 @@ fn main() {
     header(&["algo", "faults", "wins/att", "aborts", "rescues", "combined", "wall ms"]);
     for algo in algos(real_threads, algo_filter.as_ref()) {
         for faulted in [false, true] {
-            let c = run_real_cell(algo, real_threads, real_attempts, slo(real_threads), faulted);
+            let r = run_real_cell(algo, real_threads, real_attempts, slo(real_threads), faulted);
             if matches!(algo, AlgoKind::Wfl { .. }) {
-                wfl_overruns += c.report.delay_overruns;
+                wfl_overruns += r.delay_overruns;
             }
             row(&[
                 algo.label().to_string(),
                 if faulted { "inject".into() } else { "-".into() },
-                format!("{}/{}", c.report.wins, c.report.attempts),
-                format!("{}", c.report.aborts),
-                format!("{}", c.report.rescues),
-                format!("{}", c.report.combined_wins),
-                format!("{:.1}", c.report.wall.expect("real run").as_secs_f64() * 1e3),
+                format!("{}/{}", r.wins, r.attempts),
+                format!("{}", r.aborts),
+                format!("{}", r.rescues),
+                format!("{}", r.combined_wins),
+                format!("{:.1}", r.wall.expect("real run").as_secs_f64() * 1e3),
             ]);
             json_cell(
                 &mut rows,
@@ -542,7 +515,7 @@ fn main() {
                 real_threads,
                 Some(slo(real_threads)),
                 faulted,
-                &c,
+                &r,
             );
         }
     }
@@ -553,13 +526,9 @@ fn main() {
     println!("wfl delay overruns (sim + real): {wfl_overruns} {}", verdict(wfl_overruns == 0));
     gates_ok &= wfl_overruns == 0;
 
-    json.push_str("  \"results\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"gates_ok\": {gates_ok}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_overload.json", &json).expect("write BENCH_overload.json");
-    println!("wrote BENCH_overload.json");
+    let mut doc = wfl_bench::Doc::new("e16_overload", smoke);
+    doc.rows("results", rows).field("gates_ok", gates_ok);
+    doc.write("BENCH_overload.json");
 
     if smoke {
         assert!(gates_ok, "E16 smoke gates failed (see GATE lines above)");

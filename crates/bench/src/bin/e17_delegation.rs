@@ -47,7 +47,6 @@
 //! and the combining abort-latency bound are E16's gates (d), (e) and
 //! (b).
 
-use std::fmt::Write as _;
 use wfl_bench::{combined_share, combining_fields, goodput, header, jain_wins, row, verdict};
 use wfl_runtime::available_parallelism;
 use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec};
@@ -85,15 +84,11 @@ fn closed_loop_spec(threads: usize, attempts: usize) -> SimSpec {
 
 fn run_closed_loop(algo: AlgoKind, threads: usize, attempts: usize) -> HarnessReport {
     let spec = closed_loop_spec(threads, attempts);
-    let wins_per_sec = |r: &HarnessReport| r.wins_per_sec().unwrap_or(0.0);
     let mut best: Option<HarnessReport> = None;
     for _ in 0..REPEATS {
         let r = run_random_conflict(&spec, algo, &ExecMode::real());
         assert!(r.safety_ok, "{}/{threads}t/closed-loop: safety audit failed", algo.label());
-        best = Some(match best {
-            Some(b) if wins_per_sec(&b) > wins_per_sec(&r) => b,
-            _ => r,
-        });
+        best = Some(wfl_bench::faster(best, r));
     }
     best.expect("at least one repeat")
 }
@@ -118,7 +113,7 @@ fn json_cell(
             ("algo", algo.label().to_string()),
         ],
         &fields,
-        &r.metrics(),
+        r,
     );
 }
 
@@ -139,11 +134,6 @@ fn main() {
     );
     println!();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"bench\": \"e17_delegation\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"available_parallelism\": {avail},");
     let mut rows = wfl_bench::Rows::new();
     let mut gates_ok = true;
     // Gate (c)'s tally: delay overruns over every wfl / wfl+combine cell.
@@ -227,13 +217,9 @@ fn main() {
     gates_ok &= wfl_overruns == 0;
     println!();
 
-    json.push_str("  \"results\": ");
-    json.push_str(&rows.finish());
-    json.push_str(",\n");
-    let _ = writeln!(json, "  \"gates_ok\": {gates_ok}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_delegation.json", &json).expect("write BENCH_delegation.json");
-    println!("wrote BENCH_delegation.json");
+    let mut doc = wfl_bench::Doc::new("e17_delegation", smoke);
+    doc.field("available_parallelism", avail).rows("results", rows).field("gates_ok", gates_ok);
+    doc.write("BENCH_delegation.json");
 
     if smoke {
         assert!(gates_ok, "E17 smoke gates failed (see GATE lines above)");

@@ -102,8 +102,8 @@ impl AbortReason {
     }
 }
 
-/// Why a bounded retry loop ([`crate::lock_and_run_limited`] /
-/// [`crate::lock_and_run_until`]) gave up without acquiring the locks.
+/// Why a bounded retry loop ([`crate::lock_and_run_until`]) gave up
+/// without acquiring the locks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GiveUp {
     /// The driver's cooperative stop flag was raised.
@@ -180,7 +180,7 @@ pub struct Backoff {
 
 impl Backoff {
     /// No backoff: retries are immediate (the behavior of
-    /// [`crate::lock_and_run`] and [`crate::lock_and_run_limited`]).
+    /// [`crate::lock_and_run`]).
     pub const NONE: Backoff = Backoff { start: 0, cap: 0 };
 
     /// An exponential policy from `start` doubling up to `cap` own steps.

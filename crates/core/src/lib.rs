@@ -75,7 +75,7 @@ pub use abort::{AbortReason, Backoff, Deadline, GiveUp};
 pub use config::{DelayBudget, LockConfig};
 pub use descriptor::{is_won, Desc, LockId, ST_ACTIVE, ST_COMBINED, ST_LOST, ST_WON};
 pub use metrics::{AttemptMetrics, RetryMetrics};
-pub use retry::{lock_and_run, lock_and_run_limited, lock_and_run_until};
+pub use retry::{lock_and_run, lock_and_run_until};
 pub use scratch::Scratch;
 pub use space::{LockSpace, SpaceLayout};
 pub use trylock::{try_locks, TryLockRequest};

@@ -72,52 +72,25 @@ fn lock_and_run_inner(
     }
 }
 
-/// Like [`lock_and_run`], but gives up after `max_attempts`, as soon as the
-/// driver's cooperative stop flag is raised between attempts (so a timed
-/// real-threads run, or the simulator's drain phase, is never wedged behind
-/// a long retry loop), when the caller's tag source is exhausted (each
-/// retry draws one attempt tag; giving up cleanly lets a multi-epoch
-/// driver close the batch and rewind tags at the next quiescent reset
-/// instead of panicking mid-retry), **or** when the heap signals
-/// allocation pressure ([`Ctx::heap_low`]: an earlier allocation had to
-/// dip into the emergency reserve — exactly like tag exhaustion, the
-/// epoch boundary rewinds the lanes and clears the condition).
+/// Abortable acquisition with a hard exit: retries tryLock attempts until
+/// one succeeds, the `deadline` (in the caller's own steps) expires — also
+/// *mid-attempt*, at the helping-safe poll points of
+/// [`try_locks`] — or `max_attempts` runs out. It also gives up as soon as
+/// the driver's cooperative stop flag is raised between attempts (so a
+/// timed real-threads run, or the simulator's drain phase, is never
+/// wedged behind a long retry loop), when the caller's tag source is
+/// exhausted (each retry draws one attempt tag; giving up cleanly lets a
+/// multi-epoch driver close the batch and rewind tags at the next
+/// quiescent reset instead of panicking mid-retry), or when the heap
+/// signals allocation pressure ([`Ctx::heap_low`]: an earlier allocation
+/// had to dip into the emergency reserve — like tag exhaustion, the epoch
+/// boundary rewinds the lanes and clears the condition). Between failed
+/// attempts the loop pauses for `backoff` local steps (bounded
+/// exponential, truncated so a pause never outlives the deadline).
 ///
 /// The returned metrics carry the give-up reason: `gave_up` is `None` iff
 /// the locks were acquired and the thunk ran; otherwise it says *why* the
 /// loop stopped and the thunk has never run.
-#[allow(clippy::too_many_arguments)]
-pub fn lock_and_run_limited(
-    ctx: &Ctx<'_>,
-    space: &LockSpace,
-    registry: &Registry,
-    cfg: &LockConfig,
-    tags: &mut TagSource,
-    scratch: &mut Scratch,
-    req: TryLockRequest<'_>,
-    max_attempts: u64,
-) -> RetryMetrics {
-    lock_and_run_until(
-        ctx,
-        space,
-        registry,
-        cfg,
-        tags,
-        scratch,
-        req,
-        max_attempts,
-        Deadline::NEVER,
-        Backoff::NONE,
-    )
-}
-
-/// Abortable acquisition with a hard exit: retries tryLock attempts until
-/// one succeeds, the `deadline` (in the caller's own steps) expires — also
-/// *mid-attempt*, at the helping-safe poll points of
-/// [`try_locks`] — `max_attempts` runs out, or one of
-/// [`lock_and_run_limited`]'s give-up conditions fires. Between failed
-/// attempts the loop pauses for `backoff` local steps (bounded exponential,
-/// truncated so a pause never outlives the deadline).
 ///
 /// An abandoned attempt leaves its descriptor fully helpable: if a
 /// competitor completes it first, the acquisition **succeeded** (the thunk
@@ -269,8 +242,9 @@ mod tests {
                     thunk: incr,
                     args: &[counter.to_word()],
                 };
-                let m = lock_and_run_limited(
+                let m = lock_and_run_until(
                     ctx, space_ref, reg_ref, cfg_ref, &mut tags, &mut scratch, req, 3,
+                    Deadline::NEVER, Backoff::NONE,
                 );
                 assert!(m.won(), "uncontended attempt must succeed within the limit");
                 assert_eq!(m.attempts, 1, "solo attempts succeed first try");
@@ -305,8 +279,9 @@ mod tests {
                     thunk: incr,
                     args: &[counter.to_word()],
                 };
-                let m = lock_and_run_limited(
+                let m = lock_and_run_until(
                     ctx, space_ref, reg_ref, cfg_ref, &mut tags, &mut scratch, req, 10,
+                    Deadline::NEVER, Backoff::NONE,
                 );
                 assert_eq!(
                     m.gave_up,
@@ -317,8 +292,9 @@ mod tests {
                 // After a rewind (as the epoch boundary performs) the same
                 // request succeeds.
                 tags.reset();
-                let m = lock_and_run_limited(
+                let m = lock_and_run_until(
                     ctx, space_ref, reg_ref, cfg_ref, &mut tags, &mut scratch, req, 10,
+                    Deadline::NEVER, Backoff::NONE,
                 );
                 assert!(m.won(), "rewound tags must work again");
             })
@@ -469,7 +445,7 @@ mod tests {
     #[test]
     fn limited_retry_honors_the_stop_flag_in_timed_real_runs() {
         // Two "victim" threads retry with an absurd attempt budget; their
-        // *only* exit is `lock_and_run_limited` giving up, which can
+        // *only* exit is `lock_and_run_until` giving up, which can
         // only happen via the stop check (the budget is effectively
         // infinite). A "contender" thread keeps attempting until both
         // victims have exited, guaranteeing the victims keep seeing failed
@@ -529,9 +505,9 @@ mod tests {
                         loop {
                             let req =
                                 TryLockRequest { locks: &[LockId(0)], thunk: incr, args: &args };
-                            let m = lock_and_run_limited(
+                            let m = lock_and_run_until(
                                 ctx, space_ref, reg_ref, cfg_ref, &mut tags, &mut scratch, req,
-                                u64::MAX,
+                                u64::MAX, Deadline::NEVER, Backoff::NONE,
                             );
                             if m.won() {
                                 wins += 1;

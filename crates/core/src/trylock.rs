@@ -581,9 +581,3 @@ fn validate_budget(registry: &Registry, cfg: &LockConfig, req: &TryLockRequest<'
         cfg.cs_steps
     );
 }
-
-/// Uncounted inspection helper for tests: whether a descriptor won
-/// (by `decide` or by a combining grant).
-pub fn peek_won(heap: &wfl_runtime::Heap, p: Desc) -> bool {
-    is_won(p.peek_status(heap))
-}

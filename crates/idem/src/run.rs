@@ -118,11 +118,6 @@ impl<'c, 'h> IdemRun<'c, 'h> {
         self.ctx.read_acq(self.args_base.off(i as u32))
     }
 
-    /// Number of operations executed so far by this cursor.
-    pub fn ops_used(&self) -> usize {
-        self.next_op
-    }
-
     #[inline]
     fn take_op(&mut self) -> (Addr, u32) {
         let Mode::Logged { log_base, nops, tag_base } = self.mode else {

@@ -1,6 +1,6 @@
 //! Always-compiled, allocation-free observability for the wait-free-locks
-//! workspace: a per-process flight recorder, exporters, and the shared
-//! log-linear histogram.
+//! workspace: a per-process flight recorder, its Perfetto exporter, and
+//! the shared log-linear histogram.
 //!
 //! This crate sits below every other `wfl_*` crate (it depends only on
 //! `std`), so the lock algorithms, the delegation baselines, and both
@@ -13,15 +13,12 @@
 //!   leaders). Recording costs one relaxed atomic load when disabled and
 //!   plain single-writer stores when enabled; nothing allocates on the
 //!   hot path.
-//! * exporters — [`perfetto`] renders a drained [`TraceSnapshot`] as
+//! * exporter — [`perfetto`] renders a drained [`TraceSnapshot`] as
 //!   Chrome `trace_event` JSON (openable in ui.perfetto.dev) and
-//!   validates emitted traces; [`MetricsSnapshot`] is the per-run fold
-//!   (counters + histograms + clock-lease-calibrated `steps_per_sec`)
-//!   that benchmarks serialize into their `BENCH_*.json` rows.
+//!   validates emitted traces.
 //! * [`FixedHistogram`] — the workspace's one percentile engine: a
 //!   fixed-size log-linear histogram (exact below 64, at most 1/32 high
-//!   above) shared by the harness reports, the fairness subsystem, and
-//!   the snapshots.
+//!   above) shared by the harness reports and the fairness subsystem.
 //!
 //! Determinism contract: events carry the emitting process's logical
 //! clock and own-step counter, both of which are uncounted reads — so a
@@ -37,11 +34,9 @@ mod json;
 pub mod perfetto;
 pub mod rec;
 mod ring;
-mod snapshot;
 
 pub use event::{AttemptOutcomeBits, Event, EventKind};
 pub use hist::{FixedHistogram, BUCKETS};
 pub use json::{escape, JsonValue};
 pub use rec::{TraceSnapshot, CTRL_PID, MAX_PIDS};
 pub use ring::EventRing;
-pub use snapshot::MetricsSnapshot;

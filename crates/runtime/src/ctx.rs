@@ -276,12 +276,6 @@ impl<'h> Ctx<'h> {
         self.clock_mode
     }
 
-    /// The driver-selected memory-ordering tier.
-    #[inline]
-    pub fn order_tier(&self) -> OrderTier {
-        self.tier
-    }
-
     /// The underlying heap (for address arithmetic only; going around the
     /// step accounting in algorithm code invalidates the experiments).
     #[inline]

@@ -69,11 +69,6 @@ pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / denom
 }
 
-/// Formats a markdown-style table row (used by the experiment binaries).
-pub fn table_row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

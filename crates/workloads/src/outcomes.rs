@@ -129,34 +129,6 @@ impl HarnessReport {
         v.push(*self.heap_high_water_lanes.last().expect("non-empty lane vector"));
         v
     }
-
-    /// Folds the report into the uniform [`wfl_obs::MetricsSnapshot`] the
-    /// shared `wfl_bench` row writer serializes: counters, per-reason
-    /// give-up tallies under their stable labels, the step histograms, and
-    /// the calibrated wall-clock rates (real runs only; `steps_per_sec` is
-    /// total own steps over the wall, the number that converts
-    /// step-denominated deadlines into time).
-    pub fn metrics(&self) -> wfl_obs::MetricsSnapshot {
-        let wall_secs = self.wall.map(|w| w.as_secs_f64().max(1e-12));
-        wfl_obs::MetricsSnapshot {
-            attempts: self.attempts,
-            wins: self.wins,
-            aborts: self.aborts,
-            rescues: self.rescues,
-            combined_wins: self.combined_wins,
-            delay_overruns: self.delay_overruns,
-            epochs: self.epochs,
-            steps: self.steps.clone(),
-            abort_steps: self.abort_steps.clone(),
-            give_up: GiveUp::all()
-                .iter()
-                .map(|g| (g.label(), self.give_up[g.index()]))
-                .collect(),
-            wall_secs,
-            steps_per_sec: wall_secs.map(|w| self.steps.sum() as f64 / w),
-            wins_per_sec: self.wins_per_sec(),
-        }
-    }
 }
 
 /// Per-`(process, round)` outcome slots in the shared heap for **one
