@@ -394,7 +394,7 @@ mod tests {
         let sim = HarnessReport::default();
         let context = [("algo", "wf\"l".to_string())];
         let raw = [("threads", "4".to_string()), ("faulted", "true".to_string())];
-        let row = r#"    {"algo": "wf\"l", "threads": 4, "faulted": true, "attempts": 10, "wins": 7, "success_rate": 0.7000, "aborts": 2, "rescues": 1, "combined_wins": 2, "delay_overruns": 2, "epochs": 3, "give_up": {"stop": 1, "tags": 0, "heap_low": 0, "deadline": 2, "attempts": 0}, "steps_mean": 2005.0, "steps_p50": 4000, "steps_p99": 4000, "abort_p99_steps": 512, "wall_secs": 0.250000, "steps_per_sec": 16040.0, "wins_per_sec": 28.0}"#;
+        let row = r#"    {"algo": "wf\"l", "threads": 4, "faulted": true, "attempts": 10, "wins": 7, "success_rate": 0.7000, "aborts": 2, "rescues": 1, "combined_wins": 2, "delay_overruns": 2, "epochs": 3, "give_up": {"stop": 1, "tags": 0, "heap_low": 0, "deadline": 2, "attempts": 0}, "steps_mean": 2005.0, "steps_p50": 10, "steps_p99": 4000, "abort_p99_steps": 512, "wall_secs": 0.250000, "steps_per_sec": 16040.0, "wins_per_sec": 28.0}"#;
         let sim_row = r#"    {"attempts": 0, "wins": 0, "success_rate": 0.0000, "aborts": 0, "rescues": 0, "combined_wins": 0, "delay_overruns": 0, "epochs": 0, "give_up": {"stop": 0, "tags": 0, "heap_low": 0, "deadline": 0, "attempts": 0}, "steps_mean": 0.0, "steps_p50": 0, "steps_p99": 0, "abort_p99_steps": 0, "wall_secs": null, "steps_per_sec": null, "wins_per_sec": null}"#;
 
         // The row.

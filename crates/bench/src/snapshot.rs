@@ -81,7 +81,7 @@ mod tests {
   "delay_overruns": 2,
   "epochs": 3,
   "give_up": {"stop": 1, "tags": 0, "heap_low": 0, "deadline": 2, "attempts": 0},
-  "steps": {"count": 2, "mean": 2005.0, "p50": 4000, "p99": 4000, "max": 4000, "buckets": {"10": 1, "3968": 1}},
+  "steps": {"count": 2, "mean": 2005.0, "p50": 10, "p99": 4000, "max": 4000, "buckets": {"10": 1, "3968": 1}},
   "abort_steps": {"count": 1, "p50": 512, "p99": 512, "buckets": {"512": 1}},
   "wall_secs": 0.250,
   "steps_per_sec": 16040.000,

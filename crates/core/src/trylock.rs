@@ -581,3 +581,154 @@ fn validate_budget(registry: &Registry, cfg: &LockConfig, req: &TryLockRequest<'
         cfg.cs_steps
     );
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use wfl_idem::{cell, IdemRun, Thunk, HELP_FIXED_STEPS};
+    use wfl_runtime::schedule::FromSeq;
+    use wfl_runtime::sim::SimBuilder;
+    use wfl_runtime::{Addr, Heap};
+
+    /// Writes `arg(1)` to the cell at `arg(0)`, counting its body runs.
+    struct CountedWrite(Arc<AtomicU64>);
+    impl Thunk for CountedWrite {
+        fn run(&self, run: &mut IdemRun<'_, '_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            let c = Addr::from_word(run.arg(0));
+            let v = run.arg(1) as u32;
+            run.write(c, v);
+        }
+        fn max_ops(&self) -> usize {
+            1
+        }
+    }
+
+    const LOCKS: [LockId; 2] = [LockId(0), LockId(1)];
+    /// A celebrate that runs the body: status and frame reads, the help's
+    /// fixed steps, and the body (two argument reads and a solo write).
+    const FULL: u64 = 2 + HELP_FIXED_STEPS + 2 + 5;
+    /// A celebrate of a completed frame: status, frame and flag reads.
+    const REPEAT: u64 = 3;
+    /// One lock of `run(q)`, q its only member: the lock id, getSet
+    /// (1 + 2), the flag filter's priority read, q's status.
+    const LOCK: u64 = 1 + 3 + 1 + 1;
+
+    /// A competitor q on both locks: two locks of capacity 2, the counted
+    /// thunk, and q's output cell.
+    struct Fixture {
+        heap: Heap,
+        space: LockSpace,
+        registry: Registry,
+        runs: Arc<AtomicU64>,
+        out: Addr,
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            let runs = Arc::new(AtomicU64::new(0));
+            let mut registry = Registry::new();
+            registry.register(CountedWrite(runs.clone()));
+            let heap = Heap::new(1 << 16);
+            let space = LockSpace::create_root(&heap, LOCKS.len(), 2);
+            let out = heap.alloc_root(1);
+            Fixture { heap, space, registry, runs, out }
+        }
+
+        /// Process 0 creates q, inserts it into both locks and reveals its
+        /// priority; with `won` it then decides q WON and stops before
+        /// running the thunk.
+        fn competitor(&self, won: bool) -> Desc {
+            let q_at = self.heap.alloc_root(1);
+            let Fixture { space, registry, out, .. } = self;
+            SimBuilder::new(&self.heap, 1)
+                .spawn(move |ctx: &Ctx| {
+                    let tag_base = TagSource::new(0).next_base();
+                    let frame = Frame::create(ctx, registry, ThunkId(0), tag_base, &[out.to_word(), 7]);
+                    let q = Desc::create(ctx, &LOCKS, frame);
+                    let overrun = Cell::new(false);
+                    let flag = RevealFlag { reveal_at: None, tag_base, overrun: &overrun };
+                    let sets: Vec<ActiveSet> = LOCKS.iter().map(|&l| *space.set(l)).collect();
+                    multi_insert_into(ctx, &flag, q.item(), &sets, &mut Vec::new());
+                    if won {
+                        decide(ctx, q);
+                    }
+                    ctx.heap().poke(q_at, q.item());
+                })
+                .run()
+                .assert_clean();
+            Desc::from_item(self.heap.peek(q_at))
+        }
+
+        /// Runs `owner` as process 0 and `helper` as process 1 under
+        /// `schedule`; returns the helper's own steps.
+        fn race(
+            &self,
+            schedule: Vec<usize>,
+            owner: impl FnOnce(&Ctx<'_>) + Send,
+            helper: impl FnOnce(&Ctx<'_>) + Send,
+        ) -> u64 {
+            let report = SimBuilder::new(&self.heap, 2)
+                .schedule(FromSeq::new(schedule, false))
+                .spawn(owner)
+                .spawn(helper)
+                .run();
+            report.assert_clean();
+            assert!(report.completed);
+            report.steps[1]
+        }
+
+        fn assert_ran_once(&self) {
+            assert_eq!(self.runs.load(Ordering::Relaxed), 1, "q's body ran once");
+            assert_eq!(cell::value(self.heap.peek(self.out)), 7);
+        }
+    }
+
+    #[test]
+    fn helping_a_frozen_winner_runs_its_thunk_once() {
+        // q was decided WON and its process froze before the thunk. An
+        // attempt on q's two locks finds q revealed on each and runs it
+        // twice: the first run helps the body, the second finds the frame
+        // completed. Each run reads q WON at both locks, so it skips their
+        // members, and its decide fails.
+        let f = Fixture::new();
+        let q = f.competitor(true);
+        let helper = |ctx: &Ctx<'_>| {
+            let mut scratch = Scratch::new();
+            let req = TryLockRequest { locks: &LOCKS, thunk: ThunkId(0), args: &[f.out.to_word(), 9] };
+            let a = Attempt::begin(ctx, &f.space, &f.registry, &mut TagSource::new(1), &mut scratch, &req, true)
+                .unwrap_or_else(|_| panic!("no deadline is armed"));
+            assert_eq!(a.helped, 2);
+            assert_eq!(q.peek_status(ctx.heap()), ST_WON);
+        };
+        let steps = f.race(vec![1; 200], |_| {}, helper);
+        let run_q = |celebrate| 2 + 2 * LOCK + 1 + celebrate;
+        let create = Frame::create_steps(2) + Desc::create_steps(2);
+        // Per lock: the getSet of q alone and its priority read, then run(q).
+        assert_eq!(steps, create + (4 + run_q(FULL)) + (4 + run_q(REPEAT)));
+        f.assert_ran_once();
+    }
+
+    #[test]
+    fn a_competitor_won_mid_run_is_celebrated_in_full_once() {
+        // The helper reads q ACTIVE at its first lock; q's own process then
+        // decides it. The helper's member celebrate of q runs the body in
+        // full, the second lock reads q WON and skips its members, and the
+        // last celebrate finds the frame completed.
+        let f = Fixture::new();
+        let q = f.competitor(false);
+        let before_member = 2 + LOCK;
+        let mut schedule = vec![1; before_member as usize];
+        schedule.push(0);
+        schedule.extend([1; 200]);
+        let owner = |ctx: &Ctx<'_>| decide(ctx, q);
+        let helper = |ctx: &Ctx<'_>| run_desc(ctx, &f.space, &f.registry, q, &mut Vec::new());
+        let steps = f.race(schedule, owner, helper);
+        // The member: its status read, then the full celebrate. Then the
+        // second lock, the failed decide and the last celebrate.
+        assert_eq!(steps, before_member + 1 + FULL + LOCK + 1 + REPEAT);
+        f.assert_ran_once();
+    }
+}

@@ -125,18 +125,18 @@ impl FixedHistogram {
     }
 
     /// Nearest-rank `q`-quantile **upper bound**: the upper edge of the
-    /// bucket holding the rank, clamped to the recorded maximum. Exact
-    /// below 64 and for `q = 1`; otherwise at most 1/32 above the true
-    /// value. 0 if empty.
+    /// bucket holding rank `ceil(q · n)` (clamped to `[1, n]`), clamped to
+    /// the recorded maximum. Exact below 64 and for `q = 1`; otherwise at
+    /// most 1/32 above the true value. 0 if empty.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
-            if seen > rank {
+            if seen >= rank {
                 return Self::bucket_hi(i).min(self.max);
             }
         }
@@ -177,6 +177,19 @@ mod tests {
         assert!(h.percentile(0.0) <= h.percentile(0.5));
         assert!(h.percentile(0.5) <= h.percentile(1.0));
         assert_eq!(h.percentile(1.0), 100, "p100 clamps to the recorded max");
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        // Rank ceil(q · n): the median of two samples is the lower one.
+        let mut h = FixedHistogram::new();
+        for v in [10u64, 4000] {
+            h.record(v);
+        }
+        assert_eq!(h.percentile(0.5), 10);
+        assert_eq!(h.percentile(0.0), 10, "rank clamps up to 1");
+        assert_eq!(h.percentile(0.51), 4000);
+        assert_eq!(h.percentile(1.0), 4000);
     }
 
     #[test]

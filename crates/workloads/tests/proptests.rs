@@ -91,8 +91,10 @@ proptest! {
             prop_assert!(p >= prev, "percentile not monotone at q={}", q);
             prop_assert!(p <= a.max());
             prev = p;
-            if let Some(last) = sorted.len().checked_sub(1) {
-                let v = sorted[(last as f64 * q).round() as usize];
+            if !sorted.is_empty() {
+                // Nearest rank: the ceil(q · n)-th sample, rank at least 1.
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let v = sorted[rank - 1];
                 let within = v <= p && p <= v.saturating_add(v / 32);
                 prop_assert!(within, "q={}: exact {} read as {}", q, v, p);
                 if v < 64 {
