@@ -50,11 +50,12 @@ pub struct LockConfig {
 /// competitor's locks outside the attempt's own set can hold `κ` each.
 /// Every member may need its thunk helped at the full
 /// [`LockConfig::cs_steps`]: a member can win after an earlier member's
-/// thunk completes, while the same scan is still running. The one
-/// exception is a competitor the helping phase runs: its own thunk is
-/// charged one full help, since after the first its frame reads completed.
-/// (`T1` keeps a full help per celebrate of the attempt's own thunk; that
-/// slack is what combining rounds spend.)
+/// thunk completes, while the same scan is still running. The exceptions
+/// are the descriptor a run is running, a helped competitor's or the
+/// attempt's own: its thunk is charged one full help, since after the
+/// first its frame reads completed. Combining ([`LockConfig::combine`])
+/// is not in `T1`: a winner whose combining claims a peer ends
+/// [`DelayBudget::combine_slack`] later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayBudget {
     /// Frame and descriptor creation and the fairness-probe publication.
@@ -72,12 +73,19 @@ pub struct DelayBudget {
     pub settle: u64,
     /// multiRemove and the probe clear.
     pub remove: u64,
-    /// One combining round ([`LockConfig::combine`]): the gate's status
-    /// read, a settle pass, the claim CAS and the claimed thunk. Not part
-    /// of `T1`: a winner starts a round only while the round and the
-    /// multiRemove still fit in what is left of the attempt, so combining
-    /// spends `T1`'s slack and never lengthens an attempt.
-    pub combine_round: u64,
+    /// With [`LockConfig::combine`], how much longer than `T0 + T1` an
+    /// attempt runs once its combining claims a peer: a full help at each
+    /// of the L celebrates of the attempt's own thunk that `settle`
+    /// charges at 3 steps. 0 without combining.
+    pub combine_slack: u64,
+    /// A combining settle pass ([`LockConfig::combine`]) over the
+    /// attempt's locks. A winner starts one only while it and the
+    /// multiRemove fit before the attempt's end.
+    pub combine_pass: u64,
+    /// A combining claim: the claim CAS and the claimed thunk. A winner
+    /// claims only while the claim and the multiRemove fit before
+    /// `T0 + T1 + combine_slack`, so no attempt runs past that.
+    pub combine_claim: u64,
 }
 
 impl DelayBudget {
@@ -86,8 +94,8 @@ impl DelayBudget {
         self.create + self.help + self.insert
     }
 
-    /// `T1`: own steps from the reveal stall's target to the end of the
-    /// attempt.
+    /// `T1`: own steps from the reveal stall's target to the end of an
+    /// attempt that claims no combining peer.
     pub fn t1(&self) -> u64 {
         self.reveal + self.settle + self.remove
     }
@@ -134,16 +142,18 @@ impl LockConfig {
         let lock = |m: u64| 1 + revealed(m) + 1 + m * member;
         // run(): lock-count and snapshot reads, the locks, decide, celebrate.
         let run = |locks: u64| 2 + locks + 1 + celebrate;
+        // run(q) charges q's own thunk one full help, not one per
+        // celebrate: run(q) walks a lock's members only after reading q
+        // ACTIVE past that lock's getSet, and q, revealed after inserting
+        // into all its locks and withdrawing only once no longer ACTIVE,
+        // is then among them. Of q's L + 1 celebrates only the first can
+        // run the body (Frame::help returns once the completed flag is
+        // set, and it never clears within an epoch), so L of them cost a
+        // status, a frame and a flag read.
+        let repeats = l * (celebrate - 3);
         // A helped competitor q shares the lock it was found on, where this
-        // attempt is not yet a member, and may hold L - 1 others. q's thunk
-        // is charged one full help, not one per celebrate: run(q) walks a
-        // lock's members only after reading q ACTIVE past that lock's
-        // getSet, and q, revealed after inserting into all its locks and
-        // withdrawing only once no longer ACTIVE, is then among them. Of
-        // q's L + 1 celebrates only the first can run the body (Frame::help
-        // returns once the completed flag is set, and it never clears), so
-        // L of them cost a status, a frame and a flag read.
-        let helped = run(lock(others) + (l - 1) * lock(k)) - l * (celebrate - 3);
+        // attempt is not yet a member, and may hold L - 1 others.
+        let helped = run(lock(others) + (l - 1) * lock(k)) - repeats;
         // Per member of a settle pass: a status read, the cover check
         // (lock count and up to L lock ids), an eliminate, a re-read.
         let pass = l * (revealed(k) + k * (4 + l));
@@ -153,9 +163,13 @@ impl LockConfig {
             help,
             insert: 1 + l * insert_max_steps(self.kappa),
             reveal: 2,
-            settle: run(l * lock(k)),
+            // The attempt is a member of each of its own locks, so the
+            // same count holds for run(p).
+            settle: run(l * lock(k)) - repeats,
             remove: 1 + l * remove_max_steps(self.kappa) + 1,
-            combine_round: 1 + pass + 1 + celebrate,
+            combine_slack: if self.combine { repeats } else { 0 },
+            combine_pass: pass,
+            combine_claim: 1 + celebrate,
         }
     }
 
@@ -173,10 +187,11 @@ impl LockConfig {
 
     /// The per-attempt step bound of Theorem 6.1: with delays enabled every
     /// attempt takes exactly `T0 + T1` own steps, plus one final status
-    /// read (an abort returns earlier).
+    /// read (an abort returns earlier). An attempt whose combining claims
+    /// a peer takes [`DelayBudget::combine_slack`] more.
     pub fn step_bound(&self) -> u64 {
         let b = self.budget();
-        b.t0() + b.t1()
+        b.t0() + b.t1() + b.combine_slack
     }
 
     /// Disables the fixed delays (E11 ablation). The algorithm remains
@@ -187,7 +202,8 @@ impl LockConfig {
     }
 
     /// Enables the combining fast path (E17): winners batch-execute
-    /// compatible pending thunks before releasing. Safe for mutual
+    /// compatible pending thunks before releasing, and a winner that does
+    /// ends [`DelayBudget::combine_slack`] later. Safe for mutual
     /// exclusion and exactly-once (the grant is a one-shot status CAS,
     /// arbitrating against `eliminate`/`decide` like any helper), but it
     /// perturbs step counts, so only opt in where determinism against
@@ -221,24 +237,34 @@ mod tests {
         // A lock with one member: id, getSet (1 + 2), one priority, p's
         // status, the member; with two members: getSet (1 + 4).
         let (lock1, lock2) = (1 + 4 + 1 + member, 1 + 7 + 1 + 2 * member);
-        // A helped competitor's thunk is charged one full help: of its
-        // three celebrates (one per lock and the last), two cost 3 steps.
-        let helped = 2 + lock1 + lock2 + 1 + celebrate - 2 * (celebrate - 3);
+        // A run's own thunk is charged one full help: of its three
+        // celebrates (one per lock and the last), two cost 3 steps. That
+        // holds for a helped competitor and for the attempt itself.
+        let repeats = 2 * (celebrate - 3);
+        let helped = 2 + lock1 + lock2 + 1 + celebrate - repeats;
         let b = cfg.budget();
         assert_eq!(b.create, (4 + 5) + (3 + 2) + 1);
         assert_eq!(b.help, 2 * (4 + helped));
         // An insert claims one of 2 slots (≤ 4 steps) and climbs 2 levels
         // twice at ≤ 7 steps per pass.
         assert_eq!(b.insert, 1 + 2 * (4 + 28));
-        assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate);
+        assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate - repeats);
+        assert_eq!(b.settle, 139);
         assert_eq!(b.remove, 1 + 2 * (1 + 28) + 1);
-        assert_eq!((b.t0(), b.t1()), (288, 259));
-        assert_eq!(cfg.step_bound(), 547);
-        // A round: gate read, a pass over 2 locks of 2 members (getSet,
-        // flag filter, and per member status, cover check, eliminate,
-        // re-read), the claim, the claimed thunk.
-        assert_eq!(b.combine_round, 1 + 2 * (7 + 2 * 6) + 1 + celebrate);
-        assert_eq!(cfg.with_combining().budget(), b, "combining adds nothing to T0/T1");
+        assert_eq!(b.combine_slack, 0);
+        assert_eq!((b.t0(), b.t1()), (288, 201));
+        assert_eq!(cfg.step_bound(), 489);
+        // A pass over 2 locks of 2 members: getSet, flag filter, and per
+        // member status, cover check, eliminate, re-read. A claim: the
+        // CAS and the claimed thunk.
+        assert_eq!(b.combine_pass, 2 * (7 + 2 * 6));
+        assert_eq!(b.combine_claim, 1 + celebrate);
+        // Combining leaves T0 and T1 as they are; an attempt that claims
+        // a peer may also spend the repeat celebrates' full helps.
+        let combining = cfg.with_combining();
+        assert_eq!(combining.budget(), DelayBudget { combine_slack: repeats, ..b });
+        assert_eq!((combining.budget().t1(), repeats), (201, 58));
+        assert_eq!(combining.step_bound(), 547);
         assert_eq!(cfg.without_helping().budget().help, 0);
     }
 

@@ -24,9 +24,10 @@ pub struct AttemptMetrics {
     /// Descriptors helped during the pre-insert helping phase.
     pub helped: u64,
     /// True if the attempt's real work exceeded a delay target (`T0` before
-    /// the reveal step, or `T0 + T1` at the end): a thunk took more steps
-    /// than its configuration allows, or more than `κ` attempts met on a
-    /// lock. Fairness guarantees are then void.
+    /// the reveal step, or the end: `T0 + T1`, plus `combine_slack` after a
+    /// combining claim): a thunk took more steps than its configuration
+    /// allows, or more than `κ` attempts met on a lock. Fairness guarantees
+    /// are then void.
     pub delay_overrun: bool,
     /// Set when the attempt was abandoned mid-flight at a helping-safe
     /// poll point (deadline expiry or a mid-attempt stop). An aborted

@@ -86,7 +86,11 @@ fn lock_and_run_inner(
 /// had to dip into the emergency reserve — like tag exhaustion, the epoch
 /// boundary rewinds the lanes and clears the condition). Between failed
 /// attempts the loop pauses for `backoff` local steps (bounded
-/// exponential, truncated so a pause never outlives the deadline).
+/// exponential). It checks every give-up condition before a pause and
+/// pauses only when another attempt follows: a pause that would reach the
+/// deadline is not taken, and the loop gives up on
+/// [`GiveUp::Deadline`] at once. So a call's steps are its attempts' plus
+/// the pauses between them.
 ///
 /// The returned metrics carry the give-up reason: `gave_up` is `None` iff
 /// the locks were acquired and the thunk ran; otherwise it says *why* the
@@ -112,7 +116,13 @@ pub fn lock_and_run_until(
     let t_start = ctx.steps();
     let armed = std::mem::replace(&mut scratch.deadline, deadline);
     let mut attempts = 0;
-    let gave_up = 'retry: loop {
+    let gave_up = loop {
+        // Bounded exponential backoff before every attempt but the first,
+        // in own local steps (deterministic in sim). Every give-up check
+        // (all uncounted) runs before it, so the loop never pauses into a
+        // give-up: a pause that would reach the deadline leaves no step for
+        // an attempt after it.
+        let pause = backoff.pause_after(attempts);
         if attempts >= max_attempts {
             break Some(GiveUp::Attempts);
         }
@@ -122,9 +132,10 @@ pub fn lock_and_run_until(
         if ctx.heap_low() {
             break Some(GiveUp::HeapLow);
         }
-        if deadline.expired(ctx) {
+        if pause >= deadline.remaining(ctx) {
             break Some(GiveUp::Deadline);
         }
+        ctx.stall_until_steps(ctx.steps() + pause);
         let m = try_locks(ctx, space, registry, cfg, tags, scratch, req);
         attempts += 1;
         if m.won {
@@ -135,16 +146,6 @@ pub fn lock_and_run_until(
         }
         if ctx.stop_requested() {
             break Some(GiveUp::Stop);
-        }
-        // Bounded exponential backoff before the next attempt, in own
-        // local steps (deterministic in sim). Never sleep past the
-        // deadline: cap the pause at the remaining budget.
-        let pause = backoff.pause_after(attempts);
-        if pause > 0 {
-            if deadline.remaining(ctx) == 0 {
-                break 'retry Some(GiveUp::Deadline);
-            }
-            ctx.stall_until_steps(ctx.steps() + pause.min(deadline.remaining(ctx)));
         }
     };
     scratch.deadline = armed;
@@ -159,7 +160,7 @@ mod tests {
     use super::*;
     use crate::descriptor::LockId;
     use wfl_idem::{cell, IdemRun, Registry, Thunk};
-    use wfl_runtime::schedule::SeededRandom;
+    use wfl_runtime::schedule::{RoundRobin, SeededRandom};
     use wfl_runtime::sim::SimBuilder;
     use wfl_runtime::{Addr, Heap};
 
@@ -401,6 +402,74 @@ mod tests {
             cell::value(heap.peek(counter)),
             1,
             "aborted attempt's thunk never ran; the follow-up ran exactly once"
+        );
+    }
+
+    #[test]
+    fn a_pause_that_would_reach_the_deadline_is_not_taken() {
+        // Three processes retry on one lock with delays on, so every lost
+        // attempt takes exactly `step_bound() + 1` steps; round-robin keeps
+        // their attempts in step, so they meet and lose. The deadline
+        // falls inside the pause after a second lost attempt: the call
+        // must give up there without pausing, so its steps stay within
+        // its attempts and the pauses between them.
+        let mut registry = Registry::new();
+        let incr = registry.register(Incr);
+        let heap = Heap::new(1 << 22);
+        let space = LockSpace::create_root(&heap, 1, 3);
+        let counter = heap.alloc_root(1);
+        let cfg = LockConfig::new(3, 1, 2);
+        let backoff = Backoff::exponential(64, 512);
+        let attempt = cfg.step_bound() + 1;
+        let budget = 2 * attempt + backoff.pause_after(1) + backoff.pause_after(2) / 2;
+        let calls = std::sync::Mutex::new(Vec::new());
+        let (space_ref, reg_ref, cfg_ref, calls_ref) = (&space, &registry, &cfg, &calls);
+        let report = SimBuilder::new(&heap, 3)
+            .schedule(RoundRobin::new(3))
+            .max_steps(10_000_000)
+            .spawn_all(|pid| {
+                move |ctx| {
+                    let mut tags = TagSource::new(pid);
+                    let mut scratch = Scratch::new();
+                    for _ in 0..8 {
+                        let req = TryLockRequest {
+                            locks: &[LockId(0)],
+                            thunk: incr,
+                            args: &[counter.to_word()],
+                        };
+                        let m = lock_and_run_until(
+                            ctx,
+                            space_ref,
+                            reg_ref,
+                            cfg_ref,
+                            &mut tags,
+                            &mut scratch,
+                            req,
+                            u64::MAX,
+                            Deadline::after(ctx, budget),
+                            backoff,
+                        );
+                        calls_ref.lock().unwrap().push(m);
+                    }
+                }
+            })
+            .run();
+        report.assert_clean();
+        let calls = calls.into_inner().unwrap();
+        let wins = calls.iter().filter(|m| m.won()).count();
+        assert_eq!(cell::value(heap.peek(counter)) as usize, wins);
+        for m in &calls {
+            let pauses: u64 = (1..m.attempts).map(|k| backoff.pause_after(k)).sum();
+            assert!(
+                m.steps <= m.attempts * attempt + pauses,
+                "a call took {} steps over {} attempts: it paused past its last attempt",
+                m.steps,
+                m.attempts
+            );
+        }
+        assert!(
+            calls.iter().any(|m| m.gave_up == Some(GiveUp::Deadline) && m.attempts >= 2),
+            "no call lost two attempts and reached its deadline"
         );
     }
 

@@ -405,14 +405,18 @@ pub fn try_locks(
     };
     let (p, start) = (a.p, a.start);
     let budget = cfg.delays.then(|| cfg.budget());
-    // Absolute own-step targets of the reveal and of the attempt's end.
+    // Absolute own-step targets of the reveal and of the attempt's end;
+    // the end moves `combine_slack` later once combining claims a peer.
     let reveal_at = budget.map(|b| start + b.t0());
-    let end_at = budget.map(|b| start + b.t0() + b.t1());
-    // Combining is paid from T1's slack: a round starts only while its
-    // worst case and the multiRemove after it still fit before the end.
-    let last_round_start =
-        budget.map(|b| (start + b.t0() + b.t1()).saturating_sub(b.combine_round + b.remove));
-    let round_fits = |ctx: &Ctx<'_>| last_round_start.is_none_or(|t| ctx.steps() <= t);
+    let mut end_at = budget.map(|b| start + b.t0() + b.t1());
+    let claim_end_at = budget.map(|b| start + b.t0() + b.t1() + b.combine_slack);
+    // Combining spends only what is left before an end: a step of it
+    // starts only while its worst case and the multiRemove after it fit.
+    let (pass, claim, remove) =
+        budget.map_or((0, 0, 0), |b| (b.combine_pass, b.combine_claim, b.remove));
+    let fits = |ctx: &Ctx<'_>, end: Option<u64>, cost: u64| {
+        end.is_none_or(|e| ctx.steps() + cost + remove <= e)
+    };
 
     // multiInsert; the flag raise is the reveal step with the T0 delay.
     scratch.sets.clear();
@@ -467,22 +471,24 @@ pub fn try_locks(
     //
     // Rounds repeat (bounded by κ) while claims land, so one winner can
     // still drain several peers; any failed claim or in-flight winner
-    // ends combining for this attempt. With delays on, so does a round
-    // that might not fit in what is left of `T1`: combining never
-    // lengthens an attempt.
+    // ends combining for this attempt. With delays on, so does a pass
+    // that might not fit before the end, or a claim that might not fit
+    // before `T0 + T1 + combine_slack`. The first claim moves the end
+    // there, so only an attempt that combines pays the slack.
     //
     // Gated on ST_WON, not `is_won`: an attempt that was itself claimed
     // (COMBINED) holds nothing — its thunk ran inside the claimant's
     // batch and the locks may already have new owners — so it must not
     // start a batch of its own.
     let mut combined_peers = 0u64;
-    if cfg.combine && round_fits(ctx) && p.status(ctx) == ST_WON {
+    // The gate's status read and the first pass must fit together.
+    if cfg.combine && fits(ctx, end_at, 1 + pass) && p.status(ctx) == ST_WON {
         let Scratch { members, .. } = scratch;
         let covered = |ctx: &Ctx<'_>, q: Desc| {
             let qn = q.nlocks(ctx);
             qn <= req.locks.len() && (0..qn).all(|i| req.locks.contains(&q.lock(ctx, i)))
         };
-        'rounds: while combined_peers < cfg.kappa.max(1) as u64 && round_fits(ctx) {
+        'rounds: while combined_peers < cfg.kappa.max(1) as u64 && fits(ctx, end_at, pass) {
             let mut chosen: Option<u64> = None;
             for &l in req.locks {
                 revealed_members(ctx, space.set(l), members);
@@ -511,6 +517,9 @@ pub fn try_locks(
                 }
             }
             let Some(qm) = chosen else { break };
+            if !fits(ctx, claim_end_at, claim) {
+                break;
+            }
             let q = Desc::from_item(qm);
             // The claim CAS is sync; this fence pairs with competitors'
             // reveal fences for the pass-vs-scan visibility argument.
@@ -521,13 +530,14 @@ pub fn try_locks(
             obs(ctx, EventKind::CombineClaim, qm);
             celebrate_if_won(ctx, registry, q);
             combined_peers += 1;
+            end_at = claim_end_at;
         }
     }
 
     // Clean up, then pad to the fixed attempt length. The probe clears
     // before the padding: the competition is decided, and keeping the clear
     // inside the delay window means probing never alters the fixed
-    // `T0 + T1` attempt length.
+    // `T0 + T1` attempt length (`+ combine_slack` after a claim).
     a.withdraw(ctx, scratch, &flag);
     if let Some(end) = end_at {
         if ctx.steps() > end {
@@ -716,7 +726,9 @@ mod tests {
         // The helper reads q ACTIVE at its first lock; q's own process then
         // decides it. The helper's member celebrate of q runs the body in
         // full, the second lock reads q WON and skips its members, and the
-        // last celebrate finds the frame completed.
+        // last celebrate finds the frame completed. The attempt's own settle
+        // (`Attempt::compete` is `run_desc` on its own descriptor) takes
+        // this path when a helper decides it mid-compete, so it fits there.
         let f = Fixture::new();
         let q = f.competitor(false);
         let before_member = 2 + LOCK;
@@ -730,5 +742,6 @@ mod tests {
         // second lock, the failed decide and the last celebrate.
         assert_eq!(steps, before_member + 1 + FULL + LOCK + 1 + REPEAT);
         f.assert_ran_once();
+        assert!(steps <= LockConfig::new(2, 2, 1).budget().settle);
     }
 }

@@ -2,6 +2,7 @@
 //! schedule, no attempt's real work overruns `T0` before its reveal or
 //! `T0 + T1` at its end, so every attempt takes exactly `T0 + T1` own steps
 //! plus its final status read (Theorem 6.1 with the derived constants).
+//! With combining, an attempt that claims a peer takes `combine_slack` more.
 
 use wfl_core::{try_locks, LockConfig, LockId, LockSpace, Scratch, TryLockRequest};
 use wfl_idem::{IdemRun, Registry, TagSource, Thunk};
@@ -41,8 +42,11 @@ impl Thunk for IncrAll {
 struct Cell {
     attempts: u64,
     overruns: u64,
-    /// Attempts whose length differed from `step_bound() + 1`.
+    /// Attempts whose length differed from `T0 + T1 + 1`, plus
+    /// `combine_slack` if they claimed a combining peer.
     off_length: u64,
+    /// Attempts that claimed a combining peer.
+    combining: u64,
     helped: u64,
     max_helped: u64,
 }
@@ -69,8 +73,8 @@ fn run_cell(
     let heap = Heap::new(1 << 22);
     let space = LockSpace::create_root(&heap, nlocks, kappa);
     let counters = heap.alloc_root(nlocks);
-    // Per attempt: won, steps, overrun, helped.
-    let out = heap.alloc_root(kappa * ROUNDS * 4);
+    // Per attempt: won, steps, overrun, helped, combined peers.
+    let out = heap.alloc_root(kappa * ROUNDS * 5);
     let (space_ref, reg_ref, cfg_ref) = (&space, &registry, &cfg);
     let mut builder = SimBuilder::new(&heap, kappa)
         .seed(seed)
@@ -115,12 +119,13 @@ fn run_cell(
                         &mut scratch,
                         req,
                     );
-                    let at = out.off(((pid * ROUNDS + round) * 4) as u32);
+                    let at = out.off(((pid * ROUNDS + round) * 5) as u32);
                     let heap = ctx.heap();
                     heap.poke(at, m.won as u64);
                     heap.poke(at.off(1), m.steps);
                     heap.poke(at.off(2), m.delay_overrun as u64);
                     heap.poke(at.off(3), m.helped);
+                    heap.poke(at.off(4), m.combined_peers);
                 }
             }
         })
@@ -131,11 +136,15 @@ fn run_cell(
         "cell did not finish within the step budget"
     );
     let mut cell = Cell::default();
+    let b = cfg.budget();
     for i in 0..kappa * ROUNDS {
-        let at = out.off((i * 4) as u32);
+        let at = out.off((i * 5) as u32);
         cell.attempts += 1;
         cell.overruns += heap.peek(at.off(2));
-        cell.off_length += (heap.peek(at.off(1)) != cfg.step_bound() + 1) as u64;
+        let combined = heap.peek(at.off(4)) > 0;
+        cell.combining += combined as u64;
+        let len = b.t0() + b.t1() + combined as u64 * b.combine_slack + 1;
+        cell.off_length += (heap.peek(at.off(1)) != len) as u64;
         let helped = heap.peek(at.off(3));
         cell.helped += helped;
         cell.max_helped = cell.max_helped.max(helped);
@@ -147,6 +156,7 @@ fn run_cell(
 fn no_attempt_overruns_its_delays_under_any_schedule() {
     let mut helped = 0;
     let mut max_helped = 0;
+    let mut combining = 0;
     for (kappa, l, nlocks) in [
         (2, 1, 1),
         (3, 1, 1),
@@ -163,8 +173,9 @@ fn no_attempt_overruns_its_delays_under_any_schedule() {
                     assert_eq!(c.overruns, 0, "{label}: delay overrun");
                     assert_eq!(
                         c.off_length, 0,
-                        "{label}: an attempt was not T0 + T1 + 1 steps"
+                        "{label}: an attempt was not T0 + T1 + 1 steps (+ combine_slack after a claim)"
                     );
+                    combining += c.combining;
                     helped += c.helped;
                     max_helped = max_helped.max(c.max_helped);
                 }
@@ -178,6 +189,8 @@ fn no_attempt_overruns_its_delays_under_any_schedule() {
         max_helped >= 2,
         "no attempt helped more than one competitor"
     );
+    // Both attempt lengths of a combining cell were checked.
+    assert!(combining > 0, "no attempt claimed a combining peer");
 }
 
 #[test]

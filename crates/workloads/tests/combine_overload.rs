@@ -176,11 +176,12 @@ fn faulted_combining_with_deadlines_keeps_fates_disjoint() {
     // smallest that works: T0 budgets helping one revealed competitor, so
     // an attempt that must help more overruns it, and a deadline ten steps
     // past the reveal aborts exactly those attempts. κ = 1 fails because
-    // its T1 budgets no member beside the winner: a combining round must
-    // then fit in the unused worst case of the winner's own thunk, which
-    // is smaller than a round with 5-step idempotent ops (DESIGN §1.4).
-    // κ = 2's T1 budgets a second member, and when that member is absent
-    // or already settled its share pays for a round.
+    // its T1 budgets no member beside the winner: a settle pass must then
+    // fit before T0 + T1 in the unused worst case of the winner's own
+    // thunk, which is smaller than a pass with 5-step idempotent ops
+    // (DESIGN §1.4). κ = 2's T1 budgets a second member, and when that
+    // member is absent or already settled its share pays for the pass;
+    // the claim spends `combine_slack` (DESIGN §1.7).
     let kappa = 2;
     let cs_work = 2_000;
     let t0 = LockConfig::new(kappa, 1, 2).with_cs_steps(body_steps(2) + cs_work).t0();

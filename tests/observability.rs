@@ -124,13 +124,13 @@ fn faulted_trace_reaches_the_exporter() {
 /// against 8 processes, so helping overruns `T0`, and a deadline just past
 /// the reveal aborts exactly the overrunning attempts. Won, aborted,
 /// rescued and combined outcomes all occur (wfl rescues are rare: seeds
-/// 24, 34 and 40 are the only ones below 60 that show one).
+/// 78 and 79 are the only ones below 80 that show one).
 #[test]
 fn attempt_end_words_fold_to_the_outcome_book() {
     let _g = recorder_lock();
     let kappa = 2;
     let mut spec = SimSpec::new(8, 30, 1, 1);
-    spec.seed = 24;
+    spec.seed = 78;
     spec.think_max = 0;
     spec.cs_work = 0;
     let t0 = LockConfig::new(kappa, 1, 2).with_cs_steps(body_steps(2)).t0();
