@@ -70,8 +70,8 @@ fn tally(tot: &mut (u64, f64), r: &HarnessReport) {
 
 /// The wfl configuration E13 sweeps and gates on: the paper's lock minus
 /// its `T0`/`T1` delays. The delays are the counted worst-case budget
-/// (`LockConfig::budget()`), spent as local steps on every attempt — 380
-/// of the 490 steps per win on wflbench's `disjoint` workload — so with
+/// (`LockConfig::budget()`), spent as local steps on every attempt — 346
+/// of the 448 steps per win on wflbench's `disjoint` workload — so with
 /// them on, each cell would mostly time idle padding and bury the
 /// shared-memory effects E13 exists to measure (cache layout, flight
 /// recorder). The delayed lock's cost is E15–E17's and wflbench's subject.

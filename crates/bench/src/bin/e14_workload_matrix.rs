@@ -119,8 +119,8 @@ const WORKLOADS: [&str; 5] = ["random_conflict", "philosophers", "bank", "list",
 
 /// The matrix's algorithm set. Its first wfl is `wfl-nodelay`, the
 /// paper's lock without the `T0`/`T1` delays: the delays are the counted
-/// worst-case budget, spent as local steps on every attempt (380 of the
-/// 490 steps per win on wflbench's `disjoint` workload), and the matrix is
+/// worst-case budget, spent as local steps on every attempt (346 of the
+/// 448 steps per win on wflbench's `disjoint` workload), and the matrix is
 /// about safety coverage and the throughput of the locking machinery
 /// itself. The `extended` roster (the `--smoke` matrix, so CI exercises it
 /// on every workload) adds the delayed `wfl+combine` fast path, the cohort

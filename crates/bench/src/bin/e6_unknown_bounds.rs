@@ -6,6 +6,9 @@
 //! bounds. Also reports the E6b ablation note: the conservative
 //! self-eliminate-on-TBD rule's cost shows up as the gap between the two
 //! algorithms' rates under skewed schedules.
+//!
+//! Exits nonzero on a safety violation or when any row's Wilson 99% lower
+//! bound on the unknown-bounds rate falls below Theorem 6.10's bound.
 
 use wfl_bench::{fmt_success, header, row, verdict};
 use wfl_workloads::harness::{run_random_conflict, AlgoKind, ExecMode, SchedKind, SimSpec};
@@ -53,4 +56,5 @@ fn main() {
     println!("Theorem 6.10 bound: {}", verdict(all_ok));
     println!("(E6b) the known-vs-unknown rate gap under WeightedRamp reflects the");
     println!("conservative self-eliminate-on-TBD reconstruction (DESIGN.md §1.6).");
+    assert!(all_ok, "a row missed the Theorem 6.10 bound");
 }

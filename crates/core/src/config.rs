@@ -50,12 +50,13 @@ pub struct LockConfig {
 /// competitor's locks outside the attempt's own set can hold `κ` each.
 /// Every member may need its thunk helped at the full
 /// [`LockConfig::cs_steps`]: a member can win after an earlier member's
-/// thunk completes, while the same scan is still running. The exceptions
-/// are the descriptor a run is running, a helped competitor's or the
-/// attempt's own: its thunk is charged one full help, since after the
-/// first its frame reads completed. Combining ([`LockConfig::combine`])
-/// is not in `T1`: a winner whose combining claims a peer ends
-/// [`DelayBudget::combine_slack`] later.
+/// thunk completes, while the same scan is still running. The exception
+/// is the descriptor a run is running, a helped competitor or the
+/// attempt itself: the run skips its own entry in every member list, so
+/// a lock of `m` members is charged `m - 1`, and its thunk is charged one
+/// full help, at the run's last celebrate. Combining
+/// ([`LockConfig::combine`]) is not in `T1`: a winner whose combining
+/// claims a peer ends [`DelayBudget::combine_slack`] later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayBudget {
     /// Frame and descriptor creation and the fairness-probe publication.
@@ -74,9 +75,9 @@ pub struct DelayBudget {
     /// multiRemove and the probe clear.
     pub remove: u64,
     /// With [`LockConfig::combine`], how much longer than `T0 + T1` an
-    /// attempt runs once its combining claims a peer: a full help at each
-    /// of the L celebrates of the attempt's own thunk that `settle`
-    /// charges at 3 steps. 0 without combining.
+    /// attempt runs once its combining claims a peer: the room a claiming
+    /// winner gets for its claims, `L·(celebrate - 3)`, where a celebrate
+    /// is a full thunk help. 0 without combining.
     pub combine_slack: u64,
     /// A combining settle pass ([`LockConfig::combine`]) over the
     /// attempt's locks. A winner starts one only while it and the
@@ -138,22 +139,30 @@ impl LockConfig {
         let member = 4 + celebrate;
         // getSet, then the flag filter's priority read per member.
         let revealed = |m: u64| get_set_steps(m as usize) + m;
-        // One lock in run(): its id, its members, p's status, each member.
-        let lock = |m: u64| 1 + revealed(m) + 1 + m * member;
+        // One lock in run(): its id, its members, the run's status, then
+        // each member but the run's own descriptor, which it skips:
+        //
+        // 1. The own entry decides nothing: its priorities are equal.
+        // 2. Its celebrate adds nothing. Every run ends with decide and a
+        //    celebrate of its own descriptor; a mid-scan one ran the body
+        //    only if that descriptor was already WON or COMBINED, and then
+        //    mutual exclusion leaves no other member of the lock won but
+        //    incomplete, so no later member waits on it.
+        // 3. m - 1 members bound every lock. A run's descriptor missing
+        //    from a revealed list has begun its multiRemove, whose flag
+        //    clear follows its status leaving ACTIVE; so the status read
+        //    after the getSet skips the members, and the lock costs
+        //    1 + revealed(m) + 1.
+        //
+        // So every descriptor a run runs, a helped competitor or the
+        // attempt itself, is charged one full help: its last celebrate.
+        // At κ = 1 no other member exists.
+        let lock = |m: u64| 1 + revealed(m) + 1 + m.saturating_sub(1) * member;
         // run(): lock-count and snapshot reads, the locks, decide, celebrate.
         let run = |locks: u64| 2 + locks + 1 + celebrate;
-        // run(q) charges q's own thunk one full help, not one per
-        // celebrate: run(q) walks a lock's members only after reading q
-        // ACTIVE past that lock's getSet, and q, revealed after inserting
-        // into all its locks and withdrawing only once no longer ACTIVE,
-        // is then among them. Of q's L + 1 celebrates only the first can
-        // run the body (Frame::help returns once the completed flag is
-        // set, and it never clears within an epoch), so L of them cost a
-        // status, a frame and a flag read.
-        let repeats = l * (celebrate - 3);
         // A helped competitor q shares the lock it was found on, where this
         // attempt is not yet a member, and may hold L - 1 others.
-        let helped = run(lock(others) + (l - 1) * lock(k)) - repeats;
+        let helped = run(lock(others) + (l - 1) * lock(k));
         // Per member of a settle pass: a status read, the cover check
         // (lock count and up to L lock ids), an eliminate, a re-read.
         let pass = l * (revealed(k) + k * (4 + l));
@@ -165,9 +174,9 @@ impl LockConfig {
             reveal: 2,
             // The attempt is a member of each of its own locks, so the
             // same count holds for run(p).
-            settle: run(l * lock(k)) - repeats,
+            settle: run(l * lock(k)),
             remove: 1 + l * remove_max_steps(self.kappa) + 1,
-            combine_slack: if self.combine { repeats } else { 0 },
+            combine_slack: if self.combine { l * (celebrate - 3) } else { 0 },
             combine_pass: pass,
             combine_claim: 1 + celebrate,
         }
@@ -234,38 +243,43 @@ mod tests {
         assert_eq!(cfg.cs_steps, 25);
         let celebrate = 2 + 5 + 25;
         let member = 4 + celebrate;
-        // A lock with one member: id, getSet (1 + 2), one priority, p's
-        // status, the member; with two members: getSet (1 + 4).
-        let (lock1, lock2) = (1 + 4 + 1 + member, 1 + 7 + 1 + 2 * member);
-        // A run's own thunk is charged one full help: of its three
-        // celebrates (one per lock and the last), two cost 3 steps. That
-        // holds for a helped competitor and for the attempt itself.
-        let repeats = 2 * (celebrate - 3);
-        let helped = 2 + lock1 + lock2 + 1 + celebrate - repeats;
+        // A lock is charged every member but the run's own descriptor.
+        // With one member (the run's own): id, getSet (1 + 2), one
+        // priority, the run's status; with two: getSet (1 + 4), two
+        // priorities, the status and the other member.
+        let (lock1, lock2) = (1 + 4 + 1, 1 + 7 + 1 + member);
+        // A run's own thunk is charged one full help, at its last
+        // celebrate. That holds for a helped competitor and for the
+        // attempt itself.
+        let helped = 2 + lock1 + lock2 + 1 + celebrate;
         let b = cfg.budget();
         assert_eq!(b.create, (4 + 5) + (3 + 2) + 1);
         assert_eq!(b.help, 2 * (4 + helped));
+        assert_eq!(b.help, 180);
         // An insert claims one of 2 slots (≤ 4 steps) and climbs 2 levels
         // twice at ≤ 7 steps per pass.
         assert_eq!(b.insert, 1 + 2 * (4 + 28));
-        assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate - repeats);
-        assert_eq!(b.settle, 139);
+        assert_eq!(b.settle, 2 + 2 * lock2 + 1 + celebrate);
+        assert_eq!(b.settle, 125);
         assert_eq!(b.remove, 1 + 2 * (1 + 28) + 1);
         assert_eq!(b.combine_slack, 0);
-        assert_eq!((b.t0(), b.t1()), (288, 201));
-        assert_eq!(cfg.step_bound(), 489);
+        assert_eq!((b.t0(), b.t1()), (260, 187));
+        assert_eq!(cfg.step_bound(), 447);
         // A pass over 2 locks of 2 members: getSet, flag filter, and per
         // member status, cover check, eliminate, re-read. A claim: the
         // CAS and the claimed thunk.
         assert_eq!(b.combine_pass, 2 * (7 + 2 * 6));
         assert_eq!(b.combine_claim, 1 + celebrate);
         // Combining leaves T0 and T1 as they are; an attempt that claims
-        // a peer may also spend the repeat celebrates' full helps.
+        // a peer gets L full helps less a 3-step repeat each of room.
+        let slack = 2 * (celebrate - 3);
         let combining = cfg.with_combining();
-        assert_eq!(combining.budget(), DelayBudget { combine_slack: repeats, ..b });
-        assert_eq!((combining.budget().t1(), repeats), (201, 58));
-        assert_eq!(combining.step_bound(), 547);
+        assert_eq!(combining.budget(), DelayBudget { combine_slack: slack, ..b });
+        assert_eq!((combining.budget().t1(), slack), (187, 58));
+        assert_eq!(combining.step_bound(), 505);
         assert_eq!(cfg.without_helping().budget().help, 0);
+        // At κ = 1 a run's lock holds no other member.
+        assert_eq!(LockConfig::new(1, 2, 4).budget().settle, 2 + 2 * lock1 + 1 + celebrate);
     }
 
     #[test]

@@ -168,21 +168,19 @@ pub(crate) fn run_desc(
             snap_off += 1 + count;
         }
         if p.status(ctx) == ST_ACTIVE {
-            for &m in members.iter() {
-                let q = Desc::from_item(m);
+            // p's own entry decides nothing (DESIGN §1.7): skip it, no step.
+            for q in members.iter().map(|&m| Desc::from_item(m)).filter(|&q| q != p) {
                 if q.status(ctx) == ST_ACTIVE {
                     let pq = q.priority(ctx);
                     let pp = p.priority(ctx);
                     if pq == PRIO_TBD {
                         // §6.2 conservative rule: unknown competitor
                         // priority — p loses the comparison.
-                        if q != p {
-                            eliminate(ctx, p);
-                        }
+                        eliminate(ctx, p);
                     } else if pp > PRIO_TBD && pq > PRIO_TBD {
                         if pp > pq {
                             eliminate(ctx, q);
-                        } else if q != p {
+                        } else {
                             eliminate(ctx, p);
                         }
                     }
@@ -625,42 +623,54 @@ mod tests {
     /// One lock of `run(q)`, q its only member: the lock id, getSet
     /// (1 + 2), the flag filter's priority read, q's status.
     const LOCK: u64 = 1 + 3 + 1 + 1;
+    /// One lock of a run with two members, up to the other member: the
+    /// lock id, getSet (1 + 4), two priority reads, the run's status.
+    const LOCK2: u64 = 1 + 5 + 2 + 1;
+    /// A member up to its eliminate: its status and both priorities.
+    const COMPARE: u64 = 3;
+    /// Priorities poked over the drawn ones: p outranks its competitors.
+    const HIGH: u64 = 1 << 62;
+    const LOW: u64 = 1 << 61;
 
-    /// A competitor q on both locks: two locks of capacity 2, the counted
-    /// thunk, and q's output cell.
+    /// Competitors on `nlocks` locks of capacity 2, sharing the counted
+    /// thunk and one output cell.
     struct Fixture {
         heap: Heap,
         space: LockSpace,
         registry: Registry,
         runs: Arc<AtomicU64>,
         out: Addr,
+        /// Tag source of the next competitor (its own pid, so tags differ).
+        next_pid: Cell<usize>,
     }
 
     impl Fixture {
-        fn new() -> Fixture {
+        fn new(nlocks: usize) -> Fixture {
             let runs = Arc::new(AtomicU64::new(0));
             let mut registry = Registry::new();
             registry.register(CountedWrite(runs.clone()));
             let heap = Heap::new(1 << 16);
-            let space = LockSpace::create_root(&heap, LOCKS.len(), 2);
+            let space = LockSpace::create_root(&heap, nlocks, 2);
             let out = heap.alloc_root(1);
-            Fixture { heap, space, registry, runs, out }
+            Fixture { heap, space, registry, runs, out, next_pid: Cell::new(2) }
         }
 
-        /// Process 0 creates q, inserts it into both locks and reveals its
+        /// A process creates q on `locks`, inserts it and reveals its
         /// priority; with `won` it then decides q WON and stops before
-        /// running the thunk.
-        fn competitor(&self, won: bool) -> Desc {
+        /// running the thunk. `prio`, if given, replaces the drawn
+        /// priority.
+        fn competitor(&self, locks: &[LockId], won: bool, prio: Option<u64>) -> Desc {
             let q_at = self.heap.alloc_root(1);
+            let pid = self.next_pid.replace(self.next_pid.get() + 1);
             let Fixture { space, registry, out, .. } = self;
             SimBuilder::new(&self.heap, 1)
                 .spawn(move |ctx: &Ctx| {
-                    let tag_base = TagSource::new(0).next_base();
+                    let tag_base = TagSource::new(pid).next_base();
                     let frame = Frame::create(ctx, registry, ThunkId(0), tag_base, &[out.to_word(), 7]);
-                    let q = Desc::create(ctx, &LOCKS, frame);
+                    let q = Desc::create(ctx, locks, frame);
                     let overrun = Cell::new(false);
                     let flag = RevealFlag { reveal_at: None, tag_base, overrun: &overrun };
-                    let sets: Vec<ActiveSet> = LOCKS.iter().map(|&l| *space.set(l)).collect();
+                    let sets: Vec<ActiveSet> = locks.iter().map(|&l| *space.set(l)).collect();
                     multi_insert_into(ctx, &flag, q.item(), &sets, &mut Vec::new());
                     if won {
                         decide(ctx, q);
@@ -669,7 +679,11 @@ mod tests {
                 })
                 .run()
                 .assert_clean();
-            Desc::from_item(self.heap.peek(q_at))
+            let q = Desc::from_item(self.heap.peek(q_at));
+            if let Some(prio) = prio {
+                self.heap.poke(q.prio_addr(), prio);
+            }
+            q
         }
 
         /// Runs `owner` as process 0 and `helper` as process 1 under
@@ -686,14 +700,27 @@ mod tests {
                 .spawn(helper)
                 .run();
             report.assert_clean();
-            assert!(report.completed);
+            assert!(report.completed, "own steps {:?}", report.steps);
             report.steps[1]
         }
 
-        fn assert_ran_once(&self) {
-            assert_eq!(self.runs.load(Ordering::Relaxed), 1, "q's body ran once");
+        fn assert_runs(&self, runs: u64) {
+            assert_eq!(self.runs.load(Ordering::Relaxed), runs, "bodies run");
             assert_eq!(cell::value(self.heap.peek(self.out)), 7);
         }
+    }
+
+    /// A race schedule: process 1 takes `spans[0]` steps, then process 0
+    /// one, then process 1 `spans[1]` and process 0 one, and so on; then
+    /// process 1 runs to the end.
+    fn interleave(spans: &[u64]) -> Vec<usize> {
+        let mut schedule = Vec::new();
+        for &n in spans {
+            schedule.extend(std::iter::repeat_n(1, n as usize));
+            schedule.push(0);
+        }
+        schedule.extend([1; 400]);
+        schedule
     }
 
     #[test]
@@ -703,8 +730,8 @@ mod tests {
         // twice: the first run helps the body, the second finds the frame
         // completed. Each run reads q WON at both locks, so it skips their
         // members, and its decide fails.
-        let f = Fixture::new();
-        let q = f.competitor(true);
+        let f = Fixture::new(2);
+        let q = f.competitor(&LOCKS, true, None);
         let helper = |ctx: &Ctx<'_>| {
             let mut scratch = Scratch::new();
             let req = TryLockRequest { locks: &LOCKS, thunk: ThunkId(0), args: &[f.out.to_word(), 9] };
@@ -718,30 +745,107 @@ mod tests {
         let create = Frame::create_steps(2) + Desc::create_steps(2);
         // Per lock: the getSet of q alone and its priority read, then run(q).
         assert_eq!(steps, create + (4 + run_q(FULL)) + (4 + run_q(REPEAT)));
-        f.assert_ran_once();
+        f.assert_runs(1);
     }
 
     #[test]
-    fn a_competitor_won_mid_run_is_celebrated_in_full_once() {
-        // The helper reads q ACTIVE at its first lock; q's own process then
-        // decides it. The helper's member celebrate of q runs the body in
-        // full, the second lock reads q WON and skips its members, and the
-        // last celebrate finds the frame completed. The attempt's own settle
-        // (`Attempt::compete` is `run_desc` on its own descriptor) takes
-        // this path when a helper decides it mid-compete, so it fits there.
-        let f = Fixture::new();
-        let q = f.competitor(false);
-        let before_member = 2 + LOCK;
-        let mut schedule = vec![1; before_member as usize];
-        schedule.push(0);
-        schedule.extend([1; 200]);
-        let owner = |ctx: &Ctx<'_>| decide(ctx, q);
-        let helper = |ctx: &Ctx<'_>| run_desc(ctx, &f.space, &f.registry, q, &mut Vec::new());
+    fn a_run_never_touches_its_own_entry() {
+        // q is the only member of both its locks. A run of q reads q
+        // ACTIVE after each getSet, then skips q's own entry: no status,
+        // priority, eliminate or celebrate of it. Its one celebrate of q
+        // is the last, which runs the body in full. That holds whether q
+        // decides itself (`decide` by the run) or q's own process decides
+        // it after the run's first lock, when the run's second lock reads
+        // q WON and its decide fails.
+        for mid_run in [false, true] {
+            let f = Fixture::new(2);
+            let q = f.competitor(&LOCKS, false, None);
+            let schedule = interleave(if mid_run { &[2 + LOCK] } else { &[] });
+            let owner = |ctx: &Ctx<'_>| {
+                if mid_run {
+                    decide(ctx, q);
+                }
+            };
+            let helper = |ctx: &Ctx<'_>| run_desc(ctx, &f.space, &f.registry, q, &mut Vec::new());
+            let steps = f.race(schedule, owner, helper);
+            assert_eq!(steps, 2 + 2 * LOCK + 1 + FULL, "mid_run {mid_run}");
+            assert_eq!(q.peek_status(&f.heap), ST_WON);
+            f.assert_runs(1);
+        }
+    }
+
+    #[test]
+    fn a_settle_can_take_its_whole_budget() {
+        // p (on both locks) outranks c0 (lock 0) and c1 (lock 1). At each
+        // lock p reads its competitor ACTIVE and both priorities, then
+        // c's own process decides it WON before p's eliminate: the CAS
+        // fails and p celebrates c in full. p then decides and helps its
+        // own thunk. That is every step `settle` charges, so a budget one
+        // step short fails here.
+        let f = Fixture::new(2);
+        let p = f.competitor(&LOCKS, false, Some(HIGH));
+        let c0 = f.competitor(&LOCKS[..1], false, Some(LOW));
+        let c1 = f.competitor(&LOCKS[1..], false, Some(LOW + 1));
+        let owner = |ctx: &Ctx<'_>| {
+            decide(ctx, c0);
+            decide(ctx, c1);
+        };
+        let helper = |ctx: &Ctx<'_>| {
+            let a = Attempt { p, start: 0, tag_base: 0, helped: 0, overrun: Cell::new(false) };
+            a.compete(ctx, &f.space, &f.registry, &mut Vec::new());
+        };
+        // The failed eliminate, then c's celebrate in full.
+        let late = 1 + FULL;
+        let schedule = interleave(&[2 + LOCK2 + COMPARE, late + LOCK2 + COMPARE]);
         let steps = f.race(schedule, owner, helper);
-        // The member: its status read, then the full celebrate. Then the
-        // second lock, the failed decide and the last celebrate.
-        assert_eq!(steps, before_member + 1 + FULL + LOCK + 1 + REPEAT);
-        f.assert_ran_once();
-        assert!(steps <= LockConfig::new(2, 2, 1).budget().settle);
+        assert_eq!(steps, 2 + 2 * (LOCK2 + COMPARE + late) + 1 + FULL);
+        assert_eq!(steps, LockConfig::new(2, 2, 1).budget().settle);
+        for d in [p, c0, c1] {
+            assert_eq!(d.peek_status(&f.heap), ST_WON);
+        }
+        f.assert_runs(3);
+    }
+
+    #[test]
+    fn a_helping_phase_can_take_its_whole_budget() {
+        // The attempt h is on locks 0 and 1, and finds one competitor on
+        // each: q0 on locks 0 and 2, q1 on locks 1 and 3. Each q outranks
+        // a competitor r on its other lock, and r's own process decides r
+        // WON between the run's priority reads and its eliminate. So each
+        // run of q scans a lock where q is alone, celebrates r in full,
+        // decides q and helps q's thunk. With the probe write, that is
+        // every step `create` and `help` charge.
+        let f = Fixture::new(4);
+        let q0 = f.competitor(&[LockId(0), LockId(2)], false, Some(HIGH));
+        let r0 = f.competitor(&[LockId(2)], false, Some(LOW));
+        let q1 = f.competitor(&[LockId(1), LockId(3)], false, Some(HIGH + 1));
+        let r1 = f.competitor(&[LockId(3)], false, Some(LOW + 1));
+        let probe = f.heap.alloc_root(1);
+        let owner = |ctx: &Ctx<'_>| {
+            decide(ctx, r0);
+            decide(ctx, r1);
+        };
+        let helper = |ctx: &Ctx<'_>| {
+            let mut scratch = Scratch::new();
+            scratch.probe = Some(probe);
+            let req = TryLockRequest { locks: &LOCKS, thunk: ThunkId(0), args: &[f.out.to_word(), 7] };
+            let a = Attempt::begin(ctx, &f.space, &f.registry, &mut TagSource::new(1), &mut scratch, &req, true)
+                .unwrap_or_else(|_| panic!("no deadline is armed"));
+            assert_eq!(a.helped, 2);
+        };
+        let create = Frame::create_steps(2) + Desc::create_steps(2) + 1;
+        // Per lock: getSet of q alone and its priority read, then run(q)
+        // up to r's eliminate.
+        let to_compare = 4 + 2 + LOCK + LOCK2 + COMPARE;
+        // The failed eliminate and r's celebrate, q's decide and its help.
+        let rest = 1 + FULL + 1 + FULL;
+        let steps = f.race(interleave(&[create + to_compare, rest + to_compare]), owner, helper);
+        assert_eq!(steps, create + 2 * (to_compare + rest));
+        let b = LockConfig::new(2, 2, 1).budget();
+        assert_eq!(steps, b.create + b.help);
+        for d in [q0, r0, q1, r1] {
+            assert_eq!(d.peek_status(&f.heap), ST_WON);
+        }
+        f.assert_runs(4);
     }
 }

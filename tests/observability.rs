@@ -8,9 +8,14 @@
 //! mutex (other integration-test binaries are separate processes).
 
 use std::sync::Mutex;
-use wait_free_locks::core::LockConfig;
-use wait_free_locks::idem::body_steps;
-use wait_free_locks::obs::{perfetto, rec, AttemptOutcomeBits, EventKind};
+use wait_free_locks::core::{
+    try_locks, Deadline, LockConfig, LockId, LockSpace, Scratch, TryLockRequest,
+};
+use wait_free_locks::idem::{body_steps, IdemRun, Registry, TagSource, Thunk};
+use wait_free_locks::obs::{perfetto, rec, AttemptOutcomeBits, EventKind, TraceSnapshot};
+use wait_free_locks::runtime::schedule::FromSeq;
+use wait_free_locks::runtime::{Addr, Ctx, Heap};
+use wait_free_locks::SimBuilder;
 use wait_free_locks::workloads::harness::{
     run_random_conflict, AlgoKind, ExecMode, HarnessReport, SchedKind, SimSpec,
 };
@@ -118,13 +123,104 @@ fn faulted_trace_reaches_the_exporter() {
     assert!(stats.fault_windows > 0);
 }
 
+/// Folds outcome words into outcome-book totals, checking each word's
+/// consistency.
+fn fold(words: impl IntoIterator<Item = AttemptOutcomeBits>) -> HarnessReport {
+    let mut folded = HarnessReport::default();
+    for b in words {
+        assert!(b.consistent(), "inconsistent outcome {}", b.describe());
+        folded.attempts += 1;
+        folded.wins += b.won() as u64;
+        folded.aborts += b.aborted() as u64;
+        folded.rescues += b.rescued() as u64;
+        folded.combined_wins += b.combined() as u64;
+        folded.delay_overruns += b.overrun() as u64;
+        if b.peers() > 0 {
+            folded.combine_batch.record(b.peers());
+        }
+    }
+    folded
+}
+
+/// Folds a recorded run's `AttemptEnd` words.
+fn fold_attempt_ends(trace: &TraceSnapshot) -> HarnessReport {
+    assert!(trace.dropped.is_empty(), "a ring dropped events: {:?}", trace.dropped);
+    let ends = trace.per_pid.iter().flat_map(|(_, events)| events);
+    fold(ends.filter(|e| e.kind == EventKind::AttemptEnd).map(|e| AttemptOutcomeBits(e.arg)))
+}
+
+/// The outcome totals `AttemptEnd` words fold to.
+fn totals(r: &HarnessReport) -> (u64, u64, u64, u64, u64, u64) {
+    (r.wins, r.aborts, r.rescues, r.combined_wins, r.combine_batch.sum(), r.delay_overruns)
+}
+
+/// Writes `arg(1)` to the cell at `arg(0)`.
+struct Write;
+impl Thunk for Write {
+    fn run(&self, run: &mut IdemRun<'_, '_>) {
+        let c = Addr::from_word(run.arg(0));
+        let v = run.arg(1) as u32;
+        run.write(c, v);
+    }
+    fn max_ops(&self) -> usize {
+        1
+    }
+}
+
+/// A constructed rescue: an owner and a helper race on one lock (κ = 2,
+/// L = 1, delays on). The owner's deadline is its reveal, so its
+/// post-reveal poll aborts. The schedule stops the owner right after its
+/// reveal write; the helper's helping phase then finds it revealed and
+/// alone, runs it, and decides it WON. The owner's abort eliminate fails,
+/// so it reports a rescue; the helper goes on to win its own attempt.
+/// Returns the recorded trace and the book of both attempts.
+fn run_constructed_rescue() -> (TraceSnapshot, HarnessReport) {
+    let cfg = LockConfig::new(2, 1, 1);
+    let mut registry = Registry::new();
+    let write = registry.register(Write);
+    let heap = Heap::new(1 << 16);
+    let space = LockSpace::create_root(&heap, 1, 2);
+    let out = heap.alloc_root(1);
+    let book = Mutex::new(Vec::new());
+    // Up to the reveal write: the stall to `T0`, the priority draw and
+    // the write. The helper then runs until its own reveal stall ends.
+    let t0 = cfg.t0();
+    let mut schedule = vec![0; t0 as usize + 2];
+    schedule.extend(vec![1; t0 as usize]);
+    schedule.extend([0, 1].repeat(cfg.step_bound() as usize));
+    rec::enable();
+    let report = SimBuilder::new(&heap, 2)
+        .schedule(FromSeq::new(schedule, false))
+        .spawn_all(|pid| {
+            let (space, registry, book) = (&space, &registry, &book);
+            move |ctx: &Ctx| {
+                let mut scratch = Scratch::new();
+                if pid == 0 {
+                    scratch.deadline = Deadline::at_steps(t0);
+                }
+                let args = [out.to_word(), 1 + pid as u64];
+                let req = TryLockRequest { locks: &[LockId(0)], thunk: write, args: &args };
+                let mut tags = TagSource::new(pid);
+                let m = try_locks(ctx, space, registry, &cfg, &mut tags, &mut scratch, req);
+                book.lock().unwrap().push(m.bits());
+            }
+        })
+        .run();
+    rec::disable();
+    report.assert_clean();
+    assert!(report.completed);
+    (rec::snapshot(), fold(book.into_inner().unwrap()))
+}
+
 /// Every observer reads an attempt through the one shared outcome layout,
 /// so a recorded run's `AttemptEnd` words fold to exactly its outcome
-/// book. The cell is a faulted combining race on one hot lock: κ = 2
-/// against 8 processes, so helping overruns `T0`, and a deadline just past
-/// the reveal aborts exactly the overrunning attempts. Won, aborted,
-/// rescued and combined outcomes all occur (wfl rescues are rare: seeds
-/// 78 and 79 are the only ones below 80 that show one).
+/// book. The seeded cell is a faulted combining race on one hot lock:
+/// κ = 2 against 8 processes, so helping overruns `T0`, and a deadline
+/// just past the reveal aborts exactly the overrunning attempts. Won,
+/// aborted and combined outcomes occur there; a rescue needs a helper to
+/// decide an attempt between its reveal and its abort, which random
+/// schedules rarely do, so the constructed cell forces one. Between them
+/// the two cells show every outcome flag.
 #[test]
 fn attempt_end_words_fold_to_the_outcome_book() {
     let _g = recorder_lock();
@@ -141,34 +237,23 @@ fn attempt_end_words_fold_to_the_outcome_book() {
     let r = run_random_conflict(&spec, combine, &mode);
     assert!(r.safety_ok);
     let trace = r.trace.as_ref().expect("recorded run carries a trace");
-    assert!(trace.dropped.is_empty(), "a ring dropped events: {:?}", trace.dropped);
-    let mut folded = HarnessReport::default();
-    let mut ends = 0;
-    for e in trace.per_pid.iter().flat_map(|(_, events)| events) {
-        if e.kind != EventKind::AttemptEnd {
-            continue;
-        }
-        let b = AttemptOutcomeBits(e.arg);
-        assert!(b.consistent(), "inconsistent outcome {}", b.describe());
-        ends += 1;
-        folded.wins += b.won() as u64;
-        folded.aborts += b.aborted() as u64;
-        folded.rescues += b.rescued() as u64;
-        folded.combined_wins += b.combined() as u64;
-        folded.delay_overruns += b.overrun() as u64;
-        if b.peers() > 0 {
-            folded.combine_batch.record(b.peers());
-        }
-    }
-    assert_eq!(ends, r.attempts, "one AttemptEnd per recorded attempt");
-    let totals = |r: &HarnessReport| {
-        (r.wins, r.aborts, r.rescues, r.combined_wins, r.combine_batch.sum(), r.delay_overruns)
-    };
+    let folded = fold_attempt_ends(trace);
+    assert_eq!(folded.attempts, r.attempts, "one AttemptEnd per recorded attempt");
     assert_eq!(totals(&folded), totals(&r));
+
+    let (trace, book) = run_constructed_rescue();
+    let folded = fold_attempt_ends(&trace);
+    assert_eq!(folded.attempts, 2, "one AttemptEnd per constructed attempt");
+    assert_eq!(totals(&folded), totals(&book));
+    assert_eq!((book.wins, book.aborts, book.rescues), (2, 1, 1), "{:?}", totals(&book));
+
+    let (wins, aborts, rescues, combined, ..) = totals(&r);
+    let all = (wins + book.wins, aborts + book.aborts, rescues + book.rescues, combined);
     assert!(
-        r.wins > 0 && r.aborts > 0 && r.rescues > 0 && r.combined_wins > 0,
-        "the cell must show every outcome flag: {:?}",
-        totals(&r)
+        all.0 > 0 && all.1 > 0 && all.2 > 0 && all.3 > 0,
+        "the cells must show every outcome flag: {:?} and {:?}",
+        totals(&r),
+        totals(&book)
     );
 }
 
